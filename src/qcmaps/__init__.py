@@ -2,16 +2,16 @@
 
 Modules:
 
-- ``vecgeom``: small-n dense kernel (Jacobi SVD, frames, rotations).
+- ``vecgeom``: small-n dense kernel (singular values, frames, rotations).
 - ``zorich``: cube-chart Zorich map, fundamental set, conjugation evaluator.
 - ``canonical_maps``: radial stretch, radial interpolation, spiral stretch,
   their log-coordinate transforms, analytic Jacobians, spiral-rate selection.
 - ``distortion``: finite differences, dilatation/linear-distortion reports,
-  the chart bilipschitz form, and the grid verification harness.
+  the chart bilipschitz form, and a generic grid-sweep helper.
 - ``realizer``: waypoint path planning, shell-map assembly, mean radius,
   rescaled orbit curves, Hausdorff distances.
-- ``kernels``: numba-accelerated hot loops with a numpy fallback
-  (QCMAPS_NUMBA=0 selects the fallback).
+- ``kernels``: batched numpy hot loops (Zorich map, canonicalization,
+  spiral transform and its Jacobian).
 - ``cli``: the ``qcmaps`` command (verify / realize / probe).
 """
 

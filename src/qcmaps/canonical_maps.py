@@ -223,15 +223,19 @@ def spiral_stretch(y, spec):
     a = _as_points(y)
     r = _norms(a)
     _require_nonzero(a, r)
-    f = spec.frame
-    w = a @ f
-    lam = stretch_factor((w[..., 0] / r) ** 2, spec.K)
-    beta = spec.alpha * np.log(r)
-    c, s = np.cos(beta), np.sin(beta)
-    v = w.copy()
-    v[..., 0] = c * w[..., 0] - s * w[..., 1]
-    v[..., 1] = s * w[..., 0] + c * w[..., 1]
-    return lam[..., None] * (v @ f.T)
+    w = a @ spec.frame
+    return _spiral_shell(w, r, spec.K, spec.alpha * np.log(r), spec.frame)
+
+
+def _spiral_shell(w, r, K, beta, frame):
+    """lambda(w) . F . rotate_{(1,2)}(beta) . w for frame coordinates w, |w| = r.
+
+    The one spiral formula behind ``spiral_stretch`` and the realizer's
+    spiral shells; beta is the rotation angle at each point.
+    """
+    lam = stretch_factor((w[..., 0] / r) ** 2, K)
+    v = kernels._rotate_12(w, np.cos(beta), np.sin(beta))
+    return lam[..., None] * (v @ frame.T)
 
 
 # =====================================================================
@@ -250,7 +254,7 @@ def chart_cos2(xb):
     Folds into the cube first, so both fundamental-set boxes (and any other
     representative) evaluate consistently.
     """
-    p, _ = kernels._fold_chart_np(np.asarray(xb, dtype=float))
+    p, _ = kernels._fold_chart(np.asarray(xb, dtype=float))
     m = np.max(np.abs(p), axis=-1)
     return np.cos(m) ** 2
 
@@ -381,7 +385,8 @@ def spiral_jacobian_scan(K, n, alpha, grid=33, band=1e-3):
     """Min analytic Jacobian determinant over the certification grid.
 
     Returns (min_det, worst_point) with the worst point's last coordinate
-    converted back from phase to x_n.
+    converted back from phase to x_n.  At alpha = 0 the Jacobian does not
+    depend on x_n, so every grid point is evaluated at x_n = 0.
     """
     if grid < 8:
         raise InvalidInputError("grid resolution must be at least 8")
@@ -389,13 +394,13 @@ def spiral_jacobian_scan(K, n, alpha, grid=33, band=1e-3):
     worst_pt = None
     for chunk in _grid_chunks(n, grid, band):
         pts = chunk.copy()
-        pts[:, -1] = chunk[:, -1] / alpha
+        pts[:, -1] = chunk[:, -1] / alpha if alpha != 0 else 0.0
         dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
         i = int(np.argmin(dets))
         if dets[i] < worst:
             worst = float(dets[i])
             worst_pt = pts[i].copy()
-    if worst_pt is None:  # pragma: no cover - bands never empty the cube
+    if worst_pt is None:
         raise InvalidInputError("certification grid is empty")
     return worst, worst_pt
 

@@ -11,9 +11,7 @@ Subcommands:
   values; writes ``<out>.probe.csv`` and ``<out>.summary.json`` with the
   max pairwise slice distance.
 
-Reports are deterministic for a fixed seed.  The thread count honored by the
-jitted kernels comes from the QCMAPS_THREADS environment variable (default:
-available parallelism); QCMAPS_NUMBA=0 selects the pure-numpy kernel path.
+Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ CHART_EIG_HIGH = 1.0 + np.sqrt(6.0) / 2.0
 # Linear-distortion ceiling 8 L^2 with L the chart bilipschitz constant.
 CHART_BILIP = np.pi**2 * (2.0 + np.sqrt(6.0)) / 8.0
 LINEAR_DISTORTION_BOUND = 8.0 * CHART_BILIP**2
+# Tolerance of the zorich suite's roundtrip and radius-identity checks.
+DEFAULT_TOL = 1e-12
 
 
 @dataclass
@@ -56,13 +56,16 @@ class RunConfig:
     L: float = 3.0
     alpha: str | float = "auto"
     grid: int = 33
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     seed: int = 0
     samples: int = 1000
     bound: float | None = None  # overrides the suite bound (negative controls)
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("K", "L", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise QcmapsError(f"{name} must be finite")
         if self.dimension < 3:
             raise QcmapsError("dimension must be at least 3")
         if self.tol <= 0:
@@ -293,9 +296,8 @@ def _suite_spiral(cfg):
 
     r12 = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
     ang = alpha * pts[:, -1]
-    a = np.abs(pts[:, 0] * np.cos(ang) - pts[:, 1] * np.sin(ang))
-    b = np.abs(pts[:, 0] * np.sin(ang) + pts[:, 1] * np.cos(ang))
-    recip = 1.0 / np.maximum(a, b)
+    ab = np.abs(kernels._rotate_12(pts[:, :2], np.cos(ang), np.sin(ang)))
+    recip = 1.0 / np.maximum(ab[:, 0], ab[:, 1])
     lo = (recip - 1.0 / r12).min()
     hi = (np.sqrt(2.0) / r12 - recip).min()
     checks.append(_check("reciprocal-sandwich-lower", 0.0, lo, sense="min"))
@@ -309,11 +311,7 @@ def _suite_bilipschitz(cfg):
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     keep = (gx >= np.abs(gy)) & (gx > 0)
     xs, ys = gx[keep], gy[keep]
-    q = (xs * xs + ys * ys) ** 2
-    s2 = np.sin(xs) ** 2
-    a11 = 1.0 + ys * ys * s2 / q
-    a22 = xs * xs * s2 / q
-    a12 = -xs * ys * s2 / q
+    a11, a12, a22 = dist._bilipschitz_entries(xs, ys)
     tr = a11 + a22
     disc = np.sqrt(np.maximum((a11 - a22) ** 2 + 4.0 * a12 * a12, 0.0))
     lam_hi = 0.5 * (tr + disc)
@@ -521,7 +519,7 @@ def _build_parser():
     pv.add_argument("--L", type=float, default=3.0)
     pv.add_argument("--alpha", default="auto")
     pv.add_argument("--grid", type=int, default=33)
-    pv.add_argument("--tol", type=float, default=1e-12)
+    pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--samples", type=int, default=1000)
     pv.add_argument("--bound", type=float, default=None)

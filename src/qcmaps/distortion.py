@@ -3,10 +3,11 @@
 The distortion report collects, from a central-difference Jacobian estimate:
 operator norm, smallest singular value, Jacobian determinant, the outer and
 inner dilatations K_O = ||f'||^n / J and K_I = J / l(f')^n, and the linear
-distortion H = ||f'|| ||(f')^{-1}||.  ``grid_verify`` is the harness every
-bound check runs on; ``bilipschitz_form`` is the 2x2 quadratic form whose
-eigenvalue window certifies the cube chart is infinitesimally bilipschitz
-in three dimensions.
+distortion H = ||f'|| ||(f')^{-1}||.  ``grid_verify`` is a generic
+margin-function sweep for library callers (the CLI suites run their own
+loops); ``bilipschitz_form`` is the 2x2 quadratic form whose eigenvalue
+window certifies the cube chart is infinitesimally bilipschitz in three
+dimensions.
 """
 
 from __future__ import annotations
@@ -133,12 +134,15 @@ def bilipschitz_form(x, y):
         raise InvalidInputError("(x, y) outside the chart square")
     if x < abs(y):
         raise InvalidInputError("(x, y) outside the region x >= |y|")
+    a11, a12, a22 = _bilipschitz_entries(x, y)
+    return np.array([[a11, a12], [a12, a22]])
+
+
+def _bilipschitz_entries(x, y):
+    """Entries (a11, a12, a22) of ``bilipschitz_form``, elementwise on arrays."""
     q = (x * x + y * y) ** 2
     s2 = np.sin(x) ** 2
-    off = -x * y * s2 / q
-    return np.array(
-        [[1.0 + y * y * s2 / q, off], [off, x * x * s2 / q]]
-    )
+    return 1.0 + y * y * s2 / q, -x * y * s2 / q, x * x * s2 / q
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,8 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels: batched numpy implementations.
 
-Every kernel exists twice: a vectorized numpy reference (``_*_np``) and a
-numba ``@njit`` loop version (``_*_nb``).  The public names dispatch to the
-jitted version when available; set ``QCMAPS_NUMBA=0`` in the environment to
-force the numpy path.  ``benchmarks/bench_kernels.py`` compares the two.
-
-Kernels operate on batched float64 arrays of shape (m, n); the wrappers at
-the end accept single points.  Conventions shared by all of them:
+Kernels operate on batched float64 arrays of shape (m, n); the ``*_batch``
+functions except ``spiral_region_batch`` also accept a single point (n,) and
+then return a single result.  Conventions shared by all of them:
 
 - chart coordinates are the first n-1 entries, the free log-radius is last;
 - the cube chart maps [-pi/2, pi/2]^{n-1} onto the closed upper half sphere
@@ -22,38 +18,19 @@ the end accept single points.  Conventions shared by all of them:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 HALF_PI = np.pi / 2.0
 TWO_PI = 2.0 * np.pi
 
-_flag = os.environ.get("QCMAPS_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in ("0", "false", "off", "no")
 
-try:
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-NUMBA_ACTIVE = HAVE_NUMBA and NUMBA_REQUESTED
-
-if HAVE_NUMBA and os.environ.get("QCMAPS_THREADS"):
-    try:
-        numba.set_num_threads(max(1, int(os.environ["QCMAPS_THREADS"])))
-    except (ValueError, RuntimeError):
-        pass
+def _as_batch(x):
+    a = np.asarray(x, dtype=float)
+    single = a.ndim == 1
+    return (a[None, :] if single else a), single
 
 
-# =====================================================================
-# numpy reference implementations
-# =====================================================================
-
-def _fold_chart_np(xb):
+def _fold_chart(xb):
     """Fold chart coordinates into the cube; return (folded, reflection parity).
 
     2*pi translations are parity-even (two face reflections); the at-most-one
@@ -69,7 +46,7 @@ def _fold_chart_np(xb):
     return w, parity
 
 
-def _chart_np(p):
+def _chart(p):
     """Cube chart onto the closed upper half unit sphere."""
     m = np.max(np.abs(p), axis=-1)
     r = np.sqrt(np.sum(p * p, axis=-1))
@@ -81,55 +58,67 @@ def _chart_np(p):
     return y
 
 
-def _zorich_forward_np(x):
+def _rotate_12(v, c, s):
+    """Copy of v with its first two coordinates rotated by (cos, sin) = (c, s).
+
+    The (1,2)-plane rotation shared by the spiral kernels and the spiral
+    shell maps: (v_1, v_2) -> (v_1 c - v_2 s, v_1 s + v_2 c).
+    """
+    w = v.copy()
+    w[..., 0] = v[..., 0] * c - v[..., 1] * s
+    w[..., 1] = v[..., 0] * s + v[..., 1] * c
+    return w
+
+
+def zorich_forward_batch(x):
     """Z(x) = e^{x_n} h(x_1..x_{n-1}) for arbitrary points of R^n."""
-    xb = x[..., :-1]
-    xn = x[..., -1]
-    p, parity = _fold_chart_np(xb)
-    y = _chart_np(p)
+    a, single = _as_batch(x)
+    p, parity = _fold_chart(a[..., :-1])
+    y = _chart(p)
     y[..., -1] = np.where(parity == 1, -y[..., -1], y[..., -1])
-    return y * np.exp(xn)[..., None]
+    out = y * np.exp(a[..., -1])[..., None]
+    return out[0] if single else out
 
 
-def _zorich_inverse_np(y):
+def zorich_inverse_batch(y):
     """Canonical fundamental-set coordinates of y != 0.
 
     The colatitude comes from arctan2 of the transverse/axial parts (stable
     at both the poles and the equator, unlike arccos of the axial cosine).
     """
-    r = np.sqrt(np.sum(y * y, axis=-1))
-    xn = np.log(r)
-    yn = y[..., -1]
-    yb = y[..., :-1]
+    a, single = _as_batch(y)
+    r = np.sqrt(np.sum(a * a, axis=-1))
+    yn = a[..., -1]
+    yb = a[..., :-1]
     m = np.arctan2(np.sqrt(np.sum(yb * yb, axis=-1)), np.abs(yn))
     mx = np.max(np.abs(yb), axis=-1)
     safe = mx > 0.0
     scale = np.where(safe, m / np.where(safe, mx, 1.0), 0.0)
     pb = yb * scale[..., None]
-    x = np.empty_like(y)
-    x[..., :-1] = pb
-    x[..., 0] = np.where(yn < 0.0, np.pi - pb[..., 0], pb[..., 0])
-    x[..., -1] = xn
-    return x
+    out = np.empty_like(a)
+    out[..., :-1] = pb
+    out[..., 0] = np.where(yn < 0.0, np.pi - pb[..., 0], pb[..., 0])
+    out[..., -1] = np.log(r)
+    return out[0] if single else out
 
 
-def _canonicalize_np(x):
+def canonicalize_batch(x):
     """Canonical fundamental-set representative of arbitrary coordinates."""
-    xb = x[..., :-1]
-    p, parity = _fold_chart_np(xb)
+    a, single = _as_batch(x)
+    p, parity = _fold_chart(a[..., :-1])
     mx = np.max(np.abs(p), axis=-1)
     # odd parity flips the image hemisphere: represent in the second box,
     # except on the equator preimage (max |p_i| = pi/2) where both agree
     # and the convention assigns the first box.
     odd = (parity == 1) & (mx < HALF_PI)
-    out = np.empty_like(x)
+    out = np.empty_like(a)
     out[..., :-1] = p
     out[..., 0] = np.where(odd, np.pi - p[..., 0], p[..., 0])
-    out[..., -1] = x[..., -1]
-    return out
+    out[..., -1] = a[..., -1]
+    return out[0] if single else out
 
 
-def _spiral_u_np(x, K, alpha):
+def spiral_u_batch(x, K, alpha):
     """Log-coordinate spiral stretch: first-box chart coordinates only.
 
     The chart part is M * m * (A, B, x_3, ..., x_{n-1}) with M the max-norm,
@@ -137,49 +126,41 @@ def _spiral_u_np(x, K, alpha):
     (x_1, x_2) pair rotated by alpha * x_n; the last coordinate gains the log
     of the direction-dependent stretch factor.
     """
-    xb = x[..., :-1]
-    xn = x[..., -1]
-    c = np.cos(alpha * xn)
-    s = np.sin(alpha * xn)
-    x1 = xb[..., 0]
-    x2 = xb[..., 1]
-    a = x1 * c - x2 * s
-    b = x1 * s + x2 * c
-    w = xb.copy()
-    w[..., 0] = a
-    w[..., 1] = b
+    a, single = _as_batch(x)
+    K = float(K)
+    xb = a[..., :-1]
+    xn = a[..., -1]
+    phase = float(alpha) * xn
+    w = _rotate_12(xb, np.cos(phase), np.sin(phase))
     m = np.max(np.abs(xb), axis=-1)
     dm = np.max(np.abs(w), axis=-1)
     scale = m / dm
+    x1 = xb[..., 0]
     rho2 = np.sum(xb * xb, axis=-1)
     sin2m = np.sin(m) ** 2
     g = K * K + (1.0 - K * K) * (x1 * x1 * sin2m / rho2)
-    u = np.empty_like(x)
-    u[..., :-1] = w * scale[..., None]
-    u[..., -1] = xn + np.log(K) - 0.5 * np.log(g)
-    return u
+    out = np.empty_like(a)
+    out[..., :-1] = w * scale[..., None]
+    out[..., -1] = xn + np.log(K) - 0.5 * np.log(g)
+    return out[0] if single else out
 
 
-def _spiral_jac_np(x, K, alpha):
+def spiral_jac_batch(x, K, alpha):
     """Analytic Jacobian of the spiral-stretch log-coordinate map, (m, n, n).
 
     Valid away from the max-coordinate (pyramid) and candidate-switching
     surfaces; region dispatch is by argmax, so callers must enforce margins.
     """
-    x = np.atleast_2d(x)
+    x, single = _as_batch(x)
+    K, alpha = float(K), float(alpha)
     mpts, n = x.shape
     nb = n - 1
     xb = x[:, :nb]
     xn = x[:, nb]
     c = np.cos(alpha * xn)
     s = np.sin(alpha * xn)
+    w = _rotate_12(xb, c, s)
     x1 = xb[:, 0]
-    x2 = xb[:, 1]
-    a = x1 * c - x2 * s
-    b = x1 * s + x2 * c
-    w = xb.copy()
-    w[:, 0] = a
-    w[:, 1] = b
 
     p = np.argmax(np.abs(xb), axis=1)
     d = np.argmax(np.abs(w), axis=1)
@@ -191,10 +172,10 @@ def _spiral_jac_np(x, K, alpha):
     dw = np.zeros((mpts, nb, n))
     dw[:, 0, 0] = c
     dw[:, 0, 1] = -s
-    dw[:, 0, n - 1] = -alpha * b
+    dw[:, 0, n - 1] = -alpha * w[:, 1]
     dw[:, 1, 0] = s
     dw[:, 1, 1] = c
-    dw[:, 1, n - 1] = alpha * a
+    dw[:, 1, n - 1] = alpha * w[:, 0]
     for k in range(2, nb):
         dw[:, k, k] = 1.0
     dd = dw[rows, d, :]
@@ -219,293 +200,22 @@ def _spiral_jac_np(x, K, alpha):
     ds[rows, p] += x1 * x1 * sin2p / rho2
     jac[:, n - 1, :nb] = coef[:, None] * ds
     jac[:, n - 1, n - 1] = 1.0
-    return jac
+    return jac[0] if single else jac
 
 
-def _spiral_region_np(x, alpha):
-    """Region classification: (max index, candidate index, both margins)."""
-    x = np.atleast_2d(x)
-    nb = x.shape[1] - 1
-    xb = x[:, :nb]
-    xn = x[:, nb]
-    c = np.cos(alpha * xn)
-    s = np.sin(alpha * xn)
-    a = xb[:, 0] * c - xb[:, 1] * s
-    b = xb[:, 0] * s + xb[:, 1] * c
-    w = xb.copy()
-    w[:, 0] = a
-    w[:, 1] = b
+def spiral_region_batch(x, alpha):
+    """Region classification: (max index, candidate index, both margins).
+
+    Always returns length-m arrays; a single point gives length-1 arrays.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    xb = x[:, :-1]
+    phase = float(alpha) * x[:, -1]
+    w = _rotate_12(xb, np.cos(phase), np.sin(phase))
     absx = np.abs(xb)
     absw = np.abs(w)
     p = np.argmax(absx, axis=1)
     d = np.argmax(absw, axis=1)
-    if nb >= 2:
-        sx = np.sort(absx, axis=1)
-        pyr = sx[:, -1] - sx[:, -2]
-        sw = np.sort(absw, axis=1)
-        switch = sw[:, -1] - sw[:, -2]
-    else:  # pragma: no cover - n >= 3 always gives nb >= 2
-        pyr = absx[:, 0]
-        switch = absw[:, 0]
-    return p, d, pyr, switch
-
-
-# =====================================================================
-# numba mirrors
-# =====================================================================
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _zorich_forward_nb(x):
-        m, n = x.shape
-        nb = n - 1
-        out = np.empty((m, n))
-        for i in range(m):
-            parity = 0
-            mx = 0.0
-            r2 = 0.0
-            p = np.empty(nb)
-            for j in range(nb):
-                w = x[i, j] - TWO_PI * np.rint(x[i, j] / TWO_PI)
-                if w > HALF_PI:
-                    w = np.pi - w
-                    parity += 1
-                elif w < -HALF_PI:
-                    w = -np.pi - w
-                    parity += 1
-                p[j] = w
-                aw = abs(w)
-                if aw > mx:
-                    mx = aw
-                r2 += w * w
-            r = np.sqrt(r2)
-            e = np.exp(x[i, n - 1])
-            scale = np.sin(mx) / r if r > 0.0 else 0.0
-            for j in range(nb):
-                out[i, j] = e * p[j] * scale
-            yn = np.cos(mx)
-            if parity % 2 == 1:
-                yn = -yn
-            out[i, n - 1] = e * yn
-        return out
-
-    @njit(cache=True)
-    def _zorich_inverse_nb(y):
-        m, n = y.shape
-        nb = n - 1
-        out = np.empty((m, n))
-        for i in range(m):
-            rb2 = 0.0
-            mx = 0.0
-            for j in range(nb):
-                rb2 += y[i, j] * y[i, j]
-                if abs(y[i, j]) > mx:
-                    mx = abs(y[i, j])
-            yn = y[i, n - 1]
-            r = np.sqrt(rb2 + yn * yn)
-            ang = np.arctan2(np.sqrt(rb2), abs(yn))
-            scale = ang / mx if mx > 0.0 else 0.0
-            for j in range(nb):
-                out[i, j] = y[i, j] * scale
-            if yn < 0.0:
-                out[i, 0] = np.pi - out[i, 0]
-            out[i, n - 1] = np.log(r)
-        return out
-
-    @njit(cache=True)
-    def _canonicalize_nb(x):
-        m, n = x.shape
-        nb = n - 1
-        out = np.empty((m, n))
-        for i in range(m):
-            parity = 0
-            mx = 0.0
-            for j in range(nb):
-                w = x[i, j] - TWO_PI * np.rint(x[i, j] / TWO_PI)
-                if w > HALF_PI:
-                    w = np.pi - w
-                    parity += 1
-                elif w < -HALF_PI:
-                    w = -np.pi - w
-                    parity += 1
-                out[i, j] = w
-                if abs(w) > mx:
-                    mx = abs(w)
-            if parity % 2 == 1 and mx < HALF_PI:
-                out[i, 0] = np.pi - out[i, 0]
-            out[i, n - 1] = x[i, n - 1]
-        return out
-
-    @njit(cache=True)
-    def _spiral_u_nb(x, K, alpha):
-        m, n = x.shape
-        nb = n - 1
-        out = np.empty((m, n))
-        lnk = np.log(K)
-        for i in range(m):
-            xn = x[i, n - 1]
-            c = np.cos(alpha * xn)
-            s = np.sin(alpha * xn)
-            x1 = x[i, 0]
-            x2 = x[i, 1]
-            a = x1 * c - x2 * s
-            b = x1 * s + x2 * c
-            mx = 0.0
-            dm = 0.0
-            rho2 = 0.0
-            for j in range(nb):
-                ax = abs(x[i, j])
-                if ax > mx:
-                    mx = ax
-                rho2 += x[i, j] * x[i, j]
-                wj = a if j == 0 else (b if j == 1 else x[i, j])
-                if abs(wj) > dm:
-                    dm = abs(wj)
-            scale = mx / dm
-            out[i, 0] = a * scale
-            out[i, 1] = b * scale
-            for j in range(2, nb):
-                out[i, j] = x[i, j] * scale
-            sinm = np.sin(mx)
-            g = K * K + (1.0 - K * K) * (x1 * x1 * sinm * sinm / rho2)
-            out[i, n - 1] = xn + lnk - 0.5 * np.log(g)
-        return out
-
-    @njit(cache=True)
-    def _spiral_jac_nb(x, K, alpha):
-        m, n = x.shape
-        nb = n - 1
-        jac = np.zeros((m, n, n))
-        w = np.empty(nb)
-        dw = np.empty((nb, n))
-        for i in range(m):
-            xn = x[i, n - 1]
-            c = np.cos(alpha * xn)
-            s = np.sin(alpha * xn)
-            x1 = x[i, 0]
-            x2 = x[i, 1]
-            a = x1 * c - x2 * s
-            b = x1 * s + x2 * c
-            w[0] = a
-            w[1] = b
-            for j in range(2, nb):
-                w[j] = x[i, j]
-            p = 0
-            mx = abs(x[i, 0])
-            for j in range(1, nb):
-                if abs(x[i, j]) > mx:
-                    mx = abs(x[i, j])
-                    p = j
-            d = 0
-            dm = abs(w[0])
-            for j in range(1, nb):
-                if abs(w[j]) > dm:
-                    dm = abs(w[j])
-                    d = j
-            xp = x[i, p]
-            dval = w[d]
-            sign = (1.0 if xp >= 0 else -1.0) * (1.0 if dval >= 0 else -1.0)
-
-            for r_ in range(nb):
-                for q in range(n):
-                    dw[r_, q] = 0.0
-            dw[0, 0] = c
-            dw[0, 1] = -s
-            dw[0, n - 1] = -alpha * b
-            dw[1, 0] = s
-            dw[1, 1] = c
-            dw[1, n - 1] = alpha * a
-            for k in range(2, nb):
-                dw[k, k] = 1.0
-
-            for r_ in range(nb):
-                wr = w[r_]
-                for q in range(n):
-                    val = xp * dw[r_, q] / dval
-                    val -= xp * wr * dw[d, q] / (dval * dval)
-                    if q == p:
-                        val += wr / dval
-                    jac[i, r_, q] = sign * val
-
-            rho2 = 0.0
-            for j in range(nb):
-                rho2 += x[i, j] * x[i, j]
-            sinp = np.sin(xp)
-            sin2p = np.sin(2.0 * xp)
-            ssq = x1 * x1 * sinp * sinp / rho2
-            g = K * K + (1.0 - K * K) * ssq
-            coef = -(1.0 - K * K) / (2.0 * g)
-            for q in range(nb):
-                ds = -2.0 * ssq * x[i, q] / rho2
-                if q == 0:
-                    ds += 2.0 * x1 * sinp * sinp / rho2
-                if q == p:
-                    ds += x1 * x1 * sin2p / rho2
-                jac[i, n - 1, q] = coef * ds
-            jac[i, n - 1, n - 1] = 1.0
-        return jac
-
-
-# =====================================================================
-# dispatch
-# =====================================================================
-
-def _as_batch(x):
-    a = np.asarray(x, dtype=float)
-    single = a.ndim == 1
-    return (a[None, :] if single else a), single
-
-
-def zorich_forward_batch(x):
-    a, single = _as_batch(x)
-    out = _zorich_forward_nb(a) if NUMBA_ACTIVE else _zorich_forward_np(a)
-    return out[0] if single else out
-
-
-def zorich_inverse_batch(y):
-    a, single = _as_batch(y)
-    out = _zorich_inverse_nb(a) if NUMBA_ACTIVE else _zorich_inverse_np(a)
-    return out[0] if single else out
-
-
-def canonicalize_batch(x):
-    a, single = _as_batch(x)
-    out = _canonicalize_nb(a) if NUMBA_ACTIVE else _canonicalize_np(a)
-    return out[0] if single else out
-
-
-def spiral_u_batch(x, K, alpha):
-    a, single = _as_batch(x)
-    out = (
-        _spiral_u_nb(a, float(K), float(alpha))
-        if NUMBA_ACTIVE
-        else _spiral_u_np(a, float(K), float(alpha))
-    )
-    return out[0] if single else out
-
-
-def spiral_jac_batch(x, K, alpha):
-    a, single = _as_batch(x)
-    out = (
-        _spiral_jac_nb(a, float(K), float(alpha))
-        if NUMBA_ACTIVE
-        else _spiral_jac_np(a, float(K), float(alpha))
-    )
-    return out[0] if single else out
-
-
-def spiral_region_batch(x, alpha):
-    return _spiral_region_np(np.asarray(x, dtype=float), float(alpha))
-
-
-def warmup():
-    """Trigger jit compilation of every kernel so timed runs exclude it."""
-    if not NUMBA_ACTIVE:
-        return
-    x = np.array([[0.3, 0.1, 0.4], [1.0, 0.2, -0.5]])
-    zorich_forward_batch(x)
-    zorich_inverse_batch(x + 2.0)
-    canonicalize_batch(x)
-    spiral_u_batch(x, 2.0, 0.1)
-    spiral_jac_batch(x, 2.0, 0.1)
+    sx = np.sort(absx, axis=1)
+    sw = np.sort(absw, axis=1)
+    return p, d, sx[:, -1] - sx[:, -2], sw[:, -1] - sw[:, -2]

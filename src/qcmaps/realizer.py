@@ -26,7 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical_maps import select_alpha, stretch_factor
+from .canonical_maps import (
+    _interp_log_weight,
+    _spiral_shell,
+    select_alpha,
+    stretch_factor,
+)
 from .errors import InvalidInputError, OriginError, PlanningError
 from .vecgeom import fibonacci_sphere, frame_from_direction, planar_rotation, unit
 
@@ -453,19 +458,10 @@ def _apply_boundary_stretch(x, r, kfac, frame):
 
 def _apply_piece(piece, x, r):
     if piece.kind == "spiral":
-        lam = stretch_factor((x[:, 0] / r) ** 2, piece.K)
         beta = piece.alpha * np.log(r / piece.r_out)
-        c, s = np.cos(beta), np.sin(beta)
-        v = x.copy()
-        v[:, 0] = c * x[:, 0] - s * x[:, 1]
-        v[:, 1] = s * x[:, 0] + c * x[:, 1]
-        return lam[:, None] * (v @ piece.frame.T)
+        return _spiral_shell(x, r, piece.K, beta, piece.frame)
     nu = np.clip((np.log(r) - np.log(piece.r_in)) / (piece.t - piece.s), 0.0, 1.0)
-    cos2 = (x[:, 0] / r) ** 2
-    mu = np.exp(
-        nu * np.log(stretch_factor(cos2, piece.K))
-        + (1.0 - nu) * np.log(stretch_factor(cos2, piece.L))
-    )
+    mu = np.exp(_interp_log_weight((x[:, 0] / r) ** 2, nu, piece.K, piece.L))
     return mu[:, None] * (x @ piece.frame.T)
 
 
@@ -511,9 +507,7 @@ def _interp_mean_pow(piece, nu, n, quadrature):
         w = gl_w * (1.0 - gl_u * gl_u) ** ((n - 3) / 2.0)
         u = gl_u
         weights = w / w.sum()
-    la = np.log(stretch_factor(u * u, piece.K))
-    lb = np.log(stretch_factor(u * u, piece.L))
-    logmu = nu[:, None] * la[None, :] + (1.0 - nu)[:, None] * lb[None, :]
+    logmu = _interp_log_weight((u * u)[None, :], nu[:, None], piece.K, piece.L)
     return np.exp(n * logmu) @ weights
 
 

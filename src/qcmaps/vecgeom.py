@@ -1,7 +1,7 @@
 """Dimension-generic dense vector/matrix kernel for small n.
 
 Everything here targets the n = 3..8 range used by the map constructions:
-norms, a one-sided Jacobi SVD, deterministic orthonormal frames, great-circle
+norms, singular values, deterministic orthonormal frames, great-circle
 angles and planar rotations.  All values are plain float64 ndarrays; all
 functions are pure.
 """
@@ -54,82 +54,13 @@ def unit(v, name="vector"):
     return a / r
 
 
-def _jacobi_orthogonalize(a, tol_factor=1e-14, max_sweeps=64):
-    """One-sided Jacobi: return (b, v) with b = a @ v having orthogonal columns.
-
-    Stops once every off-diagonal Gram entry is <= tol_factor * trace(Gram).
-    """
-    b = a.copy()
-    n = b.shape[1]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        gram = b.T @ b
-        trace = np.trace(gram)
-        if trace == 0.0:
-            break
-        off = np.abs(gram - np.diag(np.diag(gram))).max()
-        if off <= tol_factor * trace:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = b[:, p] @ b[:, p]
-                aqq = b[:, q] @ b[:, q]
-                apq = b[:, p] @ b[:, q]
-                if abs(apq) <= tol_factor * (app + aqq):
-                    continue
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bp = b[:, p].copy()
-                bq = b[:, q].copy()
-                b[:, p] = c * bp - s * bq
-                b[:, q] = s * bp + c * bq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return b, v
-
-
 def svd_small(m):
     """Singular values of a small square matrix, descending.
 
-    One-sided Jacobi iteration; unconditionally stable at the n <= 8 sizes
-    used here.  Returns sigma_1 >= ... >= sigma_n >= 0.
+    Returns sigma_1 >= ... >= sigma_n >= 0 from LAPACK after checking that m
+    is square and finite.
     """
-    a = as_matrix(m)
-    b, _ = _jacobi_orthogonalize(a)
-    sigma = np.sqrt(np.sum(b * b, axis=0))
-    return np.sort(sigma)[::-1]
-
-
-def svd_small_full(m):
-    """Full SVD (u, sigma, vt) via one-sided Jacobi, sigma descending."""
-    a = as_matrix(m)
-    n = a.shape[0]
-    b, v = _jacobi_orthogonalize(a)
-    sigma = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros_like(b)
-    for i in range(n):
-        if sigma[i] > 0:
-            u[:, i] = b[:, i] / sigma[i]
-        else:
-            # complete with any unit vector orthogonal to the previous columns
-            for k in range(n):
-                cand = np.zeros(n)
-                cand[k] = 1.0
-                cand -= u[:, :i] @ (u[:, :i].T @ cand)
-                r = np.linalg.norm(cand)
-                if r > 0.5:
-                    u[:, i] = cand / r
-                    break
-    return u, sigma, v.T
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def frame_from_direction(sigma, hint=None):

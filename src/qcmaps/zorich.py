@@ -99,7 +99,7 @@ def sphere_chart(p):
         raise InvalidInputError("chart point needs n - 1 >= 2 coordinates")
     if np.abs(a).max() > HALF_PI + BOX_TOL:
         raise InvalidInputError("chart point outside the cube")
-    return kernels._chart_np(a)
+    return kernels._chart(a)
 
 
 def zorich_forward(x):

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from qcmaps import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so timed tests exclude compilation
-    kernels.warmup()
-
 
 def circle_waypoints(radius=2.0, span=np.pi / 2, count=16, n=3):
     """Waypoints on a circle arc in the (1,2)-plane."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_waypoints
-from qcmaps.cli import main
+from qcmaps.cli import DEFAULT_TOL, RunConfig, _build_parser, main
 
 
 @pytest.fixture()
@@ -45,6 +45,31 @@ def test_verify_spiral_auto_reports_alpha(tmp_path):
     assert abs(report["alpha"]) > 0
     floor = next(c for c in report["checks"] if c["name"] == "jacobian-floor")
     assert floor["worst"] > 0.25
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_verify_spiral_alpha_zero(tmp_path, dim):
+    # at alpha = 0 the scan cannot convert phases back to x_n = phase / alpha
+    out = tmp_path / "spiral0.json"
+    code = main(["verify", "spiral", "--dim", str(dim), "--alpha", "0",
+                 "--samples", "100", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    floor = next(c for c in report["checks"] if c["name"] == "jacobian-floor")
+    assert floor["passed"] and floor["worst"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field", ["K", "L", "tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_nonfinite_parameters(capsys, field, value):
+    code = main(["verify", "stretch", "--grid", "9", f"--{field}", value])
+    assert code == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+def test_tol_default_shared():
+    assert RunConfig().tol == DEFAULT_TOL == 1e-12
+    assert _build_parser().parse_args(["verify", "zorich"]).tol == DEFAULT_TOL
 
 
 def test_verify_negative_control(tmp_path):

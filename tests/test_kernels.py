@@ -1,58 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from qcmaps import kernels
-
-
-def _random_points(rng, m, n):
-    y = rng.standard_normal((m, n)) * np.exp(rng.uniform(-1, 1, (m, 1)))
-    x = kernels._zorich_inverse_np(y)
-    return x, y
-
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-@needs_numba
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_numba_matches_numpy(n):
-    rng = np.random.default_rng(n)
-    x, y = _random_points(rng, 5000, n)
-    assert np.abs(
-        kernels._zorich_forward_np(x) - kernels._zorich_forward_nb(x)
-    ).max() <= 1e-13
-    assert np.abs(
-        kernels._zorich_inverse_np(y) - kernels._zorich_inverse_nb(y)
-    ).max() <= 1e-13
-    z = rng.uniform(-8, 8, (5000, n))
-    assert np.abs(
-        kernels._canonicalize_np(z) - kernels._canonicalize_nb(z)
-    ).max() == 0.0
-    good = x[np.max(np.abs(x[:, :-1]), axis=1) > 1e-6]
-    assert np.abs(
-        kernels._spiral_u_np(good, 2.0, 0.25) - kernels._spiral_u_nb(good, 2.0, 0.25)
-    ).max() <= 1e-13
-    _, _, pyr, sw = kernels._spiral_region_np(good, 0.25)
-    pts = good[(pyr > 1e-9) & (sw > 1e-9)]
-    assert np.abs(
-        kernels._spiral_jac_np(pts, 2.0, 0.25) - kernels._spiral_jac_nb(pts, 2.0, 0.25)
-    ).max() <= 1e-13
-
-
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, QCMAPS_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from qcmaps import kernels; print(kernels.NUMBA_ACTIVE)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_fold_wraps_box_edge():

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import circle_waypoints
 from qcmaps import realizer as rz
-from qcmaps.canonical_maps import StretchSpec, oriented_stretch
+from qcmaps.canonical_maps import (
+    InterpSpec,
+    SpiralSpec,
+    StretchSpec,
+    interp_stretch,
+    oriented_stretch,
+    spiral_stretch,
+)
 from qcmaps.errors import InvalidInputError, OriginError, PlanningError
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -186,6 +195,53 @@ class TestEvalMap:
         spec = StretchSpec(K=2.0 ** 1.5, frame=np.eye(3))
         got = rz.eval_map_batch(rm, pts)
         assert np.abs(got - oriented_stretch(pts, spec)).max() <= 1e-12
+
+
+@pytest.fixture(scope="module", params=[3, 4])
+def radial_map(request):
+    """Map of a radial target built at r_start = 1: its first shell interpolates."""
+    w = np.zeros((2, request.param))
+    w[:, 0] = [3.0, 1.5]
+    target = rz.TargetSet(waypoints=w)
+    return rz.build_map(rz.plan_paths(target, 2), n=request.param)
+
+
+_directions = st.lists(
+    st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4
+).filter(lambda v: np.linalg.norm(v[:3]) > 0.1)
+
+
+def _first_shell_point(piece, n, direction, depth):
+    """(1, n) point in the first shell at log-depth fraction `depth` in [0, 1]."""
+    v = np.array(direction[:n])
+    v /= np.linalg.norm(v)
+    return (v * np.exp(depth * np.log(piece.r_in / piece.r_out)))[None, :]
+
+
+class TestShellsMatchLibraryMaps:
+    """With r_start = 1 the first shell is the library map in the shell's frame."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(direction=_directions, depth=st.floats(0.0, 1.0))
+    def test_spiral_shell(self, quarter_circle_map, direction, depth):
+        rm = quarter_circle_map[0]
+        p = rm.pieces[0]
+        assert p.kind == "spiral" and p.r_out == 1.0
+        x = _first_shell_point(p, rm.n, direction, depth)
+        r = np.linalg.norm(x, axis=1)
+        want = spiral_stretch(x @ p.frame.T, SpiralSpec(p.K, p.alpha, p.frame))
+        assert np.abs(rz._apply_piece(p, x, r) - want).max() <= 1e-13 * r[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(direction=_directions, depth=st.floats(0.0, 1.0))
+    def test_interp_shell(self, radial_map, direction, depth):
+        p = radial_map.pieces[0]
+        assert p.kind == "interp" and p.r_out == 1.0
+        x = _first_shell_point(p, radial_map.n, direction, depth)
+        r = np.linalg.norm(x, axis=1)
+        spec = InterpSpec(p.K, p.L, p.s, p.t, p.frame)
+        want = interp_stretch(x @ p.frame.T, spec)
+        assert np.abs(rz._apply_piece(p, x, r) - want).max() <= 1e-13 * r[0]
 
 
 class TestMeanRadius:

@@ -16,7 +16,6 @@ from qcmaps.vecgeom import (
     planar_rotation,
     sphere_directions,
     svd_small,
-    svd_small_full,
 )
 
 
@@ -33,7 +32,7 @@ def _sym3_eigenvalues(a):
     """Characteristic-polynomial roots of a symmetric 3x3 matrix.
 
     Trigonometric solution of the depressed cubic; serves as the independent
-    oracle for the Jacobi SVD.
+    oracle for ``svd_small``.
     """
     q = np.trace(a) / 3.0
     b = a - q * np.eye(3)
@@ -71,15 +70,6 @@ class TestSvdSmall:
             prod = np.prod(svd_small(m))
             det = abs(np.linalg.det(m))
             assert abs(prod - det) <= 1e-9 * max(det, 1e-30)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            m = rng.standard_normal((4, 4))
-            u, s, vt = svd_small_full(m)
-            err = np.abs(u @ np.diag(s) @ vt - m).max()
-            assert err <= 1e-10 * s[0]
-            assert np.all(np.diff(s) <= 0) and s[-1] >= 0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
