@@ -3,11 +3,14 @@
 The distortion report collects, from a central-difference Jacobian estimate:
 operator norm, smallest singular value, Jacobian determinant, the outer and
 inner dilatations K_O = ||f'||^n / J and K_I = J / l(f')^n, and the linear
-distortion H = ||f'|| ||(f')^{-1}||.  ``grid_verify`` is a generic
-margin-function sweep for library callers (the CLI suites run their own
-loops); ``bilipschitz_form`` is the 2x2 quadratic form whose eigenvalue
-window certifies the cube chart is infinitesimally bilipschitz in three
-dimensions.
+distortion H = ||f'|| ||(f')^{-1}||.  ``finite_diff_jacobian`` and
+``linear_distortion_numeric`` take one (n,) point or an (m, n) batch; a batch
+goes to the map in one call, which is how every CLI suite runs them.
+``grid_verify`` is a generic per-point margin sweep for library callers (the
+suites reduce the harness values themselves, so reports keep the exact worst
+value rather than one recovered from a margin); ``bilipschitz_form`` is
+the 2x2 quadratic form whose eigenvalue window certifies the cube chart is
+infinitesimally bilipschitz in three dimensions.
 """
 
 from __future__ import annotations
@@ -53,23 +56,50 @@ def _eval_map(f, x):
     return y
 
 
+def _as_points(x):
+    """(m, n) finite points from an (n,) point or an (m, n) batch, and the flag."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2:
+        return as_vector(a, "point")[None, :], True
+    if a.size == 0 or not np.all(np.isfinite(a)):
+        raise InvalidInputError("points must be a non-empty finite (m, n) array")
+    return a, False
+
+
+def _eval_rows(f, rows, single):
+    """f on the (m, k, n) rows: per (n,) point if single, else one (m k, n) call."""
+    if single:
+        return np.stack([_eval_map(f, p) for p in rows[0]])[None]
+    m, k, n = rows.shape
+    return _eval_map(f, rows.reshape(m * k, n)).reshape(m, k, n)
+
+
+def _norms(d):
+    """Euclidean norms along the last axis: one dot product per row, as
+    np.linalg.norm takes for a vector, so batches match single points."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
 def finite_diff_jacobian(f, x, h=None):
     """Central-difference Jacobian, column j = (f(x + h e_j) - f(x - h e_j)) / 2h.
 
-    The step is scaled by max(1, |x|) unless given explicitly.
+    For an (n,) point `f` maps (n,) points to (n,) points and the result is
+    (n, n).  For an (m, n) batch `f` maps (k, n) batches to (k, n) batches,
+    is called once on all 2 n m stencil rows, and the result is (m, n, n).
+    The step is scaled by max(1, |x_i|) per point unless given explicitly.
     """
-    a = as_vector(x, "point")
-    n = a.size
+    pts, single = _as_points(x)
+    m, n = pts.shape
     if h is None:
-        h = DEFAULT_STEP * max(1.0, float(np.linalg.norm(a)))
-    if h <= 0:
+        h = DEFAULT_STEP * np.maximum(1.0, _norms(pts))
+    elif h <= 0:
         raise InvalidInputError("step must be positive")
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        jac[:, j] = (_eval_map(f, a + e) - _eval_map(f, a - e)) / (2.0 * h)
-    return jac
+    h = np.broadcast_to(h, (m,))[:, None, None]
+    step = h * np.eye(n)
+    rows = np.concatenate([pts[:, None] + step, pts[:, None] - step], axis=1)
+    y = _eval_rows(f, rows, single)
+    jac = ((y[:, :n] - y[:, n:]) / (2.0 * h)).swapaxes(1, 2)
+    return jac[0] if single else jac
 
 
 def report_from_jacobian(jac, n=None):
@@ -103,20 +133,23 @@ def linear_distortion_numeric(f, x, r, directions=64, seed=0):
 
     The set always contains the 2n signed axes so diagonal maps attain their
     extremes exactly; the remainder is Fibonacci-lattice (n = 3) or seeded
-    Gaussian fill.
+    Gaussian fill.  For an (n,) point `f` maps (n,) points and the result is
+    a float; for an (m, n) batch `f` maps (k, n) batches, is called once on
+    the m base points and all m * directions displaced points, and the result
+    is an (m,) array.
     """
-    a = as_vector(x, "point")
+    pts, single = _as_points(x)
     if r <= 0:
         raise InvalidInputError("radius must be positive")
-    dirs = sphere_directions(a.size, directions, seed)
-    base = _eval_map(f, a)
-    disp = np.empty(len(dirs))
-    for i, w in enumerate(dirs):
-        disp[i] = np.linalg.norm(_eval_map(f, a + r * w) - base)
-    lo = disp.min()
-    if lo == 0.0:
+    dirs = sphere_directions(pts.shape[1], directions, seed)
+    rows = np.concatenate([pts[:, None], pts[:, None] + r * dirs], axis=1)
+    y = _eval_rows(f, rows, single)
+    disp = _norms(y[:, 1:] - y[:, :1])
+    lo = disp.min(axis=1)
+    if np.any(lo == 0.0):
         raise StencilError("zero displacement on a sampled direction")
-    return float(disp.max() / lo)
+    ratio = disp.max(axis=1) / lo
+    return float(ratio[0]) if single else ratio
 
 
 def bilipschitz_form(x, y):
@@ -164,12 +197,11 @@ class GridReport:
         )
 
 
-def grid_verify(margin_fn, points, batch=False):
+def grid_verify(margin_fn, points):
     """Evaluate a margin function over grid points; negative margin = violation.
 
-    `margin_fn` returns bound minus value (>= 0 passes).  With batch=True it
-    receives the whole (m, k) array and returns (m,) margins.  Evaluation
-    failures count as violations at their location.
+    `margin_fn` returns bound minus value (>= 0 passes) at one point.
+    Evaluation failures count as violations at their location.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -177,24 +209,15 @@ def grid_verify(margin_fn, points, batch=False):
     worst = np.inf
     worst_pt = pts[0]
     failures = 0
-    if batch:
-        margins = np.asarray(margin_fn(pts), dtype=float)
-        bad = ~np.isfinite(margins)
-        failures = int(bad.sum())
-        margins = np.where(bad, -np.inf, margins)
-        i = int(np.argmin(margins))
-        worst = float(margins[i])
-        worst_pt = pts[i]
-    else:
-        for p in pts:
-            try:
-                m = float(margin_fn(p))
-            except Exception:
-                failures += 1
-                m = -np.inf
-            if m < worst:
-                worst = m
-                worst_pt = p
+    for p in pts:
+        try:
+            m = float(margin_fn(p))
+        except Exception:
+            failures += 1
+            m = -np.inf
+        if m < worst:
+            worst = m
+            worst_pt = p
     return GridReport(
         passed=bool(worst >= 0.0 and failures == 0),
         worst_margin=worst,

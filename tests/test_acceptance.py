@@ -108,10 +108,9 @@ def test_criterion_4_linear_distortion_bound():
     rng = np.random.default_rng(2)
     pts = zorich.sample_fundamental(rng, 1000, 3, second_box=False)
     pts[:, :2] *= (HALF_PI - 1e-3) / HALF_PI
-    worst = max(
-        distortion.linear_distortion_numeric(zorich.zorich_forward, p, 1e-5, 64)
-        for p in pts
-    )
+    worst = distortion.linear_distortion_numeric(
+        kernels.zorich_forward_batch, pts, 1e-5, 64
+    ).max()
     bound = cli.LINEAR_DISTORTION_BOUND
     ok = worst <= bound
     _report(4, ok, f"linear distortion {worst:.3f} <= 8L^2 = {bound:.1f}")

@@ -59,12 +59,31 @@ def test_verify_spiral_alpha_zero(tmp_path, dim):
     assert floor["passed"] and floor["worst"] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("field", ["K", "L", "tol"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_verify_rejects_nonfinite_parameters(capsys, field, value):
-    code = main(["verify", "stretch", "--grid", "9", f"--{field}", value])
+_FINITE_ALPHA = "alpha must be 'auto' or a finite number"
+
+
+@pytest.mark.parametrize(
+    "suite, field, value, message",
+    [
+        pytest.param("stretch", f, v, f"{f} must be finite", id=f"{v}-{f}")
+        for v in ("nan", "inf")
+        for f in ("K", "L", "tol")
+    ]
+    + [
+        pytest.param("spiral", "alpha", v, _FINITE_ALPHA, id=f"{v}-alpha")
+        for v in ("nan", "inf", "foo")
+    ]
+    + [
+        pytest.param(
+            "spiral", "samples", "0", "samples must be at least 1", id="0-samples"
+        )
+    ],
+)
+def test_verify_rejects_nonfinite_parameters(capsys, suite, field, value, message):
+    # bad values end in a QcmapsError naming the field, never a traceback
+    code = main(["verify", suite, "--grid", "9", f"--{field}", value])
     assert code == 1
-    assert f"{field} must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_tol_default_shared():

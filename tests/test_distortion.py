@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcmaps import zorich
+from qcmaps import kernels, zorich
 from qcmaps.canonical_maps import radial_stretch
 from qcmaps.cli import CHART_EIG_HIGH, CHART_EIG_LOW, LINEAR_DISTORTION_BOUND
 from qcmaps.distortion import (
@@ -133,6 +133,81 @@ class TestLinearDistortion:
             linear_distortion_numeric(zorich.zorich_forward, p, 1e-5, 64) for p in x
         )
         assert worst <= LINEAR_DISTORTION_BOUND
+
+
+def _raising_map(y):
+    raise ValueError("domain edge")
+
+
+def _last_row_infinite(y):
+    out = y.copy()
+    out[-1, 0] = np.inf
+    return out
+
+
+class TestBatchContract:
+    """An (m, n) batch goes to the map in one call and equals the stacked
+    single-point results bit for bit."""
+
+    @staticmethod
+    def _points(n):
+        rng = np.random.default_rng(n)
+        x = zorich.sample_fundamental(rng, 40, n, second_box=False)
+        x[:, :-1] *= (np.pi / 2 - 1e-3) / (np.pi / 2)
+        return x
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("h", [None, 1e-6])
+    def test_jacobian_matches_single_points(self, n, h):
+        x = self._points(n)
+        f = kernels.zorich_forward_batch
+        single = np.stack([finite_diff_jacobian(f, p, h) for p in x])
+        assert np.array_equal(finite_diff_jacobian(f, x, h), single)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_linear_distortion_matches_single_points(self, n):
+        x = self._points(n)
+        f = kernels.zorich_forward_batch
+        single = [linear_distortion_numeric(f, p, 1e-5, 64, 7) for p in x]
+        batch = linear_distortion_numeric(f, x, 1e-5, 64, 7)
+        assert batch.shape == (len(x),)
+        assert np.array_equal(batch, single)
+
+    def test_one_map_call_per_batch(self):
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            return 2.0 * y
+
+        x = self._points(3)
+        assert finite_diff_jacobian(f, x, 1e-4).shape == (40, 3, 3)
+        assert linear_distortion_numeric(f, x, 1e-4, 16).shape == (40,)
+        assert calls == [(40 * 6, 3), (40 * 17, 3)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [_raising_map, lambda y: y[:, :2], lambda y: y[0], _last_row_infinite],
+        ids=["raises", "columns", "rows", "non-finite"],
+    )
+    def test_malformed_map_rejected(self, bad):
+        x = self._points(3)
+        with pytest.raises(StencilError):
+            finite_diff_jacobian(bad, x, 1e-4)
+        with pytest.raises(StencilError):
+            linear_distortion_numeric(bad, x, 1e-4)
+
+    def test_zero_displacement_at_one_point(self):
+        x = np.array([[0.1, 0.2, 0.3], [5.0, 5.0, 5.0]])
+        flat_far = lambda y: np.where(y[:, :1] > 4.0, 1.0, y)  # noqa: E731
+        with pytest.raises(StencilError):
+            linear_distortion_numeric(flat_far, x, 1e-3)
+
+    def test_bad_batch_rejected(self):
+        with pytest.raises(InvalidInputError):
+            finite_diff_jacobian(lambda y: y, np.empty((0, 3)))
+        with pytest.raises(InvalidInputError):
+            linear_distortion_numeric(lambda y: y, np.full((2, 3), np.nan), 1e-3)
 
 
 class TestBilipschitzForm:
