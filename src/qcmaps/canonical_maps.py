@@ -356,6 +356,11 @@ def spiral_transform_jacobian_analytic(x, spec, margin=REGION_MARGIN):
 # =====================================================================
 
 _ALPHA_CACHE: dict = {}
+# Per-lead keep-masks of each certification grid, keyed by (n, res, band).
+# The filter depends on neither K nor alpha, so every trial rate and stretch
+# factor reuses it; the points themselves are rebuilt per scan, which keeps
+# the cache to one byte per grid point.
+_GRID_MASKS: dict = {}
 
 
 def _grid_chunks(n, res, band):
@@ -364,21 +369,27 @@ def _grid_chunks(n, res, band):
     The last coordinate stores the rotation phase alpha * x_n directly, so the
     same filtered grid serves every trial rate.  Points within `band` of a
     pyramid face or a candidate switch are excluded, mirroring the sigma-finite
-    singular set the analysis itself removes.
+    singular set the analysis itself removes.  Each chunk is a new array that
+    the caller may modify.
     """
     axis = np.linspace(-HALF_PI + band, HALF_PI - band, res)
     phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
     tail_axes = [axis] * (n - 2) + [phases]
-    for lead in axis:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        pts = np.empty((mesh[0].size, n))
+    tail = np.stack([g.ravel() for g in np.meshgrid(*tail_axes, indexing="ij")], axis=1)
+    key = (n, res, band)
+    cold = key not in _GRID_MASKS
+    masks = [] if cold else _GRID_MASKS[key]
+    for i, lead in enumerate(axis):
+        pts = np.empty((len(tail), n))
         pts[:, 0] = lead
-        for i, g in enumerate(mesh):
-            pts[:, i + 1] = g.ravel()
-        _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-        keep = (pyr >= band) & (switch >= band)
-        if np.any(keep):
-            yield pts[keep]
+        pts[:, 1:] = tail
+        if cold:
+            _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
+            masks.append((pyr >= band) & (switch >= band))
+        if np.any(masks[i]):
+            yield pts[masks[i]]
+    if cold:
+        _GRID_MASKS[key] = masks
 
 
 def spiral_jacobian_scan(K, n, alpha, grid=33, band=1e-3):
@@ -392,9 +403,8 @@ def spiral_jacobian_scan(K, n, alpha, grid=33, band=1e-3):
         raise InvalidInputError("grid resolution must be at least 8")
     worst = np.inf
     worst_pt = None
-    for chunk in _grid_chunks(n, grid, band):
-        pts = chunk.copy()
-        pts[:, -1] = chunk[:, -1] / alpha if alpha != 0 else 0.0
+    for pts in _grid_chunks(n, grid, band):
+        pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
         dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
         i = int(np.argmin(dets))
         if dets[i] < worst:

@@ -393,11 +393,17 @@ def run_realize(target, k_max, samples, quadrature=4096):
         for r, u, sig in rm.checkpoints
     ]
     poly = realizer._polyline_samples(target.waypoints, target.closed)
-    haus = {}
-    if rm.pieces:
-        for k in sorted({p.sweep for p in rm.pieces}):
-            tail = gamma[table["t"] <= rm.sweep_start_radius(k) * (1 + 1e-12)]
-            haus[k] = realizer.hausdorff_distance(tail, poly)
+    # t decreases along the table, so each sweep's samples t <= its start
+    # radius form a suffix; one pass over the orbit serves every sweep.
+    sweeps = sorted({p.sweep for p in rm.pieces})
+    starts = []
+    for k in sweeps:
+        tail = table["t"] <= rm.sweep_start_radius(k) * (1 + 1e-12)
+        start = tail.size - int(np.count_nonzero(tail))
+        if not tail[start:].all():
+            raise QcmapsError(f"orbit samples of sweep {k} are not a suffix")
+        starts.append(start)
+    haus = dict(zip(sweeps, realizer.hausdorff_by_suffix(gamma, poly, starts)))
     radii = np.linalg.norm(gamma, axis=1)
     summary = {
         "n": rm.n,

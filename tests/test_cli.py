@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import circle_waypoints
-from qcmaps.cli import DEFAULT_TOL, RunConfig, _build_parser, main
+from qcmaps import realizer
+from qcmaps.cli import DEFAULT_TOL, RunConfig, _build_parser, main, run_realize
 
 
 @pytest.fixture()
@@ -134,6 +135,15 @@ def test_realize_quarter_circle(tmp_path, quarter_target):
     assert np.all(np.isfinite(data))
     # 17-significant-digit round trip: re-parsing reproduces the values
     assert data.shape[0] == summary["samples"]
+
+
+def test_realize_sweep_distances_are_tail_distances():
+    target = realizer.TargetSet(waypoints=circle_waypoints())
+    table, summary, rm = run_realize(target, 5, samples=60)
+    poly = realizer._polyline_samples(target.waypoints, target.closed)
+    for k in range(1, 6):
+        tail = table["gamma"][table["t"] <= rm.sweep_start_radius(k) * (1 + 1e-12)]
+        assert summary["hausdorff_by_k"][str(k)] == realizer.hausdorff_distance(tail, poly)
 
 
 def test_realize_singleton_constant_orbit(tmp_path):

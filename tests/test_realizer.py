@@ -244,6 +244,68 @@ class TestShellsMatchLibraryMaps:
         assert np.abs(rz._apply_piece(p, x, r) - want).max() <= 1e-13 * r[0]
 
 
+@pytest.fixture(scope="module", params=[3, 4])
+def mixed_map(request):
+    """Map whose shell stack alternates spiral and interpolation shells:
+    arcs at radii 2 and 3 joined by a radial move, swept both ways."""
+    n = request.param
+    th = np.array([0.0, 0.4, 0.4, 0.8])
+    w = np.zeros((4, n))
+    w[:, 0] = np.array([2.0, 2.0, 3.0, 3.0]) * np.cos(th)
+    w[:, 1] = np.array([2.0, 2.0, 3.0, 3.0]) * np.sin(th)
+    rm = rz.build_map(rz.plan_paths(rz.TargetSet(waypoints=w), 2), n=n)
+    assert {p.kind for p in rm.pieces} == {"spiral", "interp"}
+    return rm
+
+
+def _stack_radii(rm, depths):
+    """Radii at log-depth fractions of [2 r_start, r_end / 2] (0 = outermost)."""
+    hi, lo = np.log(2.0 * rm.r_start), np.log(0.5 * rm.r_end)
+    return np.exp(hi + np.asarray(depths, dtype=float) * (lo - hi))
+
+
+_stack_points = st.lists(
+    st.tuples(_directions, st.floats(0.0, 1.0)), min_size=1, max_size=24
+)
+
+
+class TestRealizedMapProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(points=_stack_points)
+    def test_batch_matches_single_points(self, mixed_map, points):
+        rm = mixed_map
+        dirs = np.array([d[: rm.n] for d, _ in points])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        x = dirs * _stack_radii(rm, [t for _, t in points])[:, None]
+        batch = rz.eval_map_batch(rm, x)
+        single = np.stack([rz.eval_map(rm, p) for p in x])
+        # one-row and many-row matrix products may round differently
+        scale = np.linalg.norm(single, axis=1)
+        assert np.all(np.abs(batch - single).max(axis=1) <= 8 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.integers(0, 4000), min_size=2, max_size=40, unique=True))
+    def test_mean_radius_monotone(self, mixed_map, steps):
+        # adjacent radii are at least 1/4000 of the log range apart and
+        # d ln rho / d ln r > 1/2 in every shell, so rho rises by far more
+        # than the quadrature error (~1e-5 relative) by which it can jump at
+        # an interpolation shell's sphere
+        radii = _stack_radii(mixed_map, np.sort(steps)[::-1] / 4000.0)
+        rho = rz.mean_radius_batch(mixed_map, radii)
+        assert np.all(np.diff(rho) > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(direction=_directions)
+    def test_continuous_across_shell_spheres(self, mixed_map, direction):
+        rm = mixed_map
+        v = np.array(direction[: rm.n])
+        v /= np.linalg.norm(v)
+        for r in [p.r_out for p in rm.pieces] + [rm.r_end]:
+            above = rz.eval_map(rm, v * r * (1.0 + 1e-12))
+            below = rz.eval_map(rm, v * r * (1.0 - 1e-12))
+            assert np.abs(above - below).max() <= 1e-9 * r
+
+
 class TestMeanRadius:
     def test_pure_stretch_k8(self):
         rm = rz.RealizedMap(pieces=(), outer_K=8.0, outer_frame=np.eye(3), n=3)
@@ -338,6 +400,77 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             rz.hausdorff_distance(np.empty((0, 3)), np.ones((1, 3)))
+
+
+def _hausdorff_reference(a, b):
+    """Brute-force Hausdorff distance from explicit coordinate differences."""
+
+    def directed(p, q):
+        worst = 0.0
+        for x in p:
+            diff = x[None, :] - q
+            worst = max(worst, float(np.sqrt(np.sum(diff * diff, axis=1).min())))
+        return worst
+
+    return max(directed(a, b), directed(b, a))
+
+
+def _suffix_cases(n, rows=400):
+    """(a, b) pairs of n-point samples, keyed by what decides the distance.
+
+    In "receding" the rows of `a` move away from the tiny cloud `b` toward
+    index 0, so the a-to-b direction decides and each start changes it.  In
+    "spread" `b` densely covers the segment whose far end the suffix of `a`
+    leaves behind, so the b-to-a direction decides, again at every start.
+    """
+    rng = np.random.default_rng(n)
+    dirs = rng.standard_normal((rows, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    receding = dirs * (3.0 + 0.01 * np.arange(rows, 0, -1))[:, None]
+    line = 1e-4 * rng.standard_normal((rows, n))
+    line[:, 0] += 0.1 * np.arange(rows, 0, -1)
+    segment = np.zeros((2 * rows, n))
+    segment[:, 0] = np.linspace(0.1, 0.1 * rows, 2 * rows)
+    return {
+        "random": (rng.standard_normal((rows, n)), rng.standard_normal((90, n))),
+        "receding": (receding, rng.uniform(-1e-3, 1e-3, (90, n))),
+        "spread": (line, segment),
+        "one-row-b": (rng.standard_normal((rows, n)), rng.standard_normal((1, n))),
+    }
+
+
+class TestHausdorffBySuffix:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("case", ["random", "receding", "spread", "one-row-b"])
+    def test_matches_brute_force(self, n, case):
+        a, b = _suffix_cases(n)[case]
+        last = len(a) - 1
+        starts = [0, last, 200, 7, 200, last, 0, 300]  # unsorted, repeated
+        got = rz.hausdorff_by_suffix(a, b, starts)
+        assert got == [_hausdorff_reference(a[s:], b) for s in starts]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("case", ["receding", "spread"])
+    def test_every_start_matters(self, n, case):
+        # guards the cases above: a start off by one changes the reference
+        a, b = _suffix_cases(n)[case]
+        for s in (1, 7, 200, 300, len(a) - 2):
+            ref = _hausdorff_reference(a[s:], b)
+            assert ref != _hausdorff_reference(a[s - 1 :], b)
+            assert ref != _hausdorff_reference(a[s + 1 :], b)
+
+    def test_whole_set_is_hausdorff_distance(self):
+        a, b = _suffix_cases(3)["random"]
+        assert rz.hausdorff_by_suffix(a, b, [0]) == [rz.hausdorff_distance(a, b)]
+        assert rz.hausdorff_distance(a, b) == _hausdorff_reference(a, b)
+
+    def test_no_starts(self):
+        assert rz.hausdorff_by_suffix(np.ones((3, 3)), np.zeros((2, 3)), []) == []
+
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_empty_suffix_rejected(self, start):
+        with pytest.raises(InvalidInputError):
+            rz.hausdorff_by_suffix(np.ones((3, 3)), np.zeros((2, 3)), [start])
 
 
 class TestInjectivity:
