@@ -6,8 +6,8 @@ Modules:
 - ``zorich``: cube-chart Zorich map, fundamental set, conjugation evaluator.
 - ``canonical_maps``: radial stretch, radial interpolation, spiral stretch,
   their log-coordinate transforms, analytic Jacobians, spiral-rate selection.
-- ``distortion``: finite differences, dilatation/linear-distortion reports,
-  the chart bilipschitz form, and a generic grid-sweep helper.
+- ``distortion``: finite differences on one point or a batch,
+  dilatation/linear-distortion reports, and the chart bilipschitz form.
 - ``realizer``: waypoint path planning, shell-map assembly, mean radius,
   rescaled orbit curves, Hausdorff distances.
 - ``kernels``: batched numpy hot loops (Zorich map, canonicalization,
@@ -35,7 +35,6 @@ from .distortion import (
     bilipschitz_form,
     distortion_report,
     finite_diff_jacobian,
-    grid_verify,
     linear_distortion_numeric,
 )
 from .realizer import (

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .kernels import HALF_PI, TWO_PI
 from .vecgeom import check_frame
-from .zorich import FundamentalPoint
+from .zorich import FundamentalPoint, _coords_of
 
 SHELL_TOL = 1e-9
 REGION_MARGIN = 1e-6
@@ -44,22 +44,16 @@ REGION_MARGIN = 1e-6
 # Specs
 # =====================================================================
 
-def _spec_frame(frame):
-    f = check_frame(frame)
-    return np.array(f, dtype=float)
+def _require_stretch_factor(K):
+    if not np.isfinite(K) or K < 1.0:
+        raise InvalidInputError("stretch factor must satisfy K >= 1")
 
 
-@dataclass(frozen=True)
-class StretchSpec:
-    """Stretch by K >= 1 along the frame's first column."""
+class _FramedSpec:
+    """What every spec shares: a validated, read-only frame and its dimension."""
 
-    K: float
-    frame: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.K) or self.K < 1.0:
-            raise InvalidInputError("stretch factor must satisfy K >= 1")
-        f = _spec_frame(self.frame)
+    def _freeze_frame(self):
+        f = np.array(check_frame(self.frame), dtype=float)
         f.setflags(write=False)
         object.__setattr__(self, "frame", f)
 
@@ -69,7 +63,19 @@ class StretchSpec:
 
 
 @dataclass(frozen=True)
-class InterpSpec:
+class StretchSpec(_FramedSpec):
+    """Stretch by K >= 1 along the frame's first column."""
+
+    K: float
+    frame: np.ndarray
+
+    def __post_init__(self):
+        _require_stretch_factor(self.K)
+        self._freeze_frame()
+
+
+@dataclass(frozen=True)
+class InterpSpec(_FramedSpec):
     """Interpolate between a K-stretch at log-radius t and an L-stretch at s.
 
     Requires |ln(K/L)| < (t - s) / 2 so the interpolated shells never cross.
@@ -89,17 +95,11 @@ class InterpSpec:
             raise InvalidInputError("need s < t")
         if abs(np.log(self.K / self.L)) >= (self.t - self.s) / 2.0:
             raise InvalidInputError("need |ln(K/L)| < (t - s)/2")
-        f = _spec_frame(self.frame)
-        f.setflags(write=False)
-        object.__setattr__(self, "frame", f)
-
-    @property
-    def n(self):
-        return self.frame.shape[0]
+        self._freeze_frame()
 
 
 @dataclass(frozen=True)
-class SpiralSpec:
+class SpiralSpec(_FramedSpec):
     """Stretch by K along the frame's first column while rotating the
     frame's (1,2)-plane by alpha per unit log-radius.
 
@@ -112,17 +112,10 @@ class SpiralSpec:
     frame: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.K) or self.K < 1.0:
-            raise InvalidInputError("stretch factor must satisfy K >= 1")
+        _require_stretch_factor(self.K)
         if not np.isfinite(self.alpha):
             raise InvalidInputError("spiral rate must be finite")
-        f = _spec_frame(self.frame)
-        f.setflags(write=False)
-        object.__setattr__(self, "frame", f)
-
-    @property
-    def n(self):
-        return self.frame.shape[0]
+        self._freeze_frame()
 
 
 # =====================================================================
@@ -138,7 +131,7 @@ def _norms(y):
     return np.sqrt(np.sum(y * y, axis=-1))
 
 
-def _require_nonzero(y, r):
+def _require_nonzero(r):
     if np.min(r) == 0.0:
         raise OriginError("map is undefined at the origin")
 
@@ -152,26 +145,23 @@ def _as_points(y):
     return a
 
 
-def radial_stretch(y, K):
-    """Stretch spheres to ellipsoids by K >= 1 along the last axis."""
-    if not np.isfinite(K) or K < 1.0:
-        raise InvalidInputError("stretch factor must satisfy K >= 1")
+def _axis_stretch(y, K, axis):
+    _require_stretch_factor(K)
     a = _as_points(y)
     r = _norms(a)
-    _require_nonzero(a, r)
-    cos2 = (a[..., -1] / r) ** 2
+    _require_nonzero(r)
+    cos2 = (a[..., axis] / r) ** 2
     return stretch_factor(cos2, K)[..., None] * a
+
+
+def radial_stretch(y, K):
+    """Stretch spheres to ellipsoids by K >= 1 along the last axis."""
+    return _axis_stretch(y, K, -1)
 
 
 def stretch_axis1(y, K):
     """The same stretch re-axised to act along the first coordinate axis."""
-    if not np.isfinite(K) or K < 1.0:
-        raise InvalidInputError("stretch factor must satisfy K >= 1")
-    a = _as_points(y)
-    r = _norms(a)
-    _require_nonzero(a, r)
-    cos2 = (a[..., 0] / r) ** 2
-    return stretch_factor(cos2, K)[..., None] * a
+    return _axis_stretch(y, K, 0)
 
 
 def oriented_stretch(y, spec):
@@ -183,7 +173,7 @@ def oriented_stretch(y, spec):
     """
     a = _as_points(y)
     r = _norms(a)
-    _require_nonzero(a, r)
+    _require_nonzero(r)
     sigma = spec.frame[:, 0]
     cos2 = (a @ sigma / r) ** 2
     return stretch_factor(cos2, spec.K)[..., None] * a
@@ -204,7 +194,7 @@ def interp_stretch(y, spec):
     """
     a = _as_points(y)
     r = _norms(a)
-    _require_nonzero(a, r)
+    _require_nonzero(r)
     lnr = np.log(r)
     if np.min(lnr) < spec.s - SHELL_TOL or np.max(lnr) > spec.t + SHELL_TOL:
         raise OutsideShellError("point outside the interpolation shell")
@@ -222,7 +212,7 @@ def spiral_stretch(y, spec):
     """
     a = _as_points(y)
     r = _norms(a)
-    _require_nonzero(a, r)
+    _require_nonzero(r)
     w = a @ spec.frame
     return _spiral_shell(w, r, spec.K, spec.alpha * np.log(r), spec.frame)
 
@@ -241,12 +231,6 @@ def _spiral_shell(w, r, K, beta, frame):
 # =====================================================================
 # Log-coordinate transforms
 # =====================================================================
-
-def _coords_of(x):
-    if isinstance(x, FundamentalPoint):
-        return x.coords
-    return FundamentalPoint(np.asarray(x, dtype=float)).coords
-
 
 def chart_cos2(xb):
     """cos^2 of the image colatitude for arbitrary chart-block coordinates.
@@ -270,8 +254,7 @@ def radial_stretch_transform(x, K):
     The shift is additive because the stretch scales the image radius
     e^{x_n} by the profile value, and log-radius is the last coordinate.
     """
-    if not np.isfinite(K) or K < 1.0:
-        raise InvalidInputError("stretch factor must satisfy K >= 1")
+    _require_stretch_factor(K)
     coords = _coords_of(x)
     out = coords.copy()
     out[-1] += float(stretch_shift_batch(coords[:-1], K))
@@ -335,16 +318,16 @@ def spiral_region(x, alpha):
     return p, d, pyr, switch
 
 
-def spiral_transform_jacobian_analytic(x, spec, margin=REGION_MARGIN):
+def spiral_transform_jacobian_analytic(x, spec):
     """Closed-form derivative matrix of the spiral transform at x.
 
-    Requires x to sit inside one differentiability region: at least `margin`
-    away from both the pyramid faces (max-norm ties) and the candidate
-    switching surfaces; callers resample on the near-singular error.
+    Requires x to sit inside one differentiability region: at least
+    REGION_MARGIN away from both the pyramid faces (max-norm ties) and the
+    candidate switching surfaces; callers resample on the near-singular error.
     """
     coords = _first_box_coords(x, "spiral transform Jacobian")
     _, _, pyr, switch = spiral_region(coords, spec.alpha)
-    if pyr < margin or switch < margin:
+    if pyr < REGION_MARGIN or switch < REGION_MARGIN:
         raise NearSingularRegionError(
             "point within margin of a non-differentiability surface"
         )
@@ -355,28 +338,43 @@ def spiral_transform_jacobian_analytic(x, spec, margin=REGION_MARGIN):
 # Spiral rate selection
 # =====================================================================
 
+# Certification grids keep points at least this far from a pyramid face or a
+# candidate switch, mirroring the sigma-finite singular set the analysis
+# itself removes.
+GRID_BAND = 1e-3
 _ALPHA_CACHE: dict = {}
-# Per-lead keep-masks of each certification grid, keyed by (n, res, band).
-# The filter depends on neither K nor alpha, so every trial rate and stretch
+# Per-lead keep-masks of each certification grid, keyed by (n, res).  The
+# filter depends on neither K nor alpha, so every trial rate and stretch
 # factor reuses it; the points themselves are rebuilt per scan, which keeps
 # the cache to one byte per grid point.
 _GRID_MASKS: dict = {}
 
 
-def _grid_chunks(n, res, band):
+def certification_grid(n, grid=None):
+    """Coarse certification grid resolution for dimension n.
+
+    33 at n = 3 and 13 above: a grid of resolution res has res^n points,
+    and 13^4 stays below 33^3.  A requested `grid` (the CLI --grid) is used
+    as given at n = 3 and capped at 13 above.  The halving search
+    re-verifies on the 2 * grid - 1 refinement.
+    """
+    res = 33 if grid is None else grid
+    return res if n == 3 else min(res, 13)
+
+
+def _grid_chunks(n, res):
     """Filtered (chart, phase) grid chunks for Jacobian certification.
 
     The last coordinate stores the rotation phase alpha * x_n directly, so the
-    same filtered grid serves every trial rate.  Points within `band` of a
-    pyramid face or a candidate switch are excluded, mirroring the sigma-finite
-    singular set the analysis itself removes.  Each chunk is a new array that
-    the caller may modify.
+    same filtered grid serves every trial rate.  Points within GRID_BAND of a
+    pyramid face or a candidate switch are excluded.  Each chunk is a new
+    array that the caller may modify.
     """
-    axis = np.linspace(-HALF_PI + band, HALF_PI - band, res)
+    axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
     phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
     tail_axes = [axis] * (n - 2) + [phases]
     tail = np.stack([g.ravel() for g in np.meshgrid(*tail_axes, indexing="ij")], axis=1)
-    key = (n, res, band)
+    key = (n, res)
     cold = key not in _GRID_MASKS
     masks = [] if cold else _GRID_MASKS[key]
     for i, lead in enumerate(axis):
@@ -385,25 +383,28 @@ def _grid_chunks(n, res, band):
         pts[:, 1:] = tail
         if cold:
             _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-            masks.append((pyr >= band) & (switch >= band))
+            masks.append((pyr >= GRID_BAND) & (switch >= GRID_BAND))
         if np.any(masks[i]):
             yield pts[masks[i]]
     if cold:
         _GRID_MASKS[key] = masks
 
 
-def spiral_jacobian_scan(K, n, alpha, grid=33, band=1e-3):
-    """Min analytic Jacobian determinant over the certification grid.
+def spiral_jacobian_scan(K, n, alpha, grid=None):
+    """Min analytic Jacobian determinant over a certification grid.
 
-    Returns (min_det, worst_point) with the worst point's last coordinate
-    converted back from phase to x_n.  At alpha = 0 the Jacobian does not
-    depend on x_n, so every grid point is evaluated at x_n = 0.
+    The grid defaults to ``certification_grid(n)``.  Returns (min_det,
+    worst_point) with the worst point's last coordinate converted back from
+    phase to x_n.  At alpha = 0 the Jacobian does not depend on x_n, so every
+    grid point is evaluated at x_n = 0.
     """
+    if grid is None:
+        grid = certification_grid(n)
     if grid < 8:
         raise InvalidInputError("grid resolution must be at least 8")
     worst = np.inf
     worst_pt = None
-    for pts in _grid_chunks(n, grid, band):
+    for pts in _grid_chunks(n, grid):
         pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
         dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
         i = int(np.argmin(dets))
@@ -415,31 +416,32 @@ def spiral_jacobian_scan(K, n, alpha, grid=33, band=1e-3):
     return worst, worst_pt
 
 
-def select_alpha(K, n, orientation=1, grid=33, band=1e-3):
+def select_alpha(K, n, orientation=1, grid=None):
     """Largest spiral rate from a halving search with a certified Jacobian.
 
     Halves |alpha| from 1/2 until the analytic Jacobian determinant exceeds
-    2^{-(n+1)/2} at every interior grid point, then re-verifies on a 2x
-    refinement.  The alpha-free part of the determinant is at least
-    2^{-(n-1)/2}, so the search always terminates.  The sign of the result is
-    `orientation`.
+    2^{-(n+1)/2} at every interior point of the grid (by default
+    ``certification_grid(n)``), then re-verifies on a 2x refinement.  The
+    alpha-free part of the determinant is at least 2^{-(n-1)/2}, so the
+    search always terminates.  The sign of the result is `orientation`.
     """
-    if not np.isfinite(K) or K < 1.0:
-        raise InvalidInputError("stretch factor must satisfy K >= 1")
+    _require_stretch_factor(K)
     if n < 3:
         raise InvalidInputError("dimension must be at least 3")
     if orientation not in (-1, 1):
         raise InvalidInputError("orientation must be +1 or -1")
-    key = (round(float(K), 12), n, orientation, grid, band)
+    if grid is None:
+        grid = certification_grid(n)
+    key = (round(float(K), 12), n, orientation, grid)
     if key in _ALPHA_CACHE:
         return _ALPHA_CACHE[key]
     floor = 2.0 ** (-(n + 1) / 2.0)
     a = 0.5
     while a >= 1e-12:
         alpha = orientation * a
-        coarse, _ = spiral_jacobian_scan(K, n, alpha, grid, band)
+        coarse, _ = spiral_jacobian_scan(K, n, alpha, grid)
         if coarse > floor:
-            fine, _ = spiral_jacobian_scan(K, n, alpha, 2 * grid - 1, band)
+            fine, _ = spiral_jacobian_scan(K, n, alpha, 2 * grid - 1)
             if fine > floor:
                 _ALPHA_CACHE[key] = alpha
                 return alpha

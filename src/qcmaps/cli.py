@@ -17,7 +17,6 @@ Reports are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -47,6 +46,20 @@ LINEAR_DISTORTION_BOUND = 8.0 * CHART_BILIP**2
 DEFAULT_TOL = 1e-12
 
 
+def _alpha_value(alpha, name):
+    """'auto', or the finite float that `alpha` spells; a QcmapsError naming
+    `name` otherwise."""
+    if alpha == "auto":
+        return alpha
+    try:
+        value = float(alpha)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise QcmapsError(f"{name} must be 'auto' or a finite number")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Knobs shared by the verification suites."""
@@ -65,13 +78,7 @@ class RunConfig:
         for name in ("K", "L", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise QcmapsError(f"{name} must be finite")
-        if self.alpha != "auto":
-            try:
-                finite = bool(np.isfinite(float(self.alpha)))
-            except (TypeError, ValueError):
-                finite = False
-            if not finite:
-                raise QcmapsError("alpha must be 'auto' or a finite number")
+        _alpha_value(self.alpha, "alpha")
         if self.samples < 1:
             raise QcmapsError("samples must be at least 1")
         if self.dimension < 3:
@@ -243,14 +250,14 @@ def _spiral_samples(rng, m, n, alpha, margin=1e-3):
 def _suite_spiral(cfg):
     n, k = cfg.dimension, cfg.K
     floor = 2.0 ** (-(n + 1) / 2.0)
+    grid = cm.certification_grid(n, cfg.grid)
     if cfg.alpha == "auto":
-        alpha = cm.select_alpha(k, n, grid=cfg.grid if n == 3 else min(cfg.grid, 13))
+        alpha = cm.select_alpha(k, n, grid=grid)
     else:
         alpha = float(cfg.alpha)
     checks = []
 
-    scan_grid = cfg.grid if n == 3 else min(cfg.grid, 13)
-    grids = (scan_grid, 2 * scan_grid - 1)
+    grids = (grid, 2 * grid - 1)
     dets, where = zip(*(cm.spiral_jacobian_scan(k, n, alpha, g) for g in grids))
     bound = cfg.bound if cfg.bound is not None else floor
     checks.append(_check("jacobian-floor", bound, dets, where, sense="min"))
@@ -372,20 +379,24 @@ def load_target(path):
     )
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns, row_format):
+    """Write equal-length columns under a header, each row as
+    `row_format` % row, with the CRLF line ends of ``csv.writer``."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    line = row_format + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
-def run_realize(target, k_max, samples, quadrature=4096):
+def run_realize(target, k_max, samples):
     """Plan, build, and sample the orbit; returns (table, summary, rm)."""
+    if samples < 1:
+        raise QcmapsError("--samples must be at least 1")
     plans = realizer.plan_paths(target, k_max)
     rm = realizer.build_map(plans, n=target.n)
     ts = realizer.default_orbit_times(rm, per_piece=samples)
-    table = realizer.orbit_table(rm, ts, quadrature)
+    table = realizer.orbit_table(rm, ts)
     gamma = table["gamma"]
 
     errs = [
@@ -429,11 +440,9 @@ def _probe_map(args):
         fn = lambda x: x @ rot.T  # noqa: E731
         rho = lambda t: t  # noqa: E731
     elif args.map == "spiral":
-        alpha = (
-            cm.select_alpha(args.K, n)
-            if args.alpha == "auto"
-            else float(args.alpha)
-        )
+        alpha = _alpha_value(args.alpha, "--alpha")
+        if alpha == "auto":
+            alpha = cm.select_alpha(args.K, n)
         spec = cm.SpiralSpec(K=args.K, alpha=alpha, frame=np.eye(n))
         fn = lambda x: cm.spiral_stretch(x, spec)  # noqa: E731
         rho = lambda t: args.K ** (1.0 / n) * t  # noqa: E731
@@ -451,11 +460,28 @@ def _probe_map(args):
     return fn, rho
 
 
+def _scales(text):
+    """The positive finite scales of a comma list, in order."""
+    try:
+        t_values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        t_values = []
+    if not t_values or not all(np.isfinite(t) and t > 0 for t in t_values):
+        raise QcmapsError("--t must be a comma list of positive finite scales")
+    return t_values
+
+
 def run_probe(args):
-    """Tabulate f_t over a direction grid; returns (rows, summary)."""
-    t_values = [float(v) for v in args.t.split(",") if v.strip()]
-    if not t_values or any(t <= 0 for t in t_values):
-        raise QcmapsError("probe needs a comma list of positive t values")
+    """Tabulate f_t over a direction grid; returns (table, summary).
+
+    The table holds the columns t, direction index and the n image
+    coordinates, one row per (t, direction).
+    """
+    t_values = _scales(args.t)
+    if args.dim < 3:
+        raise QcmapsError("--dim must be at least 3")
+    if not np.isfinite(args.theta):
+        raise QcmapsError("--theta must be finite")
     fn, rho = _probe_map(args)
     dirs = sphere_directions(args.dim, max(args.grid, 2 * args.dim), args.seed)
     slices = []
@@ -468,17 +494,19 @@ def run_probe(args):
                 variation,
                 float(np.linalg.norm(slices[i] - slices[j], axis=1).max()),
             )
-    rows = []
-    for t, sl in zip(t_values, slices):
-        for idx, val in enumerate(sl):
-            rows.append([t, idx] + [float(v) for v in val])
+    images = np.concatenate(slices)
+    table = [
+        np.repeat(t_values, len(dirs)),
+        np.tile(np.arange(len(dirs)), len(t_values)),
+        *images.T,
+    ]
     summary = {
         "map": args.map,
         "t_values": t_values,
         "directions": int(len(dirs)),
         "slice_variation": variation,
     }
-    return rows, summary
+    return table, summary
 
 
 # =====================================================================
@@ -506,7 +534,6 @@ def _build_parser():
     pr.add_argument("target")
     pr.add_argument("--kmax", type=int, default=5)
     pr.add_argument("--samples", type=int, default=200)
-    pr.add_argument("--quadrature", type=int, default=4096)
     pr.add_argument("--out", required=True)
 
     pp = sub.add_parser("probe", help="tabulate rescalings f_t")
@@ -549,20 +576,12 @@ def main(argv=None):
 
         if args.command == "realize":
             target = load_target(args.target)
-            table, summary, rm = run_realize(
-                target, args.kmax, args.samples, args.quadrature
-            )
+            table, summary, rm = run_realize(target, args.kmax, args.samples)
             n = rm.n
             header = ["t"] + [f"y_{i + 1}" for i in range(n)] + ["piece_index", "rho"]
-            rows = [
-                [float(t)]
-                + [float(v) for v in g]
-                + [int(p), float(r)]
-                for t, g, p, r in zip(
-                    table["t"], table["gamma"], table["piece"], table["rho"]
-                )
-            ]
-            _write_csv(f"{args.out}.orbit.csv", header, rows)
+            columns = [table["t"], *table["gamma"].T, table["piece"], table["rho"]]
+            row_format = ",".join(["%.17g"] * (n + 1) + ["%d", "%.17g"])
+            _write_csv(f"{args.out}.orbit.csv", header, columns, row_format)
             Path(f"{args.out}.summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
@@ -570,9 +589,10 @@ def main(argv=None):
             return 0
 
         if args.command == "probe":
-            rows, summary = run_probe(args)
+            table, summary = run_probe(args)
             header = ["t", "direction"] + [f"y_{i + 1}" for i in range(args.dim)]
-            _write_csv(f"{args.out}.probe.csv", header, rows)
+            row_format = ",".join(["%.17g", "%d"] + ["%.17g"] * args.dim)
+            _write_csv(f"{args.out}.probe.csv", header, table, row_format)
             Path(f"{args.out}.summary.json").write_text(
                 json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )

@@ -5,12 +5,10 @@ operator norm, smallest singular value, Jacobian determinant, the outer and
 inner dilatations K_O = ||f'||^n / J and K_I = J / l(f')^n, and the linear
 distortion H = ||f'|| ||(f')^{-1}||.  ``finite_diff_jacobian`` and
 ``linear_distortion_numeric`` take one (n,) point or an (m, n) batch; a batch
-goes to the map in one call, which is how every CLI suite runs them.
-``grid_verify`` is a generic per-point margin sweep for library callers (the
-suites reduce the harness values themselves, so reports keep the exact worst
-value rather than one recovered from a margin); ``bilipschitz_form`` is
-the 2x2 quadratic form whose eigenvalue window certifies the cube chart is
-infinitesimally bilipschitz in three dimensions.
+goes to the map in one call, which is how every CLI suite runs them, and
+the suites reduce the values to report rows themselves.  ``bilipschitz_form``
+is the 2x2 quadratic form whose eigenvalue window certifies the cube chart
+is infinitesimally bilipschitz in three dimensions.
 """
 
 from __future__ import annotations
@@ -176,52 +174,3 @@ def _bilipschitz_entries(x, y):
     q = (x * x + y * y) ** 2
     s2 = np.sin(x) ** 2
     return 1.0 + y * y * s2 / q, -x * y * s2 / q, x * x * s2 / q
-
-
-@dataclass(frozen=True)
-class GridReport:
-    """Outcome of a grid sweep: pass/fail with the worst margin and point."""
-
-    passed: bool
-    worst_margin: float
-    worst_point: np.ndarray
-    n_points: int
-    n_failures: int
-
-    def __str__(self):
-        tag = "pass" if self.passed else "FAIL"
-        return (
-            f"{tag}: worst margin {self.worst_margin:.6g} at "
-            f"{np.array2string(self.worst_point, precision=6)} "
-            f"({self.n_points} points, {self.n_failures} evaluation failures)"
-        )
-
-
-def grid_verify(margin_fn, points):
-    """Evaluate a margin function over grid points; negative margin = violation.
-
-    `margin_fn` returns bound minus value (>= 0 passes) at one point.
-    Evaluation failures count as violations at their location.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise InvalidInputError("empty verification grid")
-    worst = np.inf
-    worst_pt = pts[0]
-    failures = 0
-    for p in pts:
-        try:
-            m = float(margin_fn(p))
-        except Exception:
-            failures += 1
-            m = -np.inf
-        if m < worst:
-            worst = m
-            worst_pt = p
-    return GridReport(
-        passed=bool(worst >= 0.0 and failures == 0),
-        worst_margin=worst,
-        worst_point=np.array(worst_pt, dtype=float),
-        n_points=len(pts),
-        n_failures=failures,
-    )

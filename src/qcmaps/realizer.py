@@ -330,15 +330,15 @@ def _entry_of(seg):
     return seg.u1, seg.sigma, None
 
 
-def build_map(plans, r_start=1.0, n=None, alpha_grid=None, seed_frame_hint=None):
+def build_map(plans, n=None):
     """Assemble the shell map realizing chained segment plans.
 
-    Empty plans yield the identity map.  Spiral rates come from the halving
-    certification (one per stretch factor and orientation, cached); shell
-    radii decrease strictly and are rejected before they underflow float64.
+    The first shell starts at radius 1.  Empty plans yield the identity map
+    in dimension n (3 if not given).  Spiral rates come from the halving
+    certification on the default grid of ``select_alpha`` (one per stretch
+    factor and orientation, cached); shell radii decrease strictly and are
+    rejected before they underflow float64.
     """
-    if r_start <= 0:
-        raise InvalidInputError("r_start must be positive")
     segs = [(k + 1, s) for k, plan in enumerate(plans) for s in plan]
     if not segs:
         dim = 3 if n is None else n
@@ -352,13 +352,11 @@ def build_map(plans, r_start=1.0, n=None, alpha_grid=None, seed_frame_hint=None)
     first = segs[0][1]
     u0, sigma0, hint = _entry_of(first)
     dim = sigma0.size
-    if alpha_grid is None:
-        alpha_grid = 33 if dim == 3 else 13
     expo = dim / (dim - 1.0)
-    frame = frame_from_direction(sigma0, hint if hint is not None else seed_frame_hint)
+    frame = frame_from_direction(sigma0, hint)
     outer_k = u0**expo
     outer_frame = frame
-    r = float(r_start)
+    r = 1.0
     pieces = []
     checks = [(r, u0, sigma0.copy())]
     for sweep, seg in segs:
@@ -376,9 +374,7 @@ def build_map(plans, r_start=1.0, n=None, alpha_grid=None, seed_frame_hint=None)
                 )
             theta = float(np.arctan2(s2, c2))
             kfac = seg.u**expo
-            alpha = select_alpha(
-                kfac, dim, orientation=-1 if theta > 0 else 1, grid=alpha_grid
-            )
+            alpha = select_alpha(kfac, dim, orientation=-1 if theta > 0 else 1)
             depth = abs(theta) / abs(alpha)
             r_in = r * np.exp(-depth)
             exit_frame = frame @ planar_rotation(theta, 0, 1, dim)
@@ -489,7 +485,12 @@ def eval_map(rm, x):
     return eval_map_batch(rm, np.asarray(x, dtype=float)[None, :])[0]
 
 
-def _interp_mean_pow(piece, nu, n, quadrature):
+# Sizes of the fixed mean-radius rule (see ``mean_radius_batch``).
+FIBONACCI_POINTS = 4096
+GAUSS_NODES = 256
+
+
+def _interp_mean_pow(piece, nu, n):
     """Mean over the unit sphere of the interpolation profile to the n-th power.
 
     The profile depends only on the first direction cosine, so the n = 3 case
@@ -499,21 +500,24 @@ def _interp_mean_pow(piece, nu, n, quadrature):
     """
     nu = np.atleast_1d(nu)
     if n == 3:
-        nodes = fibonacci_sphere(int(quadrature), lattice_axis=0)
-        u = nodes[:, 0]
+        u = fibonacci_sphere(FIBONACCI_POINTS)[:, 0]
         weights = np.full(u.size, 1.0 / u.size)
     else:
-        gl_u, gl_w = np.polynomial.legendre.leggauss(min(int(quadrature), 256))
-        w = gl_w * (1.0 - gl_u * gl_u) ** ((n - 3) / 2.0)
-        u = gl_u
+        u, gl_w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+        w = gl_w * (1.0 - u * u) ** ((n - 3) / 2.0)
         weights = w / w.sum()
     logmu = _interp_log_weight((u * u)[None, :], nu[:, None], piece.K, piece.L)
     return np.exp(n * logmu) @ weights
 
 
-def mean_radius_batch(rm, radii, quadrature=4096):
+def mean_radius_batch(rm, radii):
     """rho_f at each radius: closed ellipsoid form except inside
-    interpolation shells, where the star-shaped image radius is integrated."""
+    interpolation shells, where the star-shaped image radius is integrated.
+
+    The integral uses one fixed rule per dimension: the 4096-point Fibonacci
+    lattice at n = 3 and 256-node Gauss-Legendre above (FIBONACCI_POINTS,
+    GAUSS_NODES).
+    """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.min() <= 0.0:
         raise InvalidInputError("radii must be positive")
@@ -540,24 +544,24 @@ def mean_radius_batch(rm, radii, quadrature=4096):
                 mid = ~(at_out | at_in)
                 if np.any(mid):
                     nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
-                    mean = _interp_mean_pow(p, nu, n, quadrature)
+                    mean = _interp_mean_pow(p, nu, n)
                     res[mid] = mean ** (1.0 / n) * rs[mid]
                 out[sel] = res
     return out
 
 
-def mean_radius(rm, r, quadrature=4096):
+def mean_radius(rm, r):
     """Mean radius rho_f(r): radius of the ball matching the image volume."""
-    return float(mean_radius_batch(rm, [r], quadrature)[0])
+    return float(mean_radius_batch(rm, [r])[0])
 
 
-def rescaled_map(rm, t, x, quadrature=4096):
+def rescaled_map(rm, t, x):
     """f(t x) / rho_f(t), the rescaling whose limits are generalized
     derivatives."""
     if t <= 0:
         raise InvalidInputError("scale t must be positive")
     a = np.asarray(x, dtype=float)
-    return eval_map(rm, t * a) / mean_radius(rm, t, quadrature)
+    return eval_map(rm, t * a) / mean_radius(rm, t)
 
 
 def _e1(n):
@@ -566,25 +570,25 @@ def _e1(n):
     return e
 
 
-def orbit_curve(rm, t_values, quadrature=4096):
+def orbit_curve(rm, t_values):
     """Samples of the orbit curve gamma(t) = f(t e_1) / rho_f(t)."""
-    return orbit_table(rm, t_values, quadrature)["gamma"]
+    return orbit_table(rm, t_values)["gamma"]
 
 
-def orbit_table(rm, t_values, quadrature=4096):
+def orbit_table(rm, t_values):
     """Orbit samples plus the active region code and rho per sample."""
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or t.size == 0 or t.min() <= 0:
         raise InvalidInputError("t values must be a nonempty positive sequence")
     y = eval_map_batch(rm, t[:, None] * _e1(rm.n)[None, :])
-    rho = mean_radius_batch(rm, t, quadrature)
+    rho = mean_radius_batch(rm, t)
     return {"t": t, "gamma": y / rho[:, None], "piece": _locate(rm, t), "rho": rho}
 
 
-def default_orbit_times(rm, per_piece=200, outer_points=4):
-    """Decreasing t grid: a few outer samples, then log-spaced samples per
-    shell with every boundary radius included exactly."""
-    ts = [np.geomspace(2.0 * rm.r_start, rm.r_start, outer_points, endpoint=False)]
+def default_orbit_times(rm, per_piece=200):
+    """Decreasing t grid: 4 outer samples, then log-spaced samples per shell
+    with every boundary radius included exactly."""
+    ts = [np.geomspace(2.0 * rm.r_start, rm.r_start, 4, endpoint=False)]
     for p in rm.pieces:
         ts.append(np.geomspace(p.r_out, p.r_in, per_piece, endpoint=False))
     ts.append(np.array([rm.r_end]))
@@ -654,16 +658,15 @@ def hausdorff_distance(a, b):
     return hausdorff_by_suffix(a, b, [0])[0]
 
 
-def min_expansion_ratio(rm, pairs, seed=0, radius_range=None):
+def min_expansion_ratio(rm, pairs, seed=0):
     """Smallest |f(a) - f(b)| / |a - b| over seeded random pairs.
 
-    Radii are drawn log-uniformly across the shell stack so the sample spans
-    every piece; a positive result certifies injectivity statistically.
+    Radii are drawn log-uniformly from r_end / 2 to 2 r_start, across the
+    shell stack, so the sample spans every piece; a positive result
+    certifies injectivity statistically.
     """
     rng = np.random.default_rng(seed)
-    if radius_range is None:
-        radius_range = (0.5 * rm.r_end, 2.0 * rm.r_start)
-    lo, hi = np.log(radius_range[0]), np.log(radius_range[1])
+    lo, hi = np.log(0.5 * rm.r_end), np.log(2.0 * rm.r_start)
 
     def sample(m):
         v = rng.standard_normal((m, rm.n))

@@ -104,11 +104,11 @@ def frame_from_direction(sigma, hint=None):
     return f
 
 
-def check_frame(f, tol=ORTHO_TOL):
-    """Validate that f is orthogonal with det +1."""
+def check_frame(f):
+    """Validate that f is orthogonal (within ORTHO_TOL) with det +1."""
     a = as_matrix(f, "frame")
     n = a.shape[0]
-    if np.abs(a.T @ a - np.eye(n)).max() > tol:
+    if np.abs(a.T @ a - np.eye(n)).max() > ORTHO_TOL:
         raise InvalidInputError("frame columns are not orthonormal")
     if abs(np.linalg.det(a) - 1.0) > 1e-9:
         raise InvalidInputError("frame must have determinant +1")
@@ -147,11 +147,11 @@ def planar_rotation(theta, i, j, n):
     return r
 
 
-def fibonacci_sphere(count, lattice_axis=0):
+def fibonacci_sphere(count):
     """count deterministic, near-uniform points on S^2.
 
-    The uniform lattice coordinate is placed on lattice_axis; the golden-angle
-    azimuth fills the remaining two axes.
+    The uniform lattice coordinate is the first axis; the golden-angle
+    azimuth fills the other two.
     """
     if count < 1:
         raise InvalidInputError("count must be positive")
@@ -159,12 +159,7 @@ def fibonacci_sphere(count, lattice_axis=0):
     z = 1.0 - (2.0 * i + 1.0) / count
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * _GOLDEN_ANGLE
-    pts = np.empty((count, 3))
-    others = [k for k in range(3) if k != lattice_axis]
-    pts[:, lattice_axis] = z
-    pts[:, others[0]] = r * np.cos(phi)
-    pts[:, others[1]] = r * np.sin(phi)
-    return pts
+    return np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=1)
 
 
 def sphere_directions(n, count, seed=0):

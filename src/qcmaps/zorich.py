@@ -213,16 +213,17 @@ def sample_fundamental(rng, m, n, height_range=(-1.5, 1.5), second_box=True):
     return x
 
 
-def composition_residual(f, g, samples, n=3, seed=0, height_range=(-1.5, 1.5)):
+def composition_residual(f, g, samples, n=3, seed=0):
     """Max quotient-metric gap between lifting f o g and composing the lifts.
 
-    Maps must accept batched (m, n) arrays and be nonzero along the sampled
-    orbit.  Exact conjugation makes this zero up to roundoff.
+    The samples cover both boxes of the fundamental set with x_n in
+    [-1.5, 1.5].  Maps must accept batched (m, n) arrays and be nonzero along
+    the sampled orbit.  Exact conjugation makes this zero up to roundoff.
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
     rng = np.random.default_rng(seed)
-    x = sample_fundamental(rng, samples, n, height_range)
+    x = sample_fundamental(rng, samples, n)
     y = kernels.zorich_forward_batch(x)
 
     gy = np.asarray(g(y), dtype=float)

@@ -109,6 +109,17 @@ class TestRadialStretchTransform:
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
+    def test_stretch_slope_bound(self):
+        # |dV/dx_1| <= K^2 - 1 for the vertical shift along the chart axis
+        xs = np.linspace(1e-3, HALF_PI - 1e-3, 60)
+        pts = np.stack([xs, np.zeros_like(xs)], axis=1)
+        step = np.array([1e-6, 0.0])
+        for K in (2.0, 5.0):
+            hi = cm.stretch_shift_batch(pts + step, K)
+            lo = cm.stretch_shift_batch(pts - step, K)
+            assert np.abs(hi - lo).max() / 2e-6 <= K * K - 1.0
+
+
 class TestOrientedStretch:
     def test_reaxis_consistency(self):
         spec = StretchSpec(K=2.0, frame=_axis_frame(3))
@@ -411,6 +422,29 @@ class TestSelectAlpha:
         calls.clear()
         select_alpha(3.0, n, grid=grid)
         assert calls == []
+
+    def test_certification_grid(self):
+        assert [cm.certification_grid(n) for n in (3, 4, 5)] == [33, 13, 13]
+        assert cm.certification_grid(3, 17) == 17
+        assert cm.certification_grid(4, 33) == 13
+        assert cm.certification_grid(4, 9) == 9
+
+    @pytest.mark.parametrize("n, grid", [(3, 33), (4, 13)])
+    def test_default_grid_per_dimension(self, monkeypatch, n, grid):
+        monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+        monkeypatch.setattr(cm, "_GRID_MASKS", {})
+        scanned = []
+        scan = cm.spiral_jacobian_scan
+
+        def recording(*args):
+            scanned.append(args[3])
+            return scan(*args)
+
+        monkeypatch.setattr(cm, "spiral_jacobian_scan", recording)
+        default = select_alpha(2.0, n)
+        assert set(scanned) == {grid, 2 * grid - 1}
+        monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+        assert select_alpha(2.0, n, grid=grid) == default
 
     @pytest.mark.parametrize("n, alpha", [(3, 0.25), (4, -0.125), (3, 0.0)])
     def test_scan_cold_and_warm_agree(self, monkeypatch, n, alpha):

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import circle_waypoints
+from qcmaps import canonical_maps as cm
 from qcmaps import realizer
-from qcmaps.cli import DEFAULT_TOL, RunConfig, _build_parser, main, run_realize
+from qcmaps.cli import (
+    DEFAULT_TOL,
+    RunConfig,
+    _build_parser,
+    _write_csv,
+    main,
+    run_realize,
+)
 
 
 @pytest.fixture()
@@ -187,6 +195,72 @@ def test_realize_bad_file(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["realize", str(bad), "--out", str(tmp_path / "x")]) == 1
     assert "parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["probe", "--map", "stretch", "--t", "1,foo"], "--t must be",
+                     id="foo-t"),
+        pytest.param(["probe", "--map", "stretch", "--t", "nan,1"], "--t must be",
+                     id="nan-t"),
+        pytest.param(["probe", "--map", "spiral", "--alpha", "foo", "--t", "1"],
+                     "--alpha must be 'auto' or a finite number", id="foo-alpha"),
+        pytest.param(["probe", "--map", "rotation", "--theta", "nan", "--t", "1"],
+                     "--theta must be finite", id="nan-theta"),
+        pytest.param(["probe", "--map", "rotation", "--dim", "2", "--t", "1"],
+                     "--dim must be at least 3", id="2-dim"),
+        pytest.param(["realize", "TARGET", "--samples", "0"],
+                     "--samples must be at least 1", id="0-samples"),
+        pytest.param(["realize", "TARGET", "--samples", "-3"],
+                     "--samples must be at least 1", id="-3-samples"),
+    ],
+)
+def test_probe_and_realize_reject_bad_input(
+    tmp_path, capsys, quarter_target, argv, message
+):
+    # bad values end in a QcmapsError naming the flag, never a traceback,
+    # and nothing is written
+    argv = [str(quarter_target) if a == "TARGET" else a for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "x")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    # the %-format writer reproduces csv.writer over 17-digit f-strings
+    rng = np.random.default_rng(4)
+    floats = np.concatenate(
+        [rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
+         [0.0, -0.0, 0.1, 1e16, 123456789.0, np.pi]]
+    )
+    ints = np.arange(len(floats)) - 3
+    _write_csv(tmp_path / "new.csv", ["a", "i", "b"], [floats, ints, -floats],
+               "%.17g,%d,%.17g")
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "i", "b"])
+        for a, i in zip(floats.tolist(), ints.tolist()):
+            writer.writerow([f"{a:.17g}", i, f"{-a:.17g}"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):
+    # n = 4 certifies on grid 13 and its refinement 25, not the n = 3 grid
+    monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+    scanned = []
+    scan = cm.spiral_jacobian_scan
+
+    def recording(*args):
+        scanned.append(args[3])
+        return scan(*args)
+
+    monkeypatch.setattr(cm, "spiral_jacobian_scan", recording)
+    code = main(["probe", "--map", "spiral", "--dim", "4", "--t", "1,0.1",
+                 "--out", str(tmp_path / "p")])
+    assert code == 0
+    assert set(scanned) == {13, 25}
 
 
 def test_probe_stretch_t_independent(tmp_path):

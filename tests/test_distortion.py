@@ -8,7 +8,6 @@ from qcmaps.distortion import (
     bilipschitz_form,
     distortion_report,
     finite_diff_jacobian,
-    grid_verify,
     linear_distortion_numeric,
     report_from_jacobian,
 )
@@ -237,50 +236,3 @@ class TestBilipschitzForm:
     def test_outside_region_rejected(self):
         with pytest.raises(InvalidInputError):
             bilipschitz_form(0.1, 0.5)
-
-
-class TestGridVerify:
-    def test_rotation_dilatation_bound(self):
-        rot = planar_rotation(0.5, 0, 1, 3)
-        pts = np.random.default_rng(2).uniform(-1, 1, (50, 3))
-
-        def margin(p):
-            rep = distortion_report(lambda y: rot @ y, p)
-            return 10.0 - rep.k_outer
-
-        report = grid_verify(margin, pts)
-        assert report.passed and 8.9 <= report.worst_margin <= 9.1
-
-    def test_stretch_slope_bound(self):
-        from qcmaps.canonical_maps import stretch_shift_batch
-
-        k = 2.0
-        xs = np.linspace(1e-3, np.pi / 2 - 1e-3, 60)
-        pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
-
-        def margin(p):
-            h = 1e-6
-            hi = stretch_shift_batch(np.array([p[0] + h, p[1]]), k)
-            lo = stretch_shift_batch(np.array([p[0] - h, p[1]]), k)
-            return (k * k - 1.0) - abs(float(hi - lo)) / (2 * h)
-
-        report = grid_verify(margin, pts)
-        assert report.passed
-
-    def test_negative_control(self):
-        # deliberately false: linear distortion of a K = 2 stretch is > 1
-        def margin(p):
-            rep = distortion_report(lambda y: np.diag([2.0, 1, 1.0]) @ y, p)
-            return 1.0 - rep.h_linear
-
-        report = grid_verify(margin, np.random.default_rng(3).uniform(-1, 1, (20, 3)))
-        assert not report.passed
-        assert report.worst_margin == pytest.approx(-1.0, abs=1e-6)
-        assert report.worst_point.shape == (3,)
-
-    def test_failure_recorded(self):
-        def margin(p):
-            raise RuntimeError("boom")
-
-        report = grid_verify(margin, np.ones((3, 2)))
-        assert not report.passed and report.n_failures == 3
