@@ -14,8 +14,14 @@ Each family exists in two coordinate systems:
 
 The spiral transform's closed-form Jacobian is assembled per differentiability
 region (which coordinate attains the max-norm, which candidate attains the
-min) and is verified against finite differences in the tests; its determinant
-floor 2^{-(n+1)/2} is certified on sampling grids by ``select_alpha``.
+min) and is verified against finite differences in the tests.  Its
+determinant has the closed form (m/d)^{n-1} (1 - alpha coef(K) h), where m
+and d are the chart block's max-norms before and after the spiral rotation
+and h and coef(K) do not depend on the phase (derived in ``select_alpha``).
+``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
+that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
+2^{-(n-1)/2}.  ``spiral_jacobian_scan`` computes the same determinants
+directly with LAPACK.
 """
 
 from __future__ import annotations
@@ -343,10 +349,9 @@ def spiral_transform_jacobian_analytic(x, spec):
 # itself removes.
 GRID_BAND = 1e-3
 _ALPHA_CACHE: dict = {}
-# Per-lead keep-masks of each certification grid, keyed by (n, res).  The
-# filter depends on neither K nor alpha, so every trial rate and stretch
-# factor reuses it; the points themselves are rebuilt per scan, which keeps
-# the cache to one byte per grid point.
+# One _CertGrid per certification grid, keyed by (n, res).  Neither its
+# keep-masks nor its certificate depends on K or alpha, so every trial rate
+# and stretch factor reuses them; the points themselves are rebuilt per scan.
 _GRID_MASKS: dict = {}
 
 
@@ -362,57 +367,129 @@ def certification_grid(n, grid=None):
     return res if n == 3 else min(res, 13)
 
 
-def _grid_chunks(n, res):
-    """Filtered (chart, phase) grid chunks for Jacobian certification.
+@dataclass(frozen=True)
+class _CertGrid:
+    """A filtered certification grid and its closed-form determinant factors.
+
+    `masks` holds one bit-packed keep-mask per lead row (np.packbits).  The
+    other fields hold one value per chart point with a kept phase: `power`
+    is the min over its kept phases of (m/d)^{n-1}, and `h` and `ssq` are
+    the phase-free terms of ``_closed_form_det``.
+    """
+
+    masks: list
+    power: np.ndarray
+    h: np.ndarray
+    ssq: np.ndarray
+
+
+def _lead_rows(n, res):
+    """The (chart, phase) points of a certification grid, one lead row at a time.
 
     The last coordinate stores the rotation phase alpha * x_n directly, so the
-    same filtered grid serves every trial rate.  Points within GRID_BAND of a
-    pyramid face or a candidate switch are excluded.  Each chunk is a new
-    array that the caller may modify.
+    same grid serves every trial rate.  Rows are ordered chart point by chart
+    point with the res phases of each consecutive.  Each row is a new array
+    that the caller may modify.
     """
     axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
     phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
     tail_axes = [axis] * (n - 2) + [phases]
     tail = np.stack([g.ravel() for g in np.meshgrid(*tail_axes, indexing="ij")], axis=1)
-    key = (n, res)
-    cold = key not in _GRID_MASKS
-    masks = [] if cold else _GRID_MASKS[key]
-    for i, lead in enumerate(axis):
+    for lead in axis:
         pts = np.empty((len(tail), n))
         pts[:, 0] = lead
         pts[:, 1:] = tail
-        if cold:
+        yield pts
+
+
+def _modulus_power(pts):
+    """(m/d)^{n-1} at (chart, phase) points: m and d are the max-norms of the
+    chart block before and after its (1,2)-rotation by the phase."""
+    xb = pts[:, :-1]
+    w = kernels._rotate_12(xb, np.cos(pts[:, -1]), np.sin(pts[:, -1]))
+    return (np.max(np.abs(xb), axis=1) / np.max(np.abs(w), axis=1)) ** xb.shape[1]
+
+
+def _phase_free_terms(xb):
+    """(h, s^2) at chart points: h = grad(s^2) . (G x - ((G x)_p / x_p) x) with
+    G x = (-x_2, x_1, 0, ...) and p the index of the max-norm coordinate."""
+    p = np.argmax(np.abs(xb), axis=1)
+    ssq, ds = kernels._spiral_ssq(xb, p)
+    gx = np.zeros_like(xb)
+    gx[:, 0] = -xb[:, 1]
+    gx[:, 1] = xb[:, 0]
+    rows = np.arange(len(xb))
+    y = gx - (gx[rows, p] / xb[rows, p])[:, None] * xb
+    return np.sum(ds * y, axis=1), ssq
+
+
+def _closed_form_det(power, h, ssq, K, alpha):
+    """det of ``spiral_jac_batch``: power * (1 - alpha * coef(K) * h).
+
+    coef(K) = (K^2 - 1) / (2 g) with g = K^2 + (1 - K^2) s^2 is the last
+    row's factor; see the ``select_alpha`` docstring for the derivation.
+    """
+    g = K * K + (1.0 - K * K) * ssq
+    return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
+
+
+def _certified_grid(n, res):
+    """The cached _CertGrid of resolution res, built in one pass when cold.
+
+    Points within GRID_BAND of a pyramid face or a candidate switch are
+    excluded.  The pass holds one lead row at a time and keeps one bit per
+    grid point and three floats per chart point.
+    """
+    if res < 8:
+        raise InvalidInputError("grid resolution must be at least 8")
+    key = (n, res)
+    if key not in _GRID_MASKS:
+        masks, power, h, ssq = [], [], [], []
+        for pts in _lead_rows(n, res):
             _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-            masks.append((pyr >= GRID_BAND) & (switch >= GRID_BAND))
-        if np.any(masks[i]):
-            yield pts[masks[i]]
-    if cold:
-        _GRID_MASKS[key] = masks
+            keep = (pyr >= GRID_BAND) & (switch >= GRID_BAND)
+            masks.append(np.packbits(keep))
+            low = np.full(len(pts), np.inf)
+            low[keep] = _modulus_power(pts[keep])
+            low = low.reshape(-1, res).min(axis=1)
+            has = np.isfinite(low)
+            hh, ss = _phase_free_terms(pts[::res, :-1][has])
+            power.append(low[has])
+            h.append(hh)
+            ssq.append(ss)
+        power = np.concatenate(power)
+        if power.size == 0:
+            raise InvalidInputError("certification grid is empty")
+        _GRID_MASKS[key] = _CertGrid(masks, power, np.concatenate(h), np.concatenate(ssq))
+    return _GRID_MASKS[key]
 
 
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
-    The grid defaults to ``certification_grid(n)``.  Returns (min_det,
-    worst_point) with the worst point's last coordinate converted back from
-    phase to x_n.  At alpha = 0 the Jacobian does not depend on x_n, so every
-    grid point is evaluated at x_n = 0.
+    Direct LAPACK determinants of ``spiral_jac_batch``, independent of the
+    closed form ``select_alpha`` certifies with.  The grid defaults to
+    ``certification_grid(n)``.  Returns (min_det, worst_point) with the worst
+    point's last coordinate converted back from phase to x_n.  At alpha = 0
+    the Jacobian does not depend on x_n, so every grid point is evaluated at
+    x_n = 0.
     """
     if grid is None:
         grid = certification_grid(n)
-    if grid < 8:
-        raise InvalidInputError("grid resolution must be at least 8")
+    masks = _certified_grid(n, grid).masks
     worst = np.inf
     worst_pt = None
-    for pts in _grid_chunks(n, grid):
+    for pts, packed in zip(_lead_rows(n, grid), masks):
+        keep = np.unpackbits(packed, count=len(pts)).view(bool)
+        if not np.any(keep):
+            continue
+        pts = pts[keep]
         pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
         dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
         i = int(np.argmin(dets))
         if dets[i] < worst:
             worst = float(dets[i])
             worst_pt = pts[i].copy()
-    if worst_pt is None:
-        raise InvalidInputError("certification grid is empty")
     return worst, worst_pt
 
 
@@ -421,9 +498,28 @@ def select_alpha(K, n, orientation=1, grid=None):
 
     Halves |alpha| from 1/2 until the analytic Jacobian determinant exceeds
     2^{-(n+1)/2} at every interior point of the grid (by default
-    ``certification_grid(n)``), then re-verifies on a 2x refinement.  The
-    alpha-free part of the determinant is at least 2^{-(n-1)/2}, so the
-    search always terminates.  The sign of the result is `orientation`.
+    ``certification_grid(n)``) and of its 2x refinement.  The sign of the
+    result is `orientation`.
+
+    The determinant has a closed form.  At a chart point x_b with phase
+    phi = alpha * x_n, let m = max|x_i| (attained at index p) and d the
+    max-norm of x_b rotated by phi in the (1,2)-plane.  The chart block of
+    the Jacobian is A = d/dx_b of (m/d) R(phi) x_b, a ray-wise rescaling, so
+    det A = (m/d)^{n-1}; its phase column is A y with
+    y = G x_b - ((G x_b)_p / x_p) x_b and G x_b = (-x_2, x_1, 0, ...).  The
+    Schur complement of the last row (coef(K) grad(s^2), 1) then gives
+
+        det J = (m/d)^{n-1} (1 - alpha coef(K) h),   h = grad(s^2) . y,
+
+    with coef(K) = (K^2 - 1) / (2 g) and g = K^2 + (1 - K^2) s^2.  Only
+    (m/d) depends on the phase, so each grid caches per chart point the min
+    over its kept phases of (m/d)^{n-1} plus h and s^2, and a trial rate
+    passes iff the min over chart points of that min times
+    (1 - alpha coef(K) h) exceeds the floor (the floor is positive, so a
+    chart point with a non-positive second factor fails either way).  Since
+    d <= sqrt(2) m, the alpha-free part (m/d)^{n-1} is at least
+    2^{-(n-1)/2}, above the floor, so the search always terminates.
+    ``spiral_jacobian_scan`` checks the same determinants with LAPACK.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -436,14 +532,15 @@ def select_alpha(K, n, orientation=1, grid=None):
     if key in _ALPHA_CACHE:
         return _ALPHA_CACHE[key]
     floor = 2.0 ** (-(n + 1) / 2.0)
+    certs = [_certified_grid(n, res) for res in (grid, 2 * grid - 1)]
     a = 0.5
     while a >= 1e-12:
         alpha = orientation * a
-        coarse, _ = spiral_jacobian_scan(K, n, alpha, grid)
-        if coarse > floor:
-            fine, _ = spiral_jacobian_scan(K, n, alpha, 2 * grid - 1)
-            if fine > floor:
-                _ALPHA_CACHE[key] = alpha
-                return alpha
+        if all(
+            np.min(_closed_form_det(c.power, c.h, c.ssq, K, alpha)) > floor
+            for c in certs
+        ):
+            _ALPHA_CACHE[key] = alpha
+            return alpha
         a *= 0.5
     raise InvalidInputError("no admissible spiral rate found")  # pragma: no cover

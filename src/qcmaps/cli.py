@@ -482,6 +482,8 @@ def run_probe(args):
         raise QcmapsError("--dim must be at least 3")
     if not np.isfinite(args.theta):
         raise QcmapsError("--theta must be finite")
+    if not (np.isfinite(args.K) and args.K >= 1.0):
+        raise QcmapsError("--K must be a finite number >= 1")
     fn, rho = _probe_map(args)
     dirs = sphere_directions(args.dim, max(args.grid, 2 * args.dim), args.seed)
     slices = []

@@ -145,6 +145,26 @@ def spiral_u_batch(x, K, alpha):
     return out[0] if single else out
 
 
+def _spiral_ssq(xb, p):
+    """s^2 = x_1^2 sin^2(x_p) / |x_b|^2 and its gradient in x_b, (m,), (m, n-1).
+
+    s^2 is the squared first coordinate of the chart image of the chart
+    points xb, whose max-norm coordinate has index p; the spiral stretch's
+    log factor is -ln(K^2 + (1 - K^2) s^2) / 2 plus ln K.
+    """
+    rows = np.arange(len(xb))
+    x1 = xb[:, 0]
+    xp = xb[rows, p]
+    rho2 = np.sum(xb * xb, axis=1)
+    sinp = np.sin(xp)
+    sin2p = np.sin(2.0 * xp)
+    ssq = x1 * x1 * sinp * sinp / rho2
+    ds = -2.0 * ssq[:, None] * xb / rho2[:, None]
+    ds[:, 0] += 2.0 * x1 * sinp * sinp / rho2
+    ds[rows, p] += x1 * x1 * sin2p / rho2
+    return ssq, ds
+
+
 def spiral_jac_batch(x, K, alpha):
     """Analytic Jacobian of the spiral-stretch log-coordinate map, (m, n, n).
 
@@ -160,7 +180,6 @@ def spiral_jac_batch(x, K, alpha):
     c = np.cos(alpha * xn)
     s = np.sin(alpha * xn)
     w = _rotate_12(xb, c, s)
-    x1 = xb[:, 0]
 
     p = np.argmax(np.abs(xb), axis=1)
     d = np.argmax(np.abs(w), axis=1)
@@ -189,15 +208,9 @@ def spiral_jac_batch(x, K, alpha):
     jac[rows, :nb, p] += w_over_d
     jac[:, :nb, :] *= sign[:, None, None]
 
-    rho2 = np.sum(xb * xb, axis=1)
-    sinp = np.sin(xp)
-    sin2p = np.sin(2.0 * xp)
-    ssq = x1 * x1 * sinp * sinp / rho2
+    ssq, ds = _spiral_ssq(xb, p)
     g = K * K + (1.0 - K * K) * ssq
     coef = -(1.0 - K * K) / (2.0 * g)
-    ds = -2.0 * ssq[:, None] * xb / rho2[:, None]
-    ds[:, 0] += 2.0 * x1 * sinp * sinp / rho2
-    ds[rows, p] += x1 * x1 * sin2p / rho2
     jac[:, n - 1, :nb] = coef[:, None] * ds
     jac[:, n - 1, n - 1] = 1.0
     return jac[0] if single else jac

@@ -404,7 +404,8 @@ class TestSelectAlpha:
 
     @pytest.mark.parametrize("n, grid", [(3, 17), (4, 9)])
     def test_grid_filtered_once(self, monkeypatch, n, grid):
-        # K = 8 halves alpha three times: four coarse scans, one fine scan
+        # K = 8 halves alpha three times: four coarse and one fine check, on
+        # grids each built once
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
         monkeypatch.setattr(cm, "_GRID_MASKS", {})
         calls = []
@@ -433,16 +434,16 @@ class TestSelectAlpha:
     def test_default_grid_per_dimension(self, monkeypatch, n, grid):
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
         monkeypatch.setattr(cm, "_GRID_MASKS", {})
-        scanned = []
-        scan = cm.spiral_jacobian_scan
+        built = []
+        certified = cm._certified_grid
 
         def recording(*args):
-            scanned.append(args[3])
-            return scan(*args)
+            built.append(args[1])
+            return certified(*args)
 
-        monkeypatch.setattr(cm, "spiral_jacobian_scan", recording)
+        monkeypatch.setattr(cm, "_certified_grid", recording)
         default = select_alpha(2.0, n)
-        assert set(scanned) == {grid, 2 * grid - 1}
+        assert set(built) == {grid, 2 * grid - 1}
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
         assert select_alpha(2.0, n, grid=grid) == default
 
@@ -453,3 +454,51 @@ class TestSelectAlpha:
         assert cm._GRID_MASKS
         again, where_again = spiral_jacobian_scan(2.0, n, alpha, 9)
         assert again == worst and np.array_equal(where_again, where)
+
+    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
+    def test_closed_form_matches_direct_dets(self, n, res):
+        # the cached factors give LAPACK's det at every kept grid point
+        cert = cm._certified_grid(n, res)
+        for pts, packed in zip(cm._lead_rows(n, res), cert.masks):
+            pts = pts[np.unpackbits(packed, count=len(pts)).view(bool)]
+            if not len(pts):
+                continue
+            power = cm._modulus_power(pts)
+            h, ssq = cm._phase_free_terms(pts[:, :-1])
+            for K, alpha in ((1.0, -0.5), (3.0, 0.25), (12.0, -0.03125)):
+                x = pts.copy()
+                x[:, -1] /= alpha
+                direct = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha))
+                closed = cm._closed_form_det(power, h, ssq, K, alpha)
+                np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
+    def test_alpha_free_floor(self, n, res):
+        # d <= sqrt(2) m, so (m/d)^{n-1} >= 2^{-(n-1)/2} on every grid
+        assert cm._certified_grid(n, res).power.min() >= 2.0 ** (-(n - 1) / 2.0)
+
+    @pytest.mark.parametrize(
+        "n, grid, factors",
+        [
+            # alpha falls 0.5 -> 0.25 near K = 3.214 and 0.25 -> 0.125 near 6.153
+            (3, 17, (1.0, 3.2, 3.23, 6.12, 6.19, 12.0)),
+            # ... and near K = 3.534 and 6.790
+            (4, 9, (1.0, 3.52, 3.55, 6.76, 6.82, 12.0)),
+        ],
+    )
+    def test_select_matches_direct_halving(self, monkeypatch, n, grid, factors):
+        monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+        floor = 2.0 ** (-(n + 1) / 2.0)
+
+        def direct(K, orientation):
+            a = 0.5
+            while True:
+                alpha = orientation * a
+                if all(spiral_jacobian_scan(K, n, alpha, g)[0] > floor
+                       for g in (grid, 2 * grid - 1)):
+                    return alpha
+                a *= 0.5
+
+        got = {(K, o): select_alpha(K, n, o, grid=grid) for K in factors for o in (1, -1)}
+        assert got == {key: direct(*key) for key in got}
+        assert {abs(a) for a in got.values()} == {0.5, 0.25, 0.125}

@@ -210,6 +210,12 @@ def test_realize_bad_file(tmp_path, capsys):
                      "--theta must be finite", id="nan-theta"),
         pytest.param(["probe", "--map", "rotation", "--dim", "2", "--t", "1"],
                      "--dim must be at least 3", id="2-dim"),
+        pytest.param(["probe", "--map", "rotation", "--K", "nan", "--t", "1,0.5"],
+                     "--K must be", id="nan-K"),
+        pytest.param(["probe", "--map", "stretch", "--K", "0.5", "--t", "1"],
+                     "--K must be", id="0.5-K"),
+        pytest.param(["probe", "--map", "spiral", "--K", "inf", "--t", "1"],
+                     "--K must be", id="inf-K"),
         pytest.param(["realize", "TARGET", "--samples", "0"],
                      "--samples must be at least 1", id="0-samples"),
         pytest.param(["realize", "TARGET", "--samples", "-3"],
@@ -249,18 +255,18 @@ def test_write_csv_matches_csv_module(tmp_path):
 def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):
     # n = 4 certifies on grid 13 and its refinement 25, not the n = 3 grid
     monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-    scanned = []
-    scan = cm.spiral_jacobian_scan
+    built = []
+    certified = cm._certified_grid
 
     def recording(*args):
-        scanned.append(args[3])
-        return scan(*args)
+        built.append(args[1])
+        return certified(*args)
 
-    monkeypatch.setattr(cm, "spiral_jacobian_scan", recording)
+    monkeypatch.setattr(cm, "_certified_grid", recording)
     code = main(["probe", "--map", "spiral", "--dim", "4", "--t", "1,0.1",
                  "--out", str(tmp_path / "p")])
     assert code == 0
-    assert set(scanned) == {13, 25}
+    assert set(built) == {13, 25}
 
 
 def test_probe_stretch_t_independent(tmp_path):
