@@ -352,6 +352,8 @@ _ALPHA_CACHE: dict = {}
 # One _CertGrid per certification grid, keyed by (n, res).  Neither its
 # keep-masks nor its certificate depends on K or alpha, so every trial rate
 # and stretch factor reuses them; the points themselves are rebuilt per scan.
+# A cold build costs O(res^{n-1}) chart-point terms plus a few elementwise
+# passes over the res^n (chart, phase) pairs, one lead row at a time.
 _GRID_MASKS: dict = {}
 
 
@@ -371,16 +373,36 @@ def certification_grid(n, grid=None):
 class _CertGrid:
     """A filtered certification grid and its closed-form determinant factors.
 
-    `masks` holds one bit-packed keep-mask per lead row (np.packbits).  The
-    other fields hold one value per chart point with a kept phase: `power`
-    is the min over its kept phases of (m/d)^{n-1}, and `h` and `ssq` are
-    the phase-free terms of ``_closed_form_det``.
+    `masks` holds one bit-packed keep-mask per lead row (np.packbits), in
+    the order of ``_lead_rows``.  The other fields hold one value per chart
+    point with a kept phase: `power` is the min over its kept phases of
+    (m/d)^{n-1}, and `h` and `ssq` are the phase-free terms of
+    ``_closed_form_det``.  ``_certified_grid`` builds it phase-separably.
     """
 
     masks: list
     power: np.ndarray
     h: np.ndarray
     ssq: np.ndarray
+
+
+def _grid_axes(res):
+    """The chart axis and the rotation phases of a certification grid."""
+    axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
+    return axis, np.linspace(0.0, TWO_PI, res, endpoint=False)
+
+
+def _chart_rows(n, res):
+    """The chart points of a certification grid, one lead row at a time: new
+    (res^{n-2}, n-1) arrays whose first coordinate is the lead row's value."""
+    axis, _ = _grid_axes(res)
+    tail_axes = [axis] * (n - 2)
+    tail = np.stack([g.ravel() for g in np.meshgrid(*tail_axes, indexing="ij")], axis=1)
+    for lead in axis:
+        chart = np.empty((len(tail), n - 1))
+        chart[:, 0] = lead
+        chart[:, 1:] = tail
+        yield chart
 
 
 def _lead_rows(n, res):
@@ -391,23 +413,12 @@ def _lead_rows(n, res):
     point with the res phases of each consecutive.  Each row is a new array
     that the caller may modify.
     """
-    axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
-    phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
-    tail_axes = [axis] * (n - 2) + [phases]
-    tail = np.stack([g.ravel() for g in np.meshgrid(*tail_axes, indexing="ij")], axis=1)
-    for lead in axis:
-        pts = np.empty((len(tail), n))
-        pts[:, 0] = lead
-        pts[:, 1:] = tail
+    _, phases = _grid_axes(res)
+    for chart in _chart_rows(n, res):
+        pts = np.empty((len(chart) * res, n))
+        pts[:, :-1] = np.repeat(chart, res, axis=0)
+        pts[:, -1] = np.tile(phases, len(chart))
         yield pts
-
-
-def _modulus_power(pts):
-    """(m/d)^{n-1} at (chart, phase) points: m and d are the max-norms of the
-    chart block before and after its (1,2)-rotation by the phase."""
-    xb = pts[:, :-1]
-    w = kernels._rotate_12(xb, np.cos(pts[:, -1]), np.sin(pts[:, -1]))
-    return (np.max(np.abs(xb), axis=1) / np.max(np.abs(w), axis=1)) ** xb.shape[1]
 
 
 def _phase_free_terms(xb):
@@ -438,23 +449,36 @@ def _certified_grid(n, res):
 
     Points within GRID_BAND of a pyramid face or a candidate switch are
     excluded.  The pass holds one lead row at a time and keeps one bit per
-    grid point and three floats per chart point.
+    grid point and three floats per chart point.  It is phase-separable: m,
+    the pyramid margin, h and s^2 are computed once per chart point and cos
+    and sin once per phase.  Only the (1,2) pair is rotated, once per
+    (chart point, phase) pair, and that rotation gives both d and the switch
+    margin; the other chart coordinates do not move.
     """
     if res < 8:
         raise InvalidInputError("grid resolution must be at least 8")
     key = (n, res)
     if key not in _GRID_MASKS:
         masks, power, h, ssq = [], [], [], []
-        for pts in _lead_rows(n, res):
-            _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-            keep = (pyr >= GRID_BAND) & (switch >= GRID_BAND)
+        _, phases = _grid_axes(res)
+        c, s = np.cos(phases), np.sin(phases)
+        for chart in _chart_rows(n, res):
+            x1, x2 = chart[:, :1], chart[:, 1:2]
+            absx = np.abs(chart)
+            m, pyr = kernels._max_and_gap(absx.T)
+            rest = [col[:, None] for col in absx[:, 2:].T]
+            d, switch = kernels._max_and_gap(
+                rest + [np.abs(x1 * c - x2 * s), np.abs(x1 * s + x2 * c)])
+            keep = (pyr >= GRID_BAND)[:, None] & (switch >= GRID_BAND)
             masks.append(np.packbits(keep))
-            low = np.full(len(pts), np.inf)
-            low[keep] = _modulus_power(pts[keep])
-            low = low.reshape(-1, res).min(axis=1)
-            has = np.isfinite(low)
-            hh, ss = _phase_free_terms(pts[::res, :-1][has])
-            power.append(low[has])
+            # the division and the power are monotone, so the min over kept
+            # phases of (m/d)^{n-1} is (m / max d)^{n-1}.  A kept point has
+            # d >= GRID_BAND; a chart point with no kept phase, such as the
+            # origin of an odd res where m = d = 0, is dropped before dividing
+            dmax = np.where(keep, d, 0.0).max(axis=1)
+            has = dmax > 0.0
+            hh, ss = _phase_free_terms(chart[has])
+            power.append((m[has] / dmax[has]) ** (n - 1))
             h.append(hh)
             ssq.append(ss)
         power = np.concatenate(power)

@@ -70,6 +70,21 @@ def _rotate_12(v, c, s):
     return w
 
 
+def _max_and_gap(cols):
+    """Elementwise largest value of `cols` and its gap to the second largest.
+
+    `cols` is a sequence of at least two broadcastable arrays.  A running
+    np.maximum / np.minimum pass keeps the top two exactly, ties included,
+    so the result equals the last two entries of a sort.
+    """
+    first = np.maximum(cols[0], cols[1])
+    second = np.minimum(cols[0], cols[1])
+    for c in cols[2:]:
+        second = np.maximum(second, np.minimum(first, c))
+        first = np.maximum(first, c)
+    return first, first - second
+
+
 def zorich_forward_batch(x):
     """Z(x) = e^{x_n} h(x_1..x_{n-1}) for arbitrary points of R^n."""
     a, single = _as_batch(x)
@@ -227,8 +242,6 @@ def spiral_region_batch(x, alpha):
     w = _rotate_12(xb, np.cos(phase), np.sin(phase))
     absx = np.abs(xb)
     absw = np.abs(w)
-    p = np.argmax(absx, axis=1)
-    d = np.argmax(absw, axis=1)
-    sx = np.sort(absx, axis=1)
-    sw = np.sort(absw, axis=1)
-    return p, d, sx[:, -1] - sx[:, -2], sw[:, -1] - sw[:, -2]
+    _, pyr = _max_and_gap(absx.T)
+    _, switch = _max_and_gap(absw.T)
+    return np.argmax(absx, axis=1), np.argmax(absw, axis=1), pyr, switch

@@ -406,23 +406,19 @@ class TestSelectAlpha:
     def test_grid_filtered_once(self, monkeypatch, n, grid):
         # K = 8 halves alpha three times: four coarse and one fine check, on
         # grids each built once
+        built = []
+
+        class CountingCache(dict):
+            def __setitem__(self, key, value):
+                built.append(key)
+                super().__setitem__(key, value)
+
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-        monkeypatch.setattr(cm, "_GRID_MASKS", {})
-        calls = []
-        region = kernels.spiral_region_batch
-
-        def counting(*args):
-            calls.append(len(args[0]))
-            return region(*args)
-
-        monkeypatch.setattr(kernels, "spiral_region_batch", counting)
+        monkeypatch.setattr(cm, "_GRID_MASKS", CountingCache())
         assert select_alpha(8.0, n, grid=grid) == 0.125
-        fine = 2 * grid - 1
-        # one filter call per lead row of the coarse grid, then of the fine one
-        assert calls == [grid ** (n - 1)] * grid + [fine ** (n - 1)] * fine
-        calls.clear()
+        assert built == [(n, grid), (n, 2 * grid - 1)]
         select_alpha(3.0, n, grid=grid)
-        assert calls == []
+        assert len(built) == 2
 
     def test_certification_grid(self):
         assert [cm.certification_grid(n) for n in (3, 4, 5)] == [33, 13, 13]
@@ -463,14 +459,43 @@ class TestSelectAlpha:
             pts = pts[np.unpackbits(packed, count=len(pts)).view(bool)]
             if not len(pts):
                 continue
-            power = cm._modulus_power(pts)
-            h, ssq = cm._phase_free_terms(pts[:, :-1])
+            xb = pts[:, :-1]
+            w = kernels._rotate_12(xb, np.cos(pts[:, -1]), np.sin(pts[:, -1]))
+            power = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
+            h, ssq = cm._phase_free_terms(xb)
             for K, alpha in ((1.0, -0.5), (3.0, 0.25), (12.0, -0.03125)):
                 x = pts.copy()
                 x[:, -1] /= alpha
                 direct = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha))
                 closed = cm._closed_form_det(power, h, ssq, K, alpha)
                 np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
+    def test_phase_separable_build_matches_per_row(self, monkeypatch, n, res):
+        # reference: classify every (chart, phase) row, rotate the kept rows
+        # a second time for (m/d)^{n-1}, then reduce over each chart point's phases
+        masks, power, h, ssq = [], [], [], []
+        for pts in cm._lead_rows(n, res):
+            _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
+            keep = (pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)
+            masks.append(np.packbits(keep))
+            xb = pts[keep, :-1]
+            w = kernels._rotate_12(xb, np.cos(pts[keep, -1]), np.sin(pts[keep, -1]))
+            low = np.full(len(pts), np.inf)
+            low[keep] = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
+            low = low.reshape(-1, res).min(axis=1)
+            has = np.isfinite(low)
+            hh, ss = cm._phase_free_terms(pts[::res, :-1][has])
+            power.append(low[has])
+            h.append(hh)
+            ssq.append(ss)
+        monkeypatch.setattr(cm, "_GRID_MASKS", {})
+        cert = cm._certified_grid(n, res)
+        assert len(cert.masks) == len(masks)
+        assert all(np.array_equal(a, b) for a, b in zip(cert.masks, masks))
+        assert np.array_equal(cert.power, np.concatenate(power))
+        assert np.array_equal(cert.h, np.concatenate(h))
+        assert np.array_equal(cert.ssq, np.concatenate(ssq))
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
     def test_alpha_free_floor(self, n, res):
