@@ -20,12 +20,15 @@ and d are the chart block's max-norms before and after the spiral rotation
 and h and coef(K) do not depend on the phase (derived in ``select_alpha``).
 ``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
 that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
-2^{-(n-1)/2}.  ``spiral_jacobian_scan`` computes the same determinants
+2^{-(n-1)/2}.  One generator, ``_grid_rows``, walks each grid and filters
+it; ``select_alpha`` caches only the closed-form factors it reduces to, and
+``spiral_jacobian_scan`` walks the same rows to compute the determinants
 directly with LAPACK.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +105,12 @@ class InterpSpec(_FramedSpec):
         if abs(np.log(self.K / self.L)) >= (self.t - self.s) / 2.0:
             raise InvalidInputError("need |ln(K/L)| < (t - s)/2")
         self._freeze_frame()
+
+
+def interp_inner_s(K, L):
+    """Inner log-radius s = -(2|ln(K/L)| + 1) of an interpolation shell
+    whose outer sphere is t = 0; it keeps |ln(K/L)| < (t - s) / 2."""
+    return -(2.0 * abs(np.log(K / L)) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -313,17 +322,6 @@ def spiral_stretch_transform(x, spec):
     return FundamentalPoint(kernels.spiral_u_batch(coords, spec.K, spec.alpha))
 
 
-def spiral_region(x, alpha):
-    """(max index, candidate index, pyramid margin, switch margin) at x."""
-    coords = np.atleast_2d(np.asarray(
-        x.coords if isinstance(x, FundamentalPoint) else x, dtype=float
-    ))
-    p, d, pyr, switch = kernels.spiral_region_batch(coords, alpha)
-    if coords.shape[0] == 1:
-        return int(p[0]), int(d[0]), float(pyr[0]), float(switch[0])
-    return p, d, pyr, switch
-
-
 def spiral_transform_jacobian_analytic(x, spec):
     """Closed-form derivative matrix of the spiral transform at x.
 
@@ -332,8 +330,8 @@ def spiral_transform_jacobian_analytic(x, spec):
     candidate switching surfaces; callers resample on the near-singular error.
     """
     coords = _first_box_coords(x, "spiral transform Jacobian")
-    _, _, pyr, switch = spiral_region(coords, spec.alpha)
-    if pyr < REGION_MARGIN or switch < REGION_MARGIN:
+    _, _, pyr, switch = kernels.spiral_region_batch(coords, spec.alpha)
+    if pyr[0] < REGION_MARGIN or switch[0] < REGION_MARGIN:
         raise NearSingularRegionError(
             "point within margin of a non-differentiability surface"
         )
@@ -349,12 +347,11 @@ def spiral_transform_jacobian_analytic(x, spec):
 # itself removes.
 GRID_BAND = 1e-3
 _ALPHA_CACHE: dict = {}
-# One _CertGrid per certification grid, keyed by (n, res).  Neither its
-# keep-masks nor its certificate depends on K or alpha, so every trial rate
-# and stretch factor reuses them; the points themselves are rebuilt per scan.
-# A cold build costs O(res^{n-1}) chart-point terms plus a few elementwise
-# passes over the res^n (chart, phase) pairs, one lead row at a time.
-_GRID_MASKS: dict = {}
+
+
+def jacobian_floor(n):
+    """The determinant floor 2^{-(n+1)/2} a certified spiral rate keeps."""
+    return 2.0 ** (-(n + 1) / 2.0)
 
 
 def certification_grid(n, grid=None):
@@ -363,62 +360,64 @@ def certification_grid(n, grid=None):
     33 at n = 3 and 13 above: a grid of resolution res has res^n points,
     and 13^4 stays below 33^3.  A requested `grid` (the CLI --grid) is used
     as given at n = 3 and capped at 13 above.  The halving search
-    re-verifies on the 2 * grid - 1 refinement.
+    re-verifies on the refinement of ``grid_and_refinement``.
     """
     res = 33 if grid is None else grid
     return res if n == 3 else min(res, 13)
 
 
+def grid_and_refinement(grid):
+    """The coarse grid and its 2x refinement; a certified rate passes both."""
+    return grid, 2 * grid - 1
+
+
 @dataclass(frozen=True)
 class _CertGrid:
-    """A filtered certification grid and its closed-form determinant factors.
+    """The closed-form determinant factors of a filtered certification grid.
 
-    `masks` holds one bit-packed keep-mask per lead row (np.packbits), in
-    the order of ``_lead_rows``.  The other fields hold one value per chart
-    point with a kept phase: `power` is the min over its kept phases of
-    (m/d)^{n-1}, and `h` and `ssq` are the phase-free terms of
-    ``_closed_form_det``.  ``_certified_grid`` builds it phase-separably.
+    One value per chart point with a kept phase: `power` is the min over its
+    kept phases of (m/d)^{n-1}, and `h` and `ssq` are the phase-free terms of
+    ``_closed_form_det``.
     """
 
-    masks: list
     power: np.ndarray
     h: np.ndarray
     ssq: np.ndarray
 
 
-def _grid_axes(res):
-    """The chart axis and the rotation phases of a certification grid."""
+def _grid_rows(n, res):
+    """Walk a certification grid of resolution res, one lead row at a time.
+
+    Yields (chart, phases, keep, m, d): the row's chart points, a new
+    (res^{n-2}, n-1) array whose first coordinate is the lead row's value;
+    the res rotation phases alpha * x_n, so the same grid serves every trial
+    rate; the (chart, phase) keep-mask, true where both the pyramid and the
+    switch margin are at least GRID_BAND; and the max-norms m per chart point
+    and d per (chart, phase) pair, before and after the (1,2) rotation.
+
+    The walk is phase-separable: m and the pyramid margin are computed once
+    per chart point and cos and sin once per phase.  Only the (1,2) pair is
+    rotated, once per (chart, phase) pair, and that rotation gives both d and
+    the switch margin; the other chart coordinates do not move.
+    """
+    if res < 8:
+        raise InvalidInputError("grid resolution must be at least 8")
     axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
-    return axis, np.linspace(0.0, TWO_PI, res, endpoint=False)
-
-
-def _chart_rows(n, res):
-    """The chart points of a certification grid, one lead row at a time: new
-    (res^{n-2}, n-1) arrays whose first coordinate is the lead row's value."""
-    axis, _ = _grid_axes(res)
-    tail_axes = [axis] * (n - 2)
-    tail = np.stack([g.ravel() for g in np.meshgrid(*tail_axes, indexing="ij")], axis=1)
+    phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
+    c, s = np.cos(phases), np.sin(phases)
+    tail = np.stack([g.ravel() for g in np.meshgrid(*[axis] * (n - 2), indexing="ij")], axis=1)
     for lead in axis:
         chart = np.empty((len(tail), n - 1))
         chart[:, 0] = lead
         chart[:, 1:] = tail
-        yield chart
-
-
-def _lead_rows(n, res):
-    """The (chart, phase) points of a certification grid, one lead row at a time.
-
-    The last coordinate stores the rotation phase alpha * x_n directly, so the
-    same grid serves every trial rate.  Rows are ordered chart point by chart
-    point with the res phases of each consecutive.  Each row is a new array
-    that the caller may modify.
-    """
-    _, phases = _grid_axes(res)
-    for chart in _chart_rows(n, res):
-        pts = np.empty((len(chart) * res, n))
-        pts[:, :-1] = np.repeat(chart, res, axis=0)
-        pts[:, -1] = np.tile(phases, len(chart))
-        yield pts
+        x1, x2 = chart[:, :1], chart[:, 1:2]
+        absx = np.abs(chart)
+        m, pyr = kernels._max_and_gap(absx.T)
+        rest = [col[:, None] for col in absx[:, 2:].T]
+        d, switch = kernels._max_and_gap(
+            rest + [np.abs(x1 * c - x2 * s), np.abs(x1 * s + x2 * c)])
+        keep = (pyr >= GRID_BAND)[:, None] & (switch >= GRID_BAND)
+        yield chart, phases, keep, m, d
 
 
 def _phase_free_terms(xb):
@@ -444,76 +443,59 @@ def _closed_form_det(power, h, ssq, K, alpha):
     return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
 
 
+@functools.cache
 def _certified_grid(n, res):
-    """The cached _CertGrid of resolution res, built in one pass when cold.
+    """The _CertGrid of resolution res, reduced from ``_grid_rows``.
 
-    Points within GRID_BAND of a pyramid face or a candidate switch are
-    excluded.  The pass holds one lead row at a time and keeps one bit per
-    grid point and three floats per chart point.  It is phase-separable: m,
-    the pyramid margin, h and s^2 are computed once per chart point and cos
-    and sin once per phase.  Only the (1,2) pair is rotated, once per
-    (chart point, phase) pair, and that rotation gives both d and the switch
-    margin; the other chart coordinates do not move.
+    Cached per (n, res): the factors depend on neither K nor alpha, so every
+    trial rate and stretch factor reuses them.  A cold build holds one lead
+    row at a time and keeps three floats per chart point.
     """
-    if res < 8:
-        raise InvalidInputError("grid resolution must be at least 8")
-    key = (n, res)
-    if key not in _GRID_MASKS:
-        masks, power, h, ssq = [], [], [], []
-        _, phases = _grid_axes(res)
-        c, s = np.cos(phases), np.sin(phases)
-        for chart in _chart_rows(n, res):
-            x1, x2 = chart[:, :1], chart[:, 1:2]
-            absx = np.abs(chart)
-            m, pyr = kernels._max_and_gap(absx.T)
-            rest = [col[:, None] for col in absx[:, 2:].T]
-            d, switch = kernels._max_and_gap(
-                rest + [np.abs(x1 * c - x2 * s), np.abs(x1 * s + x2 * c)])
-            keep = (pyr >= GRID_BAND)[:, None] & (switch >= GRID_BAND)
-            masks.append(np.packbits(keep))
-            # the division and the power are monotone, so the min over kept
-            # phases of (m/d)^{n-1} is (m / max d)^{n-1}.  A kept point has
-            # d >= GRID_BAND; a chart point with no kept phase, such as the
-            # origin of an odd res where m = d = 0, is dropped before dividing
-            dmax = np.where(keep, d, 0.0).max(axis=1)
-            has = dmax > 0.0
-            hh, ss = _phase_free_terms(chart[has])
-            power.append((m[has] / dmax[has]) ** (n - 1))
-            h.append(hh)
-            ssq.append(ss)
-        power = np.concatenate(power)
-        if power.size == 0:
-            raise InvalidInputError("certification grid is empty")
-        _GRID_MASKS[key] = _CertGrid(masks, power, np.concatenate(h), np.concatenate(ssq))
-    return _GRID_MASKS[key]
+    power, h, ssq = [], [], []
+    for chart, _, keep, m, d in _grid_rows(n, res):
+        # the division and the power are monotone, so the min over kept
+        # phases of (m/d)^{n-1} is (m / max d)^{n-1}.  A kept point has
+        # d >= GRID_BAND; a chart point with no kept phase, such as the
+        # origin of an odd res where m = d = 0, is dropped before dividing
+        dmax = np.where(keep, d, 0.0).max(axis=1)
+        has = dmax > 0.0
+        hh, ss = _phase_free_terms(chart[has])
+        power.append((m[has] / dmax[has]) ** (n - 1))
+        h.append(hh)
+        ssq.append(ss)
+    power = np.concatenate(power)
+    if power.size == 0:
+        raise InvalidInputError("certification grid is empty")
+    return _CertGrid(power, np.concatenate(h), np.concatenate(ssq))
 
 
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
-    Direct LAPACK determinants of ``spiral_jac_batch``, independent of the
-    closed form ``select_alpha`` certifies with.  The grid defaults to
-    ``certification_grid(n)``.  Returns (min_det, worst_point) with the worst
-    point's last coordinate converted back from phase to x_n.  At alpha = 0
-    the Jacobian does not depend on x_n, so every grid point is evaluated at
-    x_n = 0.
+    Direct LAPACK determinants of ``spiral_jac_batch`` at the kept points of
+    ``_grid_rows``, independent of the closed form ``select_alpha`` certifies
+    with and of its cache.  The grid defaults to ``certification_grid(n)``.
+    Returns (min_det, worst_point) with the worst point's last coordinate
+    converted back from phase to x_n.  At alpha = 0 the Jacobian does not
+    depend on x_n, so every grid point is evaluated at x_n = 0.
     """
     if grid is None:
         grid = certification_grid(n)
-    masks = _certified_grid(n, grid).masks
     worst = np.inf
     worst_pt = None
-    for pts, packed in zip(_lead_rows(n, grid), masks):
-        keep = np.unpackbits(packed, count=len(pts)).view(bool)
-        if not np.any(keep):
+    for chart, phases, keep, _, _ in _grid_rows(n, grid):
+        # chart point by chart point, the kept phases of each consecutive
+        i, j = np.nonzero(keep)
+        if not len(i):
             continue
-        pts = pts[keep]
-        pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
+        pts = np.empty((len(i), n))
+        pts[:, :-1] = chart[i]
+        pts[:, -1] = phases[j] / alpha if alpha != 0 else 0.0
         dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
-        i = int(np.argmin(dets))
-        if dets[i] < worst:
-            worst = float(dets[i])
-            worst_pt = pts[i].copy()
+        k = int(np.argmin(dets))
+        if dets[k] < worst:
+            worst = float(dets[k])
+            worst_pt = pts[k].copy()
     return worst, worst_pt
 
 
@@ -555,8 +537,8 @@ def select_alpha(K, n, orientation=1, grid=None):
     key = (round(float(K), 12), n, orientation, grid)
     if key in _ALPHA_CACHE:
         return _ALPHA_CACHE[key]
-    floor = 2.0 ** (-(n + 1) / 2.0)
-    certs = [_certified_grid(n, res) for res in (grid, 2 * grid - 1)]
+    floor = jacobian_floor(n)
+    certs = [_certified_grid(n, res) for res in grid_and_refinement(grid)]
     a = 0.5
     while a >= 1e-12:
         alpha = orientation * a

@@ -215,7 +215,7 @@ def _suite_stretch(cfg):
 
 def _suite_interp(cfg):
     n, k, ell = cfg.dimension, cfg.K, cfg.L
-    s = -(2.0 * abs(np.log(k / ell)) + 1.0)
+    s = cm.interp_inner_s(k, ell)
     spec = cm.InterpSpec(K=k, L=ell, s=s, t=0.0, frame=np.eye(n))
     heights = np.linspace(s + 0.05, -0.05, 4)
     pts = _pyramid_grid(n, min(cfg.grid, 21), heights=heights)
@@ -249,7 +249,6 @@ def _spiral_samples(rng, m, n, alpha, margin=1e-3):
 
 def _suite_spiral(cfg):
     n, k = cfg.dimension, cfg.K
-    floor = 2.0 ** (-(n + 1) / 2.0)
     grid = cm.certification_grid(n, cfg.grid)
     if cfg.alpha == "auto":
         alpha = cm.select_alpha(k, n, grid=grid)
@@ -257,9 +256,9 @@ def _suite_spiral(cfg):
         alpha = float(cfg.alpha)
     checks = []
 
-    grids = (grid, 2 * grid - 1)
+    grids = cm.grid_and_refinement(grid)
     dets, where = zip(*(cm.spiral_jacobian_scan(k, n, alpha, g) for g in grids))
-    bound = cfg.bound if cfg.bound is not None else floor
+    bound = cfg.bound if cfg.bound is not None else cm.jacobian_floor(n)
     checks.append(_check("jacobian-floor", bound, dets, where, sense="min"))
 
     rng = np.random.default_rng(cfg.seed)

@@ -29,6 +29,7 @@ import numpy as np
 from .canonical_maps import (
     _interp_log_weight,
     _spiral_shell,
+    interp_inner_s,
     select_alpha,
     stretch_factor,
 )
@@ -104,7 +105,6 @@ class ArcSegment:
     u: float
     sigma1: np.ndarray
     sigma2: np.ndarray
-    orientation: int = 1
 
     def __post_init__(self):
         if self.u <= 0:
@@ -228,8 +228,7 @@ class ShellPiece:
     Spiral shells carry (K, alpha, theta); interpolation shells carry
     (K, L, s, t).  `frame` is the entry frame: first column is the entry
     stretch direction, and for spirals the (1,2)-columns span the rotation
-    plane.  `u_exit`/`sigma_exit` record the planned orbit checkpoint at the
-    inner boundary; `sweep` is the 1-based plan index that produced the piece.
+    plane.  `sweep` is the 1-based plan index that produced the piece.
     """
 
     r_out: float
@@ -243,8 +242,6 @@ class ShellPiece:
     alpha: Optional[float] = None
     theta: Optional[float] = None
     sweep: int = 1
-    u_exit: float = 1.0
-    sigma_exit: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (0 < self.r_in < self.r_out):
@@ -254,10 +251,6 @@ class ShellPiece:
         f = np.array(self.frame, dtype=float)
         f.setflags(write=False)
         object.__setattr__(self, "frame", f)
-        if self.sigma_exit is not None:
-            s = np.array(self.sigma_exit, dtype=float)
-            s.setflags(write=False)
-            object.__setattr__(self, "sigma_exit", s)
 
     @property
     def exit_frame(self):
@@ -285,7 +278,6 @@ class RealizedMap:
     outer_K: float
     outer_frame: np.ndarray
     n: int
-    plans: tuple = ()
     checkpoints: tuple = ()
 
     def __post_init__(self):
@@ -347,7 +339,6 @@ def build_map(plans, n=None):
             outer_K=1.0,
             outer_frame=np.eye(dim),
             n=dim,
-            plans=tuple(tuple(p) for p in plans),
         )
     first = segs[0][1]
     u0, sigma0, hint = _entry_of(first)
@@ -387,8 +378,6 @@ def build_map(plans, n=None):
                 alpha=alpha,
                 theta=theta,
                 sweep=sweep,
-                u_exit=seg.u,
-                sigma_exit=exit_frame[:, 0],
             )
             pieces.append(piece)
             checks.append((r_in, seg.u, exit_frame[:, 0].copy()))
@@ -397,7 +386,7 @@ def build_map(plans, n=None):
         else:
             kfac = seg.u1**expo
             lfac = seg.u2**expo
-            s_low = -(2.0 * abs(np.log(kfac / lfac)) + 1.0)
+            s_low = interp_inner_s(kfac, lfac)
             r_in = r * np.exp(s_low)
             pieces.append(
                 ShellPiece(
@@ -410,8 +399,6 @@ def build_map(plans, n=None):
                     s=s_low,
                     t=0.0,
                     sweep=sweep,
-                    u_exit=seg.u2,
-                    sigma_exit=frame[:, 0],
                 )
             )
             checks.append((r_in, seg.u2, frame[:, 0].copy()))
@@ -425,7 +412,6 @@ def build_map(plans, n=None):
         outer_K=outer_k,
         outer_frame=outer_frame,
         n=dim,
-        plans=tuple(tuple(p) for p in plans),
         checkpoints=tuple(checks),
     )
 

@@ -272,8 +272,6 @@ def test_criterion_8_mean_radius_lemma():
         L=8.0,
         s=-1.0,
         t=0.0,
-        u_exit=8.0 ** (2.0 / 3.0),
-        sigma_exit=E1,
     )
     rm_quad = realizer.RealizedMap(
         pieces=(piece,), outer_K=8.0, outer_frame=np.eye(3), n=3
@@ -298,7 +296,7 @@ def test_criterion_8_mean_radius_lemma():
 
 def test_criterion_9_end_to_end_realization():
     cm._ALPHA_CACHE.clear()  # time a cold, self-contained run
-    cm._GRID_MASKS.clear()
+    cm._certified_grid.cache_clear()
     t0 = time.perf_counter()
     target = realizer.TargetSet(waypoints=circle_waypoints())
     plans = realizer.plan_paths(target, 5)

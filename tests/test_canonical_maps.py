@@ -14,7 +14,6 @@ from qcmaps.canonical_maps import (
     radial_stretch_transform,
     select_alpha,
     spiral_jacobian_scan,
-    spiral_region,
     spiral_stretch,
     spiral_stretch_transform,
     spiral_transform_jacobian_analytic,
@@ -363,8 +362,8 @@ class TestSpiralJacobian:
         # rows 1-2 are the rotation block, the remaining chart rows are unit.
         n, alpha = 5, 0.3
         x = np.array([0.3, 0.2, 1.4, 0.35, 0.9])
-        p, d, pyr, sw = spiral_region(x, alpha)
-        assert p == 2 and d == 2
+        p, d, _, _ = kernels.spiral_region_batch(x, alpha)
+        assert p[0] == 2 and d[0] == 2
         spec = SpiralSpec(K=2.0, alpha=alpha, frame=np.eye(n))
         jac = spiral_transform_jacobian_analytic(x, spec)
         c, s = np.cos(alpha * 0.9), np.sin(alpha * 0.9)
@@ -380,9 +379,29 @@ class TestSpiralJacobian:
             spiral_transform_jacobian_analytic(x, spec)
 
 
+def _grid_points(n, res):
+    """The (chart, phase) points of a certification grid, one lead row at a
+    time, built independently of ``cm._grid_rows``: chart point by chart
+    point, the res phases of each consecutive, the phase in the last
+    coordinate."""
+    axis = np.linspace(-HALF_PI + cm.GRID_BAND, HALF_PI - cm.GRID_BAND, res)
+    phases = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
+    tail = np.stack(
+        [g.ravel() for g in np.meshgrid(*[axis] * (n - 2), indexing="ij")], axis=1
+    )
+    for lead in axis:
+        chart = np.empty((len(tail), n - 1))
+        chart[:, 0] = lead
+        chart[:, 1:] = tail
+        pts = np.empty((len(chart) * res, n))
+        pts[:, :-1] = np.repeat(chart, res, axis=0)
+        pts[:, -1] = np.tile(phases, len(chart))
+        yield pts
+
+
 class TestSelectAlpha:
     def test_floor_value_n3(self):
-        assert 2.0 ** (-(3 + 1) / 2.0) == 0.25
+        assert cm.jacobian_floor(3) == 0.25
 
     def test_unit_stretch_admits_spiraling(self):
         a = select_alpha(1.0, 3, grid=17)
@@ -406,19 +425,16 @@ class TestSelectAlpha:
     def test_grid_filtered_once(self, monkeypatch, n, grid):
         # K = 8 halves alpha three times: four coarse and one fine check, on
         # grids each built once
-        built = []
-
-        class CountingCache(dict):
-            def __setitem__(self, key, value):
-                built.append(key)
-                super().__setitem__(key, value)
-
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-        monkeypatch.setattr(cm, "_GRID_MASKS", CountingCache())
+        cm._certified_grid.cache_clear()
         assert select_alpha(8.0, n, grid=grid) == 0.125
-        assert built == [(n, grid), (n, 2 * grid - 1)]
+        info = cm._certified_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
         select_alpha(3.0, n, grid=grid)
-        assert len(built) == 2
+        for res in (grid, 2 * grid - 1):
+            cm._certified_grid(n, res)
+        info = cm._certified_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
     def test_certification_grid(self):
         assert [cm.certification_grid(n) for n in (3, 4, 5)] == [33, 13, 13]
@@ -429,70 +445,78 @@ class TestSelectAlpha:
     @pytest.mark.parametrize("n, grid", [(3, 33), (4, 13)])
     def test_default_grid_per_dimension(self, monkeypatch, n, grid):
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-        monkeypatch.setattr(cm, "_GRID_MASKS", {})
-        built = []
-        certified = cm._certified_grid
-
-        def recording(*args):
-            built.append(args[1])
-            return certified(*args)
-
-        monkeypatch.setattr(cm, "_certified_grid", recording)
+        cm._certified_grid.cache_clear()
         default = select_alpha(2.0, n)
-        assert set(built) == {grid, 2 * grid - 1}
+        assert cm._certified_grid.cache_info().currsize == 2
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
         assert select_alpha(2.0, n, grid=grid) == default
+        info = cm._certified_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
-    @pytest.mark.parametrize("n, alpha", [(3, 0.25), (4, -0.125), (3, 0.0)])
-    def test_scan_cold_and_warm_agree(self, monkeypatch, n, alpha):
-        monkeypatch.setattr(cm, "_GRID_MASKS", {})
-        worst, where = spiral_jacobian_scan(2.0, n, alpha, 9)
-        assert cm._GRID_MASKS
-        again, where_again = spiral_jacobian_scan(2.0, n, alpha, 9)
-        assert again == worst and np.array_equal(where_again, where)
+    def test_small_grid_rejected(self):
+        with pytest.raises(InvalidInputError):
+            select_alpha(2.0, 3, grid=7)
+        with pytest.raises(InvalidInputError):
+            spiral_jacobian_scan(2.0, 3, 0.25, 7)
+
+    @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
+    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
+    def test_scan_matches_per_row_reference(self, n, res, alpha):
+        # reference: keep every (chart, phase) point by its own region
+        # margins, then take LAPACK's first minimum over all kept points
+        pts = np.concatenate(list(_grid_points(n, res)))
+        _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
+        pts = pts[(pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)]
+        pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
+        dets = np.linalg.det(kernels.spiral_jac_batch(pts, 2.0, alpha))
+        i = int(np.argmin(dets))
+        worst, where = spiral_jacobian_scan(2.0, n, alpha, res)
+        assert worst == dets[i]
+        assert np.array_equal(where, pts[i])
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):
         # the cached factors give LAPACK's det at every kept grid point
-        cert = cm._certified_grid(n, res)
-        for pts, packed in zip(cm._lead_rows(n, res), cert.masks):
-            pts = pts[np.unpackbits(packed, count=len(pts)).view(bool)]
-            if not len(pts):
+        for chart, phases, keep, _, _ in cm._grid_rows(n, res):
+            i, j = np.nonzero(keep)
+            if not len(i):
                 continue
-            xb = pts[:, :-1]
-            w = kernels._rotate_12(xb, np.cos(pts[:, -1]), np.sin(pts[:, -1]))
+            xb, phase = chart[i], phases[j]
+            w = kernels._rotate_12(xb, np.cos(phase), np.sin(phase))
             power = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
             h, ssq = cm._phase_free_terms(xb)
             for K, alpha in ((1.0, -0.5), (3.0, 0.25), (12.0, -0.03125)):
-                x = pts.copy()
-                x[:, -1] /= alpha
+                x = np.empty((len(i), n))
+                x[:, :-1] = xb
+                x[:, -1] = phase / alpha
                 direct = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha))
                 closed = cm._closed_form_det(power, h, ssq, K, alpha)
                 np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
-    def test_phase_separable_build_matches_per_row(self, monkeypatch, n, res):
+    def test_phase_separable_build_matches_per_row(self, n, res):
         # reference: classify every (chart, phase) row, rotate the kept rows
         # a second time for (m/d)^{n-1}, then reduce over each chart point's phases
-        masks, power, h, ssq = [], [], [], []
-        for pts in cm._lead_rows(n, res):
+        rows = list(cm._grid_rows(n, res))
+        power, h, ssq = [], [], []
+        for pts, (_, _, keep, m, d) in zip(_grid_points(n, res), rows):
+            xb = pts[:, :-1]
+            w = kernels._rotate_12(xb, np.cos(pts[:, -1]), np.sin(pts[:, -1]))
+            assert np.array_equal(m, np.abs(xb[::res]).max(axis=1))
+            assert np.array_equal(d.ravel(), np.abs(w).max(axis=1))
             _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-            keep = (pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)
-            masks.append(np.packbits(keep))
-            xb = pts[keep, :-1]
-            w = kernels._rotate_12(xb, np.cos(pts[keep, -1]), np.sin(pts[keep, -1]))
+            ref = (pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)
+            assert np.array_equal(keep.ravel(), ref)
             low = np.full(len(pts), np.inf)
-            low[keep] = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
+            low[ref] = (np.abs(xb[ref]).max(axis=1) / np.abs(w[ref]).max(axis=1)) ** (n - 1)
             low = low.reshape(-1, res).min(axis=1)
             has = np.isfinite(low)
-            hh, ss = cm._phase_free_terms(pts[::res, :-1][has])
+            hh, ss = cm._phase_free_terms(xb[::res][has])
             power.append(low[has])
             h.append(hh)
             ssq.append(ss)
-        monkeypatch.setattr(cm, "_GRID_MASKS", {})
-        cert = cm._certified_grid(n, res)
-        assert len(cert.masks) == len(masks)
-        assert all(np.array_equal(a, b) for a, b in zip(cert.masks, masks))
+        assert len(rows) == res
+        cert = cm._certified_grid.__wrapped__(n, res)
         assert np.array_equal(cert.power, np.concatenate(power))
         assert np.array_equal(cert.h, np.concatenate(h))
         assert np.array_equal(cert.ssq, np.concatenate(ssq))

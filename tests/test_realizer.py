@@ -181,8 +181,6 @@ class TestEvalMap:
                     L=2.0 ** 1.5,
                     s=-1.0,
                     t=0.0,
-                    u_exit=2.0,
-                    sigma_exit=E1,
                 ),
             ),
             outer_K=2.0 ** 1.5,
