@@ -194,9 +194,17 @@ def oriented_stretch(y, spec):
     return stretch_factor(cos2, spec.K)[..., None] * a
 
 
+def _interp_log_mix(nu, log_k, log_l, out=None):
+    """nu ln(lambda_K) + (1 - nu) ln(lambda_L), the one home of the
+    interpolation formula; `out`, if given, receives the result."""
+    out = np.multiply(nu, log_k, out=out)
+    out += (1.0 - nu) * log_l
+    return out
+
+
 def _interp_log_weight(cos2, nu, K, L):
-    return nu * np.log(stretch_factor(cos2, K)) + (1.0 - nu) * np.log(
-        stretch_factor(cos2, L)
+    return _interp_log_mix(
+        nu, np.log(stretch_factor(cos2, K)), np.log(stretch_factor(cos2, L))
     )
 
 
@@ -479,6 +487,11 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     converted back from phase to x_n.  At alpha = 0 the Jacobian does not
     depend on x_n, so every grid point is evaluated at x_n = 0.
     """
+    _require_stretch_factor(K)
+    if n < 3:
+        raise InvalidInputError("dimension must be at least 3")
+    if not np.isfinite(alpha):
+        raise InvalidInputError("spiral rate must be finite")
     if grid is None:
         grid = certification_grid(n)
     worst = np.inf

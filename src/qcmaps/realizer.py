@@ -21,12 +21,14 @@ circle; plans whose arcs leave that plane are rejected at build time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .canonical_maps import (
+    _interp_log_mix,
     _interp_log_weight,
     _spiral_shell,
     interp_inner_s,
@@ -123,10 +125,12 @@ class ArcSegment:
         return float(np.arccos(np.clip(self.sigma1 @ self.sigma2, -1.0, 1.0)))
 
 
-def _slerp(s1, s2, tau):
+def _slerp(s1, s2, taus):
+    """Great-circle points from s1 to s2, one row per fraction in `taus`."""
+    tau = np.asarray(taus, dtype=float)[:, None]
     theta = np.arccos(np.clip(s1 @ s2, -1.0, 1.0))
     if theta < 1e-14:
-        return s1
+        return np.tile(s1, (len(tau), 1))
     return (np.sin((1.0 - tau) * theta) * s1 + np.sin(tau * theta) * s2) / np.sin(theta)
 
 
@@ -149,7 +153,7 @@ def _decompose(waypoints, closed):
         if dot < 1.0 - 1e-12:
             angle = np.arccos(dot)
             parts = max(1, int(np.ceil(angle / (np.pi / 2.0) - 1e-12)))
-            dirs = [_slerp(sa, sb, j / parts) for j in range(parts + 1)]
+            dirs = _slerp(sa, sb, np.arange(parts + 1) / parts)
             dirs = [d / np.linalg.norm(d) for d in dirs]
             for j in range(parts):
                 segs.append(ArcSegment(ua, dirs[j], dirs[j + 1]))
@@ -163,8 +167,7 @@ def _decompose(waypoints, closed):
 
 def _segment_trace(seg, per=64):
     if isinstance(seg, ArcSegment):
-        taus = np.linspace(0.0, 1.0, per)
-        return np.array([seg.u * _slerp(seg.sigma1, seg.sigma2, t) for t in taus])
+        return seg.u * _slerp(seg.sigma1, seg.sigma2, np.linspace(0.0, 1.0, per))
     taus = np.linspace(seg.u1, seg.u2, per)
     return taus[:, None] * seg.sigma[None, :]
 
@@ -447,15 +450,27 @@ def _apply_piece(piece, x, r):
     return mu[:, None] * (x @ piece.frame.T)
 
 
+def _region_codes(idx):
+    """The distinct region codes of `idx` in increasing order.
+
+    Same as ``np.unique(idx)`` for codes >= -1, without the ``numpy.ma``
+    import that ``np.unique`` makes on its first call.
+    """
+    return np.flatnonzero(np.bincount(idx + 1)) - 1
+
+
 def eval_map_batch(rm, x):
-    """Evaluate the realized map at an (m, n) batch of nonzero points."""
+    """Evaluate the realized map at a non-empty (m, n) batch of finite,
+    nonzero points."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
+    if a.size == 0 or not np.all(np.isfinite(a)):
+        raise InvalidInputError("points must be a non-empty finite batch")
     r = np.linalg.norm(a, axis=1)
     if r.min() == 0.0:
         raise OriginError("realized map evaluation requires x != 0")
     idx = _locate(rm, r)
     out = np.empty_like(a)
-    for code in np.unique(idx):
+    for code in _region_codes(idx):
         sel = idx == code
         if code == -1:
             out[sel] = _apply_boundary_stretch(a[sel], r[sel], rm.outer_K, rm.outer_frame)
@@ -475,16 +490,22 @@ def eval_map(rm, x):
 FIBONACCI_POINTS = 4096
 GAUSS_NODES = 256
 
+# The mean-radius quadrature and the Hausdorff scan both run in row blocks of
+# about this many elements, 256 KiB per float64 block buffer, so a block
+# stays in a core's L2 cache: on a 2 MiB-L2 Xeon, 2^17- and 2^18-pair
+# Hausdorff blocks ran a 15k x 960 scan 1.3x and 1.7x slower.
+_BLOCK = 1 << 15
 
-def _interp_mean_pow(piece, nu, n):
-    """Mean over the unit sphere of the interpolation profile to the n-th power.
 
-    The profile depends only on the first direction cosine, so the n = 3 case
-    uses a Fibonacci lattice whose uniform coordinate is that axis, and
-    higher n reduce to a Gauss-Legendre rule with the (1-u^2)^{(n-3)/2}
-    surface weight.
+@functools.cache
+def _sphere_rule(n):
+    """Squared first direction cosines u^2 and weights of the mean-radius
+    rule on the unit sphere in R^n.
+
+    The n = 3 case uses a Fibonacci lattice whose uniform coordinate is the
+    first axis, and higher n reduce to a Gauss-Legendre rule with the
+    (1-u^2)^{(n-3)/2} surface weight.
     """
-    nu = np.atleast_1d(nu)
     if n == 3:
         u = fibonacci_sphere(FIBONACCI_POINTS)[:, 0]
         weights = np.full(u.size, 1.0 / u.size)
@@ -492,25 +513,60 @@ def _interp_mean_pow(piece, nu, n):
         u, gl_w = np.polynomial.legendre.leggauss(GAUSS_NODES)
         w = gl_w * (1.0 - u * u) ** ((n - 3) / 2.0)
         weights = w / w.sum()
-    logmu = _interp_log_weight((u * u)[None, :], nu[:, None], piece.K, piece.L)
-    return np.exp(n * logmu) @ weights
+    u2 = u * u
+    u2.setflags(write=False)
+    weights.setflags(write=False)
+    return u2, weights
+
+
+def _interp_mean_pow(piece, nu, n):
+    """Mean over the unit sphere of the interpolation profile to the n-th power.
+
+    The profile depends only on the first direction cosine, so ln lambda_K
+    and ln lambda_L are taken once at the rule's nodes.  The radii (one nu
+    each) are then walked in row blocks of about ``_BLOCK`` elements, the
+    same cache-sized blocks as the Hausdorff scan: each block is mixed,
+    scaled by n, exponentiated and weighted in place in one buffer.
+    """
+    u2, weights = _sphere_rule(n)
+    log_k = np.log(stretch_factor(u2, piece.K))
+    log_l = np.log(stretch_factor(u2, piece.L))
+    nu = np.atleast_1d(nu)
+    rows = max(1, _BLOCK // u2.size)
+    cuts = [*range(0, nu.size, rows), nu.size]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        # a one-row product is a dot product, whose sum order differs from
+        # the matrix-vector product's, so a lone last row joins its block
+        del cuts[-2]
+    buf = np.empty((min(rows + 1, nu.size), u2.size))
+    out = np.empty(nu.size)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        blk = _interp_log_mix(nu[lo:hi, None], log_k, log_l, out=buf[: hi - lo])
+        blk *= n
+        np.exp(blk, out=blk)
+        out[lo:hi] = blk @ weights
+    return out
 
 
 def mean_radius_batch(rm, radii):
-    """rho_f at each radius: closed ellipsoid form except inside
-    interpolation shells, where the star-shaped image radius is integrated.
+    """rho_f at each of a non-empty batch of finite positive radii: closed
+    ellipsoid form except inside interpolation shells, where the star-shaped
+    image radius is integrated.
 
     The integral uses one fixed rule per dimension: the 4096-point Fibonacci
     lattice at n = 3 and 256-node Gauss-Legendre above (FIBONACCI_POINTS,
-    GAUSS_NODES).
+    GAUSS_NODES).  ``_interp_mean_pow`` applies it in the same cache-sized
+    row blocks as the Hausdorff scan.
     """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
+    if r.size == 0 or not np.all(np.isfinite(r)):
+        raise InvalidInputError("radii must be a non-empty finite batch")
     if r.min() <= 0.0:
         raise InvalidInputError("radii must be positive")
     idx = _locate(rm, r)
     n = rm.n
     out = np.empty_like(r)
-    for code in np.unique(idx):
+    for code in _region_codes(idx):
         sel = idx == code
         if code == -1:
             out[sel] = rm.outer_K ** (1.0 / n) * r[sel]
@@ -564,8 +620,8 @@ def orbit_curve(rm, t_values):
 def orbit_table(rm, t_values):
     """Orbit samples plus the active region code and rho per sample."""
     t = np.asarray(t_values, dtype=float)
-    if t.ndim != 1 or t.size == 0 or t.min() <= 0:
-        raise InvalidInputError("t values must be a nonempty positive sequence")
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or t.min() <= 0:
+        raise InvalidInputError("t values must be a nonempty finite positive sequence")
     y = eval_map_batch(rm, t[:, None] * _e1(rm.n)[None, :])
     rho = mean_radius_batch(rm, t)
     return {"t": t, "gamma": y / rho[:, None], "piece": _locate(rm, t), "rho": rho}
@@ -581,18 +637,13 @@ def default_orbit_times(rm, per_piece=200):
     return np.concatenate(ts)
 
 
-# Squared distances are formed in blocks of about this many (row, column)
-# pairs, 256 KiB per temporary, so a block stays in a core's L2 cache: on a
-# 2 MiB-L2 Xeon, 2^17- and 2^18-pair blocks ran a 15k x 960 scan 1.3x and
-# 1.7x slower.
-_PAIR_BLOCK = 1 << 15
-
-
 def hausdorff_by_suffix(a, b, starts):
     """Hausdorff distance between each suffix a[s:] and b, for s in `starts`.
 
-    One pass walks `a` from its end toward index 0 in row blocks and builds
-    each block's squared-distance matrix against `b` once.  The block serves
+    One pass walks `a` from its end toward index 0 in row blocks of about
+    ``_BLOCK`` (row, column) pairs and builds each block's squared-distance
+    matrix against `b` once, in two buffers allocated once per call (the
+    same cache-sized blocks as the mean-radius quadrature).  The block serves
     both directions: a running max of the row minima gives the a-suffix to b
     distance, a running per-column min gives the b to a-suffix one, and the
     state is read off as the walk passes each start.  The cost is one
@@ -607,12 +658,14 @@ def hausdorff_by_suffix(a, b, starts):
     pb = np.atleast_2d(np.asarray(b, dtype=float))
     if pa.size == 0 or pb.size == 0:
         raise InvalidInputError("point sets must be non-empty")
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
+        raise InvalidInputError("point sets must be finite")
     if pa.shape[1] != pb.shape[1]:
         raise InvalidInputError("dimension mismatch")
     starts = [int(s) for s in starts]
     if any(not 0 <= s < len(pa) for s in starts):
         raise InvalidInputError("suffix starts must index a non-empty suffix of a")
-    rows = max(1, _PAIR_BLOCK // len(pb))
+    rows = max(1, _BLOCK // len(pb))
     # rows before the lowest start belong to no requested suffix
     lowest = min(starts, default=len(pa))
     cuts = sorted(set(starts).union(range(lowest, len(pa), rows)), reverse=True)
@@ -620,12 +673,20 @@ def hausdorff_by_suffix(a, b, starts):
     row_worst = 0.0
     col_min = np.full(len(pb), np.inf)
     found = {}
+    # one contiguous row per coordinate, so each subtract streams
+    cols_a = np.ascontiguousarray(pa.T)
+    cols_b = np.ascontiguousarray(pb.T)
+    d2_buf = np.empty((min(rows, len(pa)), len(pb)))
+    sq_buf = np.empty_like(d2_buf)
     hi = len(pa)
     for lo in cuts:
-        blk = pa[lo:hi]
-        d2 = np.square(blk[:, None, 0] - pb[None, :, 0])
+        d2, sq = d2_buf[: hi - lo], sq_buf[: hi - lo]
+        np.subtract(cols_a[0, lo:hi, None], cols_b[0], out=d2)
+        np.square(d2, out=d2)
         for c in range(1, pa.shape[1]):
-            d2 += np.square(blk[:, None, c] - pb[None, :, c])
+            np.subtract(cols_a[c, lo:hi, None], cols_b[c], out=sq)
+            np.square(sq, out=sq)
+            d2 += sq
         row_worst = max(row_worst, float(np.sqrt(d2.min(axis=1)).max()))
         np.minimum(col_min, d2.min(axis=0), out=col_min)
         if lo in wanted:

@@ -459,6 +459,23 @@ class TestSelectAlpha:
         with pytest.raises(InvalidInputError):
             spiral_jacobian_scan(2.0, 3, 0.25, 7)
 
+    @pytest.mark.parametrize(
+        "K, n, alpha",
+        [
+            (np.nan, 3, 0.25),
+            (np.inf, 3, 0.25),
+            (0.5, 3, 0.25),
+            (2.0, 2, 0.25),
+            (2.0, 3, np.nan),
+            (2.0, 3, np.inf),
+        ],
+        ids=["nan-K", "inf-K", "K-below-1", "n-2", "nan-alpha", "inf-alpha"],
+    )
+    def test_scan_rejects_bad_input(self, K, n, alpha):
+        # validated as select_alpha does, before any grid is walked
+        with pytest.raises(InvalidInputError):
+            spiral_jacobian_scan(K, n, alpha, 17)
+
     @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
     def test_scan_matches_per_row_reference(self, n, res, alpha):

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcmaps
 from conftest import circle_waypoints
 from qcmaps import canonical_maps as cm
 from qcmaps import realizer
@@ -178,6 +183,32 @@ def test_realize_radial_segment(tmp_path):
     gamma = np.array([[float(v) for v in r[1:4]] for r in rows])
     assert np.abs(gamma[:, 1:]).max() <= 1e-6  # direction stays e_1
     assert gamma[:, 0].min() >= 1 - 1e-6 and gamma[:, 0].max() <= 2 + 1e-6
+
+
+def test_realize_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, 18-40 ms of a fresh
+    # process; realize must sort points into regions without it.  The wavy
+    # target has interpolation shells, so every realize phase runs.
+    th = np.linspace(0.0, np.pi / 2, 12)
+    r = 2.0 + 0.3 * np.sin(2.0 * th)
+    target = tmp_path / "wavy.json"
+    target.write_text(json.dumps({"waypoints": np.stack(
+        [r * np.cos(th), r * np.sin(th), 0.0 * th], axis=1).tolist()}))
+    script = (
+        "import sys\n"
+        "from qcmaps.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(qcmaps.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = ["realize", str(target), "--kmax", "2", "--out", str(tmp_path / "w")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_realize_antipodal_hop_reports_error(tmp_path, capsys):

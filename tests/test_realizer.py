@@ -9,11 +9,13 @@ from qcmaps.canonical_maps import (
     InterpSpec,
     SpiralSpec,
     StretchSpec,
+    _interp_log_weight,
     interp_stretch,
     oriented_stretch,
     spiral_stretch,
 )
 from qcmaps.errors import InvalidInputError, OriginError, PlanningError
+from qcmaps.vecgeom import fibonacci_sphere
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -148,6 +150,24 @@ class TestBuildMap:
             worst = max(worst, np.abs(above - below).max() / p.r_in)
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_vectorized_slerp_matches_scalar_calls(self, n):
+        def scalar_slerp(s1, s2, tau):
+            theta = np.arccos(np.clip(s1 @ s2, -1.0, 1.0))
+            return (
+                np.sin((1.0 - tau) * theta) * s1 + np.sin(tau * theta) * s2
+            ) / np.sin(theta)
+
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            s1, s2 = rng.standard_normal((2, n))
+            s1, s2 = s1 / np.linalg.norm(s1), s2 / np.linalg.norm(s2)
+            # the trace fractions and the subdivision fractions j / parts
+            for taus in (np.linspace(0.0, 1.0, 64), np.arange(4) / 3):
+                want = np.stack([scalar_slerp(s1, s2, t) for t in taus])
+                assert np.array_equal(rz._slerp(s1, s2, taus), want)
+        assert np.array_equal(rz._slerp(E1, E1, [0.0, 0.5]), np.stack([E1, E1]))
+
     def test_out_of_plane_arc_rejected(self):
         segs = [
             rz.ArcSegment(1.0, E1, np.array([0.0, 1.0, 0.0])),
@@ -167,6 +187,16 @@ class TestEvalMap:
         rm = rz.build_map([[]], n=3)
         with pytest.raises(OriginError):
             rz.eval_map(rm, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "x",
+        [[[np.nan, 0.0, 0.0]], [[0.5, 0.0, 0.0], [0.0, np.inf, 0.0]], np.empty((0, 3))],
+        ids=["nan", "inf", "empty"],
+    )
+    def test_non_finite_or_empty_rejected(self, quarter_circle_map, x):
+        rm, _, _ = quarter_circle_map
+        with pytest.raises(InvalidInputError):
+            rz.eval_map_batch(rm, x)
 
     def test_pure_stretch_configuration(self):
         # degenerate single-piece map (K = L) reproduces the oriented stretch
@@ -314,6 +344,53 @@ class TestMeanRadius:
         for r in (0.01, 1.0, 40.0):
             assert rz.mean_radius(rm, r) == pytest.approx(r, abs=1e-9 * r)
 
+    @pytest.mark.parametrize(
+        "radii", [[np.nan], [0.5, np.inf], []], ids=["nan", "inf", "empty"]
+    )
+    def test_non_finite_or_empty_rejected(self, quarter_circle_map, radii):
+        rm, _, _ = quarter_circle_map
+        with pytest.raises(InvalidInputError):
+            rz.mean_radius_batch(rm, radii)
+        if radii:
+            with pytest.raises(InvalidInputError):
+                rz.orbit_table(rm, radii)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("count", ["one", "block-1", "block+1", "199"])
+    def test_blocked_quadrature_matches_unblocked(self, n, count):
+        def unblocked_mean_pow(piece, nu):
+            # the whole (rows x nodes) matrix at once
+            if n == 3:
+                u = fibonacci_sphere(rz.FIBONACCI_POINTS)[:, 0]
+                weights = np.full(u.size, 1.0 / u.size)
+            else:
+                u, gl_w = np.polynomial.legendre.leggauss(rz.GAUSS_NODES)
+                w = gl_w * (1.0 - u * u) ** ((n - 3) / 2.0)
+                weights = w / w.sum()
+            logmu = _interp_log_weight((u * u)[None, :], nu[:, None], piece.K, piece.L)
+            powers = np.exp(n * logmu)
+            # OpenBLAS (0.3.31) threads a matrix-vector product of 460800
+            # elements or more, and a thread split inside a group of four
+            # rows changes last bits with the core count: 100-row pieces stay
+            # single-threaded, group their rows as one product does and, for
+            # the row counts here, leave no one-row piece (a dot product)
+            return np.concatenate(
+                [powers[i : i + 100] @ weights for i in range(0, len(nu), 100)]
+            )
+
+        nodes = rz.FIBONACCI_POINTS if n == 3 else rz.GAUSS_NODES
+        block = rz._BLOCK // nodes
+        rows = {"one": 1, "block-1": block - 1, "block+1": block + 1, "199": 199}[count]
+        piece = rz.ShellPiece(
+            r_out=1.0, r_in=float(np.exp(-3.0)), kind="interp", frame=np.eye(n),
+            K=1.7, L=5.3, s=-3.0, t=0.0,
+        )
+        nu = np.random.default_rng(rows).uniform(0.0, 1.0, rows)
+        nu[0] = 1.0  # the outer sphere
+        if rows > 1:
+            nu[-1] = 0.0  # the inner sphere
+        assert np.array_equal(rz._interp_mean_pow(piece, nu, n), unblocked_mean_pow(piece, nu))
+
     def test_quadrature_vs_monte_carlo(self):
         seg = rz.RadialSegment(1.0, 2.0, E1)
         rm = rz.build_map([[seg]])
@@ -399,6 +476,18 @@ class TestHausdorff:
         with pytest.raises(InvalidInputError):
             rz.hausdorff_distance(np.empty((0, 3)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # max(0.0, nan) is 0.0, so a NaN sample would read as distance 0
+        pts = np.ones((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(InvalidInputError):
+            rz.hausdorff_distance([[bad, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError):
+            rz.hausdorff_by_suffix(pts, np.zeros((2, 3)), [0])
+        with pytest.raises(InvalidInputError):
+            rz.hausdorff_by_suffix(np.zeros((2, 3)), pts, [0, 1])
+
 
 def _hausdorff_reference(a, b):
     """Brute-force Hausdorff distance from explicit coordinate differences."""
@@ -461,6 +550,26 @@ class TestHausdorffBySuffix:
         a, b = _suffix_cases(3)["random"]
         assert rz.hausdorff_by_suffix(a, b, [0]) == [rz.hausdorff_distance(a, b)]
         assert rz.hausdorff_distance(a, b) == _hausdorff_reference(a, b)
+
+    @pytest.mark.parametrize(
+        "rows_a, rows_b, starts",
+        [
+            # len(b) above the block size: one row of `a` per block
+            (6, rz._BLOCK + 5, [0, 5]),
+            # 32-row blocks whose last (lowest) block is ragged, with starts
+            # inside blocks and on block edges
+            (100, 1000, [0, 99, 37, 4, 68, 5]),
+            # fewer rows than one block
+            (20, 1000, [3, 0]),
+        ],
+        ids=["one-row-blocks", "ragged", "partial-block"],
+    )
+    def test_block_edges_match_brute_force(self, rows_a, rows_b, starts):
+        rng = np.random.default_rng(rows_a)
+        a = rng.standard_normal((rows_a, 3)) * np.linspace(3.0, 1.0, rows_a)[:, None]
+        b = rng.standard_normal((rows_b, 3))
+        got = rz.hausdorff_by_suffix(a, b, starts)
+        assert got == [_hausdorff_reference(a[s:], b) for s in starts]
 
     def test_no_starts(self):
         assert rz.hausdorff_by_suffix(np.ones((3, 3)), np.zeros((2, 3)), []) == []
