@@ -21,9 +21,12 @@ and h and coef(K) do not depend on the phase (derived in ``select_alpha``).
 ``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
 that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
 2^{-(n-1)/2}.  One generator, ``_grid_rows``, walks each grid and filters
-it; ``select_alpha`` caches only the closed-form factors it reduces to, and
-``spiral_jacobian_scan`` walks the same rows to compute the determinants
-directly with LAPACK.
+it, and ``_kept_blocks`` joins its rows into blocks of chart points with a
+kept phase.  ``select_alpha`` caches only the closed-form factors it reduces
+to.  ``spiral_jacobian_scan`` walks the same blocks to compute the
+determinants directly with LAPACK, without the closed form: it takes the
+phase-free part of each Jacobian once per chart point and assembles the
+rest entry by entry, with the entries of ``kernels.spiral_jac_batch``.
 """
 
 from __future__ import annotations
@@ -355,6 +358,10 @@ def spiral_transform_jacobian_analytic(x, spec):
 # itself removes.
 GRID_BAND = 1e-3
 _ALPHA_CACHE: dict = {}
+# Grid walks work in blocks of about this many elements: chart points per
+# block of lead rows (``_kept_blocks``), and (chart, phase) pairs per
+# Jacobian assembly in ``spiral_jacobian_scan``.
+_BLOCK = 2 ** 12
 
 
 def jacobian_floor(n):
@@ -423,7 +430,7 @@ def _grid_rows(n, res):
         m, pyr = kernels._max_and_gap(absx.T)
         rest = [col[:, None] for col in absx[:, 2:].T]
         d, switch = kernels._max_and_gap(
-            rest + [np.abs(x1 * c - x2 * s), np.abs(x1 * s + x2 * c)])
+            rest + [np.abs(r) for r in kernels._rotate_pair(x1, x2, c, s)])
         keep = (pyr >= GRID_BAND)[:, None] & (switch >= GRID_BAND)
         yield chart, phases, keep, m, d
 
@@ -451,24 +458,41 @@ def _closed_form_det(power, h, ssq, K, alpha):
     return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
 
 
+def _kept_blocks(n, res):
+    """``_grid_rows`` reduced to chart points with a kept phase, joined over
+    consecutive lead rows into blocks of about _BLOCK chart points.
+
+    Yields (chart, phases, keep, m, dmax) per block, with dmax the max of d
+    over each chart point's kept phases.  A kept point has d >= GRID_BAND; a
+    chart point with no kept phase, such as the origin of an odd res where
+    m = d = 0, is dropped, which keeps 0/0 out of the per-chart-point terms.
+    """
+    parts, size = [], 0
+    for lead, (chart, phases, keep, m, d) in enumerate(_grid_rows(n, res)):
+        dmax = np.where(keep, d, 0.0).max(axis=1)
+        has = dmax > 0.0
+        parts.append((chart[has], keep[has], m[has], dmax[has]))
+        size += int(has.sum())
+        if size >= _BLOCK or lead == res - 1:
+            chart, keep, m, dmax = (np.concatenate(a) for a in zip(*parts))
+            yield chart, phases, keep, m, dmax
+            parts, size = [], 0
+
+
 @functools.cache
 def _certified_grid(n, res):
     """The _CertGrid of resolution res, reduced from ``_grid_rows``.
 
     Cached per (n, res): the factors depend on neither K nor alpha, so every
-    trial rate and stretch factor reuses them.  A cold build holds one lead
-    row at a time and keeps three floats per chart point.
+    trial rate and stretch factor reuses them.  A cold build holds one block
+    of ``_kept_blocks`` at a time and keeps three floats per chart point.
     """
     power, h, ssq = [], [], []
-    for chart, _, keep, m, d in _grid_rows(n, res):
+    for chart, _, _, m, dmax in _kept_blocks(n, res):
         # the division and the power are monotone, so the min over kept
-        # phases of (m/d)^{n-1} is (m / max d)^{n-1}.  A kept point has
-        # d >= GRID_BAND; a chart point with no kept phase, such as the
-        # origin of an odd res where m = d = 0, is dropped before dividing
-        dmax = np.where(keep, d, 0.0).max(axis=1)
-        has = dmax > 0.0
-        hh, ss = _phase_free_terms(chart[has])
-        power.append((m[has] / dmax[has]) ** (n - 1))
+        # phases of (m/d)^{n-1} is (m / max d)^{n-1}
+        power.append((m / dmax) ** (n - 1))
+        hh, ss = _phase_free_terms(chart)
         h.append(hh)
         ssq.append(ss)
     power = np.concatenate(power)
@@ -480,12 +504,17 @@ def _certified_grid(n, res):
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
-    Direct LAPACK determinants of ``spiral_jac_batch`` at the kept points of
-    ``_grid_rows``, independent of the closed form ``select_alpha`` certifies
-    with and of its cache.  The grid defaults to ``certification_grid(n)``.
-    Returns (min_det, worst_point) with the worst point's last coordinate
-    converted back from phase to x_n.  At alpha = 0 the Jacobian does not
-    depend on x_n, so every grid point is evaluated at x_n = 0.
+    Direct LAPACK determinants of fully assembled Jacobians at the kept
+    points of ``_grid_rows``, independent of the closed form ``select_alpha``
+    certifies with and of its cache.  Per block of ``_kept_blocks``, the
+    phase-free terms of ``kernels._spiral_chart_terms`` are computed once per
+    chart point and gathered to the kept (chart, phase) pairs, about _BLOCK
+    pairs at a time, which ``kernels._spiral_jac_assemble`` turns into the
+    entries ``kernels.spiral_jac_batch`` gives.  The grid defaults to
+    ``certification_grid(n)``.  Returns (min_det, worst_point), the first
+    minimum in row order, with the worst point's last coordinate converted
+    back from phase to x_n.  At alpha = 0 the Jacobian does not depend on
+    x_n, so every grid point is evaluated at x_n = 0.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -494,21 +523,28 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
         raise InvalidInputError("spiral rate must be finite")
     if grid is None:
         grid = certification_grid(n)
+    K, alpha = float(K), float(alpha)
     worst = np.inf
     worst_pt = None
-    for chart, phases, keep, _, _ in _grid_rows(n, grid):
-        # chart point by chart point, the kept phases of each consecutive
-        i, j = np.nonzero(keep)
-        if not len(i):
-            continue
-        pts = np.empty((len(i), n))
-        pts[:, :-1] = chart[i]
-        pts[:, -1] = phases[j] / alpha if alpha != 0 else 0.0
-        dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
-        k = int(np.argmin(dets))
-        if dets[k] < worst:
-            worst = float(dets[k])
-            worst_pt = pts[k].copy()
+    for chart, phases, keep, _, _ in _kept_blocks(n, grid):
+        xn = phases / alpha if alpha != 0 else np.zeros_like(phases)
+        phase = alpha * xn
+        cos, sin = np.cos(phase), np.sin(phase)
+        terms = kernels._spiral_chart_terms(chart, K)
+        coords = np.ascontiguousarray(chart.T)
+        step = max(1, _BLOCK // len(phases))
+        for lo in range(0, len(chart), step):
+            # chart point by chart point, the kept phases of each consecutive
+            i, j = np.nonzero(keep[lo:lo + step])
+            i += lo
+            jac = kernels._spiral_jac_assemble(
+                coords[:, i], cos[j], sin[j], alpha, *(t[..., i] for t in terms)
+            )
+            dets = np.linalg.det(jac.transpose(2, 0, 1))
+            k = int(np.argmin(dets))
+            if dets[k] < worst:
+                worst = float(dets[k])
+                worst_pt = np.append(chart[i[k]], xn[j[k]])
     return worst, worst_pt
 
 

@@ -58,15 +58,19 @@ def _chart(p):
     return y
 
 
-def _rotate_12(v, c, s):
-    """Copy of v with its first two coordinates rotated by (cos, sin) = (c, s).
+def _rotate_pair(a, b, c, s):
+    """(a, b) rotated by (cos, sin) = (c, s): (a c - b s, a s + b c).
 
-    The (1,2)-plane rotation shared by the spiral kernels and the spiral
-    shell maps: (v_1, v_2) -> (v_1 c - v_2 s, v_1 s + v_2 c).
+    The (1,2)-plane rotation shared by the spiral kernels, the spiral shell
+    maps and the certification grids.
     """
+    return a * c - b * s, a * s + b * c
+
+
+def _rotate_12(v, c, s):
+    """Copy of v with its first two coordinates rotated by (c, s)."""
     w = v.copy()
-    w[..., 0] = v[..., 0] * c - v[..., 1] * s
-    w[..., 1] = v[..., 0] * s + v[..., 1] * c
+    w[..., 0], w[..., 1] = _rotate_pair(v[..., 0], v[..., 1], c, s)
     return w
 
 
@@ -180,54 +184,89 @@ def _spiral_ssq(xb, p):
     return ssq, ds
 
 
+def _spiral_chart_terms(xb, K):
+    """The phase-free part of the spiral Jacobian at chart points xb, (m, n-1).
+
+    Returns (p, x_p, sign(x_p), last): the index and value of each point's
+    max-norm coordinate, its sign, and the Jacobian's last row
+    (coef(K) grad(s^2), 1) as an (n, m) array of entry vectors, with
+    coef(K) = (K^2 - 1) / (2 g) and g = K^2 + (1 - K^2) s^2.
+    """
+    p = np.argmax(np.abs(xb), axis=1)
+    xp = xb[np.arange(len(xb)), p]
+    ssq, ds = _spiral_ssq(xb, p)
+    g = K * K + (1.0 - K * K) * ssq
+    coef = -(1.0 - K * K) / (2.0 * g)
+    last = np.empty((xb.shape[1] + 1, len(xb)))
+    last[:-1] = coef * ds.T
+    last[-1] = 1.0
+    return p, xp, np.sign(xp), last
+
+
+def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last):
+    """Spiral Jacobians as an (n, n, m) array: entry (i, j) of every point is
+    one contiguous vector, so ``jac.transpose(2, 0, 1)`` is the (m, n, n) stack.
+
+    xb is the chart block as (n-1, m) coordinate vectors, c and s the cos and
+    sin of each point's phase alpha * x_n, and (p, xp, sign_p, last) its
+    ``_spiral_chart_terms``.  With w the (1,2)-rotated chart block,
+    d = w_q its max-norm coordinate and dw = dw/dx the rotation's derivative
+    (dd its row q), chart row i is ((x_p dw_i) / d - u_i dd + w_i / d e_p)
+    times sign(x_p) sign(d), u_i = (x_p w_i / d) / d.  Only the structural
+    nonzeros of dw are formed: its first two rows, (c, -s, 0.., -alpha w_2)
+    and (s, c, 0.., alpha w_1), and the unit rows e_k beyond them.
+    """
+    nb, m = xb.shape
+    w = np.empty((nb, m))
+    w[0], w[1] = _rotate_pair(xb[0], xb[1], c, s)
+    w[2:] = xb[2:]
+    q = np.argmax(np.abs(w), axis=0)
+    cols = np.arange(m)
+    dval = w[q, cols]
+    sign = sign_p * np.sign(dval)
+    w_over_d = w / dval
+    u = xp * w_over_d / dval
+
+    # dw's first two rows on their nonzero columns 0, 1 and n-1
+    rot = ((c, -s, -alpha * w[1]), (s, c, alpha * w[0]))
+    on0, on1 = q == 0, q == 1
+    dd = np.zeros((nb + 1, m))
+    for j, a, b in zip((0, 1, nb), *rot):
+        dd[j] = np.where(on0, a, np.where(on1, b, 0.0))
+    for k in range(2, nb):
+        dd[k] = q == k
+
+    jac = np.empty((nb + 1, nb + 1, m))
+    top = jac[:nb]
+    np.multiply(-u[:, None], dd, out=top)
+    for i, row in enumerate(rot):
+        for j, v in zip((0, 1, nb), row):
+            top[i, j] += xp * v / dval
+    for k in range(2, nb):
+        top[k, k] += xp / dval
+    top[:, p, cols] += w_over_d
+    top *= sign
+    jac[nb] = last
+    return jac
+
+
 def spiral_jac_batch(x, K, alpha):
     """Analytic Jacobian of the spiral-stretch log-coordinate map, (m, n, n).
 
     Valid away from the max-coordinate (pyramid) and candidate-switching
     surfaces; region dispatch is by argmax, so callers must enforce margins.
+    The phase-free terms come from ``_spiral_chart_terms`` and the entries
+    from ``_spiral_jac_assemble``; the result is a transposed view of its
+    (n, n, m) array.
     """
     x, single = _as_batch(x)
     K, alpha = float(K), float(alpha)
-    mpts, n = x.shape
-    nb = n - 1
-    xb = x[:, :nb]
-    xn = x[:, nb]
-    c = np.cos(alpha * xn)
-    s = np.sin(alpha * xn)
-    w = _rotate_12(xb, c, s)
-
-    p = np.argmax(np.abs(xb), axis=1)
-    d = np.argmax(np.abs(w), axis=1)
-    rows = np.arange(mpts)
-    xp = xb[rows, p]
-    dval = w[rows, d]
-    sign = np.sign(xp) * np.sign(dval)
-
-    dw = np.zeros((mpts, nb, n))
-    dw[:, 0, 0] = c
-    dw[:, 0, 1] = -s
-    dw[:, 0, n - 1] = -alpha * w[:, 1]
-    dw[:, 1, 0] = s
-    dw[:, 1, 1] = c
-    dw[:, 1, n - 1] = alpha * w[:, 0]
-    for k in range(2, nb):
-        dw[:, k, k] = 1.0
-    dd = dw[rows, d, :]
-
-    jac = np.zeros((mpts, n, n))
-    w_over_d = w / dval[:, None]
-    jac[:, :nb, :] = (
-        xp[:, None, None] * dw / dval[:, None, None]
-        - (xp[:, None] * w_over_d / dval[:, None])[:, :, None] * dd[:, None, :]
-    )
-    jac[rows, :nb, p] += w_over_d
-    jac[:, :nb, :] *= sign[:, None, None]
-
-    ssq, ds = _spiral_ssq(xb, p)
-    g = K * K + (1.0 - K * K) * ssq
-    coef = -(1.0 - K * K) / (2.0 * g)
-    jac[:, n - 1, :nb] = coef[:, None] * ds
-    jac[:, n - 1, n - 1] = 1.0
+    nb = x.shape[1] - 1
+    phase = alpha * x[:, nb]
+    jac = _spiral_jac_assemble(
+        np.ascontiguousarray(x[:, :nb].T), np.cos(phase), np.sin(phase), alpha,
+        *_spiral_chart_terms(x[:, :nb], K),
+    ).transpose(2, 0, 1)
     return jac[0] if single else jac
 
 

@@ -476,20 +476,33 @@ class TestSelectAlpha:
         with pytest.raises(InvalidInputError):
             spiral_jacobian_scan(K, n, alpha, 17)
 
-    @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
-    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
-    def test_scan_matches_per_row_reference(self, n, res, alpha):
+    @staticmethod
+    def _check_scan(n, res, alpha):
         # reference: keep every (chart, phase) point by its own region
         # margins, then take LAPACK's first minimum over all kept points
         pts = np.concatenate(list(_grid_points(n, res)))
         _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
         pts = pts[(pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)]
         pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
-        dets = np.linalg.det(kernels.spiral_jac_batch(pts, 2.0, alpha))
-        i = int(np.argmin(dets))
-        worst, where = spiral_jacobian_scan(2.0, n, alpha, res)
-        assert worst == dets[i]
-        assert np.array_equal(where, pts[i])
+        for K in (1.0, 2.0, 12.0):
+            dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
+            i = int(np.argmin(dets))
+            worst, where = spiral_jacobian_scan(K, n, alpha, res)
+            assert worst == dets[i]
+            assert np.array_equal(where, pts[i])
+
+    @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
+    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
+    def test_scan_matches_per_row_reference(self, n, res, alpha):
+        self._check_scan(n, res, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
+    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
+    def test_scan_blocks_match_per_row_reference(self, monkeypatch, n, res, alpha):
+        # blocks of about 100 chart points and pairs: the first minimum and
+        # its point must survive block boundaries within and across lead rows
+        monkeypatch.setattr(cm, "_BLOCK", 100)
+        self._check_scan(n, res, alpha)
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):
@@ -511,7 +524,7 @@ class TestSelectAlpha:
                 np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
-    def test_phase_separable_build_matches_per_row(self, n, res):
+    def test_phase_separable_build_matches_per_row(self, monkeypatch, n, res):
         # reference: classify every (chart, phase) row, rotate the kept rows
         # a second time for (m/d)^{n-1}, then reduce over each chart point's phases
         rows = list(cm._grid_rows(n, res))
@@ -533,10 +546,13 @@ class TestSelectAlpha:
             h.append(hh)
             ssq.append(ss)
         assert len(rows) == res
-        cert = cm._certified_grid.__wrapped__(n, res)
-        assert np.array_equal(cert.power, np.concatenate(power))
-        assert np.array_equal(cert.h, np.concatenate(h))
-        assert np.array_equal(cert.ssq, np.concatenate(ssq))
+        # one block of lead rows, then blocks of about 100 chart points
+        for block in (cm._BLOCK, 100):
+            monkeypatch.setattr(cm, "_BLOCK", block)
+            cert = cm._certified_grid.__wrapped__(n, res)
+            assert np.array_equal(cert.power, np.concatenate(power))
+            assert np.array_equal(cert.h, np.concatenate(h))
+            assert np.array_equal(cert.ssq, np.concatenate(ssq))
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
     def test_alpha_free_floor(self, n, res):

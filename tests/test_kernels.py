@@ -31,3 +31,74 @@ def test_max_and_gap_matches_sort():
         assert np.array_equal(top, s[:, -1])
         assert np.array_equal(gap, s[:, -1] - s[:, -2])
     assert np.all(gap[:50] == 0.0) and np.all(gap[100:110] == 0.0)
+
+
+def _dense_spiral_jac(x, K, alpha):
+    """The spiral Jacobian assembled from dense (m, n-1, n) dw and (m, n) dd,
+    kept as the reference for the entry-wise ``spiral_jac_batch``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    mpts, n = x.shape
+    nb = n - 1
+    xb = x[:, :nb]
+    c = np.cos(alpha * x[:, nb])
+    s = np.sin(alpha * x[:, nb])
+    w = kernels._rotate_12(xb, c, s)
+    p = np.argmax(np.abs(xb), axis=1)
+    d = np.argmax(np.abs(w), axis=1)
+    rows = np.arange(mpts)
+    xp = xb[rows, p]
+    dval = w[rows, d]
+    sign = np.sign(xp) * np.sign(dval)
+    dw = np.zeros((mpts, nb, n))
+    dw[:, 0, 0] = c
+    dw[:, 0, 1] = -s
+    dw[:, 0, n - 1] = -alpha * w[:, 1]
+    dw[:, 1, 0] = s
+    dw[:, 1, 1] = c
+    dw[:, 1, n - 1] = alpha * w[:, 0]
+    for k in range(2, nb):
+        dw[:, k, k] = 1.0
+    dd = dw[rows, d, :]
+    jac = np.zeros((mpts, n, n))
+    w_over_d = w / dval[:, None]
+    jac[:, :nb, :] = (
+        xp[:, None, None] * dw / dval[:, None, None]
+        - (xp[:, None] * w_over_d / dval[:, None])[:, :, None] * dd[:, None, :]
+    )
+    jac[rows, :nb, p] += w_over_d
+    jac[:, :nb, :] *= sign[:, None, None]
+    ssq, ds = kernels._spiral_ssq(xb, p)
+    g = K * K + (1.0 - K * K) * ssq
+    jac[:, n - 1, :nb] = (-(1.0 - K * K) / (2.0 * g))[:, None] * ds
+    jac[:, n - 1, n - 1] = 1.0
+    return jac
+
+
+def _first_box_points(n, m, seed):
+    rng = np.random.default_rng(seed)
+    x = np.empty((m, n))
+    x[:, :-1] = rng.uniform(-np.pi / 2, np.pi / 2, (m, n - 1))
+    x[:, -1] = rng.uniform(-4.0, 4.0, m)
+    return x
+
+
+@pytest.mark.parametrize("K, alpha", [(2.0, 0.25), (2.0, 0.0), (2.0, -0.375), (1.0, 0.5), (12.0, -0.03125)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spiral_jac_matches_dense_assembly(n, K, alpha):
+    # every entry, and so every LAPACK det, bit-equal to the dense assembly
+    x = _first_box_points(n, 4000, n)
+    got = kernels.spiral_jac_batch(x, K, alpha)
+    ref = _dense_spiral_jac(x, K, alpha)
+    assert got.shape == (4000, n, n)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.linalg.det(got), np.linalg.det(ref))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spiral_jac_single_point(n):
+    x = _first_box_points(n, 1, 11)[0]
+    got = kernels.spiral_jac_batch(x, 2.0, 0.25)
+    ref = _dense_spiral_jac(x, 2.0, 0.25)[0]
+    assert got.shape == (n, n)
+    assert np.array_equal(got, ref)
+    assert np.linalg.det(got) == np.linalg.det(ref)
