@@ -398,10 +398,14 @@ def run_realize(target, k_max, samples):
     table = realizer.orbit_table(rm, ts)
     gamma = table["gamma"]
 
-    errs = [
-        float(np.linalg.norm(realizer.rescaled_map(rm, r, realizer._e1(rm.n)) - u * sig))
-        for r, u, sig in rm.checkpoints
-    ]
+    errs = []
+    if rm.checkpoints:
+        # each checkpoint radius lies in its own region, so the batched
+        # rows round as single-point calls would
+        r, u, sig = (np.array(v) for v in zip(*rm.checkpoints))
+        tips = realizer.eval_map_batch(rm, r[:, None] * realizer._e1(rm.n))
+        tips /= realizer.mean_radius_batch(rm, r)[:, None]
+        errs = [float(np.linalg.norm(d)) for d in tips - u[:, None] * sig]
     poly = realizer._polyline_samples(target.waypoints, target.closed)
     # t decreases along the table, so each sweep's samples t <= its start
     # radius form a suffix; one pass over the orbit serves every sweep.

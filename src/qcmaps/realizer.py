@@ -450,35 +450,60 @@ def _apply_piece(piece, x, r):
     return mu[:, None] * (x @ piece.frame.T)
 
 
-def _region_codes(idx):
-    """The distinct region codes of `idx` in increasing order.
+def _region_runs(idx):
+    """Stable row order by region code, and the (code, lo, hi) run per region.
 
-    Same as ``np.unique(idx)`` for codes >= -1, without the ``numpy.ma``
-    import that ``np.unique`` makes on its first call.
+    Rows ``order[lo:hi]`` are those of region `code`, in batch order, so a
+    region's formula sees the same rows in the same order as a boolean mask
+    would give it.  One stable argsort replaces one mask per region: the
+    codes are sorted as int16 when they fit, where numpy's stable sort is a
+    radix sort, and the run bounds come from one ``np.bincount``.
     """
-    return np.flatnonzero(np.bincount(idx + 1)) - 1
+    key = idx + 1
+    if key.max() <= np.iinfo(np.int16).max:
+        key = key.astype(np.int16)
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key)
+    ends = np.cumsum(counts)
+    runs = [
+        (code - 1, int(hi - c), int(hi))
+        for code, (c, hi) in enumerate(zip(counts, ends))
+        if c
+    ]
+    return order, runs
 
 
 def eval_map_batch(rm, x):
     """Evaluate the realized map at a non-empty (m, n) batch of finite,
-    nonzero points."""
+    nonzero points.
+
+    Dispatch takes one stable sort of the region codes (``_region_runs``):
+    the points are gathered once into region order, each shell formula runs
+    on its contiguous slice, and the images are put back in batch order
+    once.  Beyond the shell formulas its cost is one radix sort and two row
+    gathers, whatever the number of shells.  The gathers use ``np.take``:
+    on (m, 3) rows it is several times faster than fancy indexing.
+    """
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.size == 0 or not np.all(np.isfinite(a)):
         raise InvalidInputError("points must be a non-empty finite batch")
     r = np.linalg.norm(a, axis=1)
     if r.min() == 0.0:
         raise OriginError("realized map evaluation requires x != 0")
-    idx = _locate(rm, r)
-    out = np.empty_like(a)
-    for code in _region_codes(idx):
-        sel = idx == code
+    order, runs = _region_runs(_locate(rm, r))
+    a_s, r_s = np.take(a, order, axis=0), r[order]
+    out_s = np.empty_like(a_s)
+    for code, lo, hi in runs:
+        xs, rs = a_s[lo:hi], r_s[lo:hi]
         if code == -1:
-            out[sel] = _apply_boundary_stretch(a[sel], r[sel], rm.outer_K, rm.outer_frame)
+            out_s[lo:hi] = _apply_boundary_stretch(xs, rs, rm.outer_K, rm.outer_frame)
         elif code == len(rm.pieces):
-            out[sel] = _apply_boundary_stretch(a[sel], r[sel], rm.inner_K, rm.inner_frame)
+            out_s[lo:hi] = _apply_boundary_stretch(xs, rs, rm.inner_K, rm.inner_frame)
         else:
-            out[sel] = _apply_piece(rm.pieces[code], a[sel], r[sel])
-    return out
+            out_s[lo:hi] = _apply_piece(rm.pieces[code], xs, rs)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return np.take(out_s, inverse, axis=0)
 
 
 def eval_map(rm, x):
@@ -556,29 +581,31 @@ def mean_radius_batch(rm, radii):
     The integral uses one fixed rule per dimension: the 4096-point Fibonacci
     lattice at n = 3 and 256-node Gauss-Legendre above (FIBONACCI_POINTS,
     GAUSS_NODES).  ``_interp_mean_pow`` applies it in the same cache-sized
-    row blocks as the Hausdorff scan.
+    row blocks as the Hausdorff scan.  Radii are dispatched as in
+    ``eval_map_batch``: one stable sort of the region codes, one contiguous
+    slice per region, one scatter back.
     """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.size == 0 or not np.all(np.isfinite(r)):
         raise InvalidInputError("radii must be a non-empty finite batch")
     if r.min() <= 0.0:
         raise InvalidInputError("radii must be positive")
-    idx = _locate(rm, r)
+    order, runs = _region_runs(_locate(rm, r))
     n = rm.n
-    out = np.empty_like(r)
-    for code in _region_codes(idx):
-        sel = idx == code
+    r_s = r[order]
+    out_s = np.empty_like(r_s)
+    for code, lo, hi in runs:
+        rs = r_s[lo:hi]
         if code == -1:
-            out[sel] = rm.outer_K ** (1.0 / n) * r[sel]
+            out_s[lo:hi] = rm.outer_K ** (1.0 / n) * rs
         elif code == len(rm.pieces):
-            out[sel] = rm.inner_K ** (1.0 / n) * r[sel]
+            out_s[lo:hi] = rm.inner_K ** (1.0 / n) * rs
         else:
             p = rm.pieces[code]
             if p.kind == "spiral":
-                out[sel] = p.K ** (1.0 / n) * r[sel]
+                out_s[lo:hi] = p.K ** (1.0 / n) * rs
             else:
-                rs = r[sel]
-                res = np.empty_like(rs)
+                res = out_s[lo:hi]
                 at_out = np.abs(np.log(rs / p.r_out)) <= 1e-9
                 at_in = np.abs(np.log(rs / p.r_in)) <= 1e-9
                 res[at_out] = p.K ** (1.0 / n) * rs[at_out]
@@ -588,7 +615,8 @@ def mean_radius_batch(rm, radii):
                     nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
                     mean = _interp_mean_pow(p, nu, n)
                     res[mid] = mean ** (1.0 / n) * rs[mid]
-                out[sel] = res
+    out = np.empty_like(r_s)
+    out[order] = out_s
     return out
 
 

@@ -159,6 +159,23 @@ def test_realize_sweep_distances_are_tail_distances():
         assert summary["hausdorff_by_k"][str(k)] == realizer.hausdorff_distance(tail, poly)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_realize_checkpoint_error_matches_single_points(n):
+    # arcs and radial moves, so the checkpoints sit in spiral and
+    # interpolation shells alike
+    th = np.linspace(0.0, np.pi / 2, 9)
+    w = np.zeros((9, n))
+    w[:, 0] = (2 + 0.3 * np.sin(2 * th)) * np.cos(th)
+    w[:, 1] = (2 + 0.3 * np.sin(2 * th)) * np.sin(th)
+    _, summary, rm = run_realize(realizer.TargetSet(waypoints=w), 2, samples=20)
+    e1 = np.eye(n)[0]
+    errs = [
+        float(np.linalg.norm(realizer.rescaled_map(rm, r, e1) - u * sig))
+        for r, u, sig in rm.checkpoints
+    ]
+    assert summary["checkpoint_max_error"] == max(errs)
+
+
 def test_realize_singleton_constant_orbit(tmp_path):
     target = tmp_path / "point.json"
     target.write_text(json.dumps({"waypoints": [[2.0, 0.0, 0.0]]}))

@@ -333,6 +333,122 @@ class TestRealizedMapProperties:
             below = rz.eval_map(rm, v * r * (1.0 - 1e-12))
             assert np.abs(above - below).max() <= 1e-9 * r
 
+    @settings(max_examples=60, deadline=None)
+    @given(points=_stack_points, data=st.data())
+    def test_batch_order_does_not_matter(self, mixed_map, points, data):
+        rm = mixed_map
+        dirs = np.array([d[: rm.n] for d, _ in points])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        r = _stack_radii(rm, [t for _, t in points])
+        x = dirs * r[:, None]
+        perm = np.array(data.draw(st.permutations(range(len(x)))))
+        eps = 8 * np.finfo(float).eps
+        got, want = rz.eval_map_batch(rm, x[perm]), rz.eval_map_batch(rm, x)[perm]
+        codes = rz._locate(rm, r)
+        counts = np.bincount(codes + 1)
+        if counts[counts > 0].min() >= 2:
+            assert np.array_equal(got, want)
+        else:
+            scale = np.linalg.norm(want, axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= eps * scale)
+        # the interpolation-shell quadrature is a matrix-vector product whose
+        # rounding depends on a row's place in its block, so only those rows
+        # may move, and by no more than the single-point bound
+        got, want = rz.mean_radius_batch(rm, r[perm]), rz.mean_radius_batch(rm, r)[perm]
+        kinds = np.array(["outer"] + [p.kind for p in rm.pieces] + ["inner"])
+        quad = kinds[codes[perm] + 1] == "interp"
+        assert np.array_equal(got[~quad], want[~quad])
+        assert np.all(np.abs(got - want) <= eps * want)
+
+
+class TestRegionDispatch:
+    """The sorted-run dispatch against the one-mask-per-region dispatch it
+    replaced, copied here as the reference."""
+
+    @staticmethod
+    def masked_eval(rm, x):
+        a = np.atleast_2d(np.asarray(x, dtype=float))
+        r = np.linalg.norm(a, axis=1)
+        idx = rz._locate(rm, r)
+        out = np.empty_like(a)
+        for code in np.unique(idx):
+            sel = idx == code
+            if code == -1:
+                out[sel] = rz._apply_boundary_stretch(a[sel], r[sel], rm.outer_K, rm.outer_frame)
+            elif code == len(rm.pieces):
+                out[sel] = rz._apply_boundary_stretch(a[sel], r[sel], rm.inner_K, rm.inner_frame)
+            else:
+                out[sel] = rz._apply_piece(rm.pieces[code], a[sel], r[sel])
+        return out
+
+    @staticmethod
+    def masked_mean_radius(rm, radii):
+        r = np.atleast_1d(np.asarray(radii, dtype=float))
+        idx = rz._locate(rm, r)
+        n = rm.n
+        out = np.empty_like(r)
+        for code in np.unique(idx):
+            sel = idx == code
+            if code == -1:
+                out[sel] = rm.outer_K ** (1.0 / n) * r[sel]
+            elif code == len(rm.pieces):
+                out[sel] = rm.inner_K ** (1.0 / n) * r[sel]
+            else:
+                p = rm.pieces[code]
+                if p.kind == "spiral":
+                    out[sel] = p.K ** (1.0 / n) * r[sel]
+                else:
+                    rs = r[sel]
+                    res = np.empty_like(rs)
+                    at_out = np.abs(np.log(rs / p.r_out)) <= 1e-9
+                    at_in = np.abs(np.log(rs / p.r_in)) <= 1e-9
+                    res[at_out] = p.K ** (1.0 / n) * rs[at_out]
+                    res[at_in] = p.L ** (1.0 / n) * rs[at_in]
+                    mid = ~(at_out | at_in)
+                    if np.any(mid):
+                        nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
+                        mean = rz._interp_mean_pow(p, nu, n)
+                        res[mid] = mean ** (1.0 / n) * rs[mid]
+                    out[sel] = res
+        return out
+
+    def assert_matches_masked(self, rm, r):
+        dirs = np.random.default_rng(0).standard_normal((len(r), rm.n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        x = dirs * np.asarray(r)[:, None]
+        assert np.array_equal(rz.eval_map_batch(rm, x), self.masked_eval(rm, x))
+        assert np.array_equal(rz.mean_radius_batch(rm, r), self.masked_mean_radius(rm, r))
+
+    def test_identity_map(self):
+        rm = rz.build_map([[]], n=3)
+        r = np.geomspace(40.0, 1e-3, 25)
+        assert set(rz._locate(rm, r).tolist()) == {-1}
+        self.assert_matches_masked(rm, r)
+
+    def test_inside_one_shell(self, mixed_map):
+        p = mixed_map.pieces[1]
+        assert p.kind == "interp"
+        r = np.random.default_rng(1).permutation(np.geomspace(p.r_out, p.r_in, 300)[1:-1])
+        assert set(rz._locate(mixed_map, r).tolist()) == {1}
+        self.assert_matches_masked(mixed_map, r)
+
+    def test_one_row_per_region(self, mixed_map):
+        rm = mixed_map
+        bounds = [2.0 * rm.r_start] + [np.sqrt(p.r_out * p.r_in) for p in rm.pieces]
+        r = np.array(bounds + [0.5 * rm.r_end])[::-1]
+        assert rz._locate(rm, r).tolist() == list(range(len(rm.pieces), -2, -1))
+        self.assert_matches_masked(rm, r)
+
+    def test_radii_on_shell_spheres(self, mixed_map):
+        rm = mixed_map
+        r = np.array([p.r_out for p in rm.pieces] + [rm.r_end])
+        self.assert_matches_masked(rm, np.concatenate([r, r[::-1]]))
+
+    def test_codes_beyond_int16(self):
+        order, runs = rz._region_runs(np.array([40000, -1, 40000, 5, -1]))
+        assert order.tolist() == [1, 4, 3, 0, 2]
+        assert runs == [(-1, 0, 2), (5, 2, 3), (40000, 3, 5)]
+
 
 class TestMeanRadius:
     def test_pure_stretch_k8(self):
