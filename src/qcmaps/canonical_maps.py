@@ -24,9 +24,11 @@ that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
 it, and ``_kept_blocks`` joins its rows into blocks of chart points with a
 kept phase.  ``select_alpha`` caches only the closed-form factors it reduces
 to.  ``spiral_jacobian_scan`` walks the same blocks to compute the
-determinants directly with LAPACK, without the closed form: it takes the
-phase-free part of each Jacobian once per chart point and assembles the
-rest entry by entry, with the entries of ``kernels.spiral_jac_batch``.
+determinants directly, without the closed form: it takes the phase-free part
+of each Jacobian once per chart point and assembles the rest entry by entry,
+with the entries of ``kernels.spiral_jac_batch``, screens every determinant
+with a Laplace expansion and its rounding bound, and calls LAPACK only on
+the pairs the screen keeps as candidates for the minimum.
 """
 
 from __future__ import annotations
@@ -510,11 +512,22 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     phase-free terms of ``kernels._spiral_chart_terms`` are computed once per
     chart point and gathered to the kept (chart, phase) pairs, about _BLOCK
     pairs at a time, which ``kernels._spiral_jac_assemble`` turns into the
-    entries ``kernels.spiral_jac_batch`` gives.  The grid defaults to
-    ``certification_grid(n)``.  Returns (min_det, worst_point), the first
-    minimum in row order, with the worst point's last coordinate converted
-    back from phase to x_n.  At alpha = 0 the Jacobian does not depend on
-    x_n, so every grid point is evaluated at x_n = 0.
+    entries ``kernels.spiral_jac_batch`` gives.
+
+    ``kernels._laplace_det`` screens every pair with a determinant S and a
+    bound b on |S - LAPACK's det|.  In a sub-block, every pair where LAPACK
+    attains its minimum has S within 2 max(b) of the least S, and a pair can
+    beat the running worst only if its S is within 2 max(b) of it.  So
+    LAPACK runs only on the pairs with S <= min(least S, running worst) +
+    2 max(b), in row order, and a sub-block with none makes no LAPACK call.
+    Ties of LAPACK's dets (every pair at alpha = 0, whole regions at K = 1)
+    all stay candidates, so the result is the one LAPACK over every pair
+    gives.
+
+    The grid defaults to ``certification_grid(n)``.  Returns (min_det,
+    worst_point), the first minimum in row order, with the worst point's last
+    coordinate converted back from phase to x_n.  At alpha = 0 the Jacobian
+    does not depend on x_n, so every grid point is evaluated at x_n = 0.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -540,11 +553,16 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
             jac = kernels._spiral_jac_assemble(
                 coords[:, i], cos[j], sin[j], alpha, *(t[..., i] for t in terms)
             )
-            dets = np.linalg.det(jac.transpose(2, 0, 1))
+            screen, bound = kernels._laplace_det(jac)
+            cut = min(screen.min(), worst) + 2.0 * bound.max()
+            cand = np.flatnonzero(screen <= cut)
+            if not len(cand):
+                continue
+            dets = np.linalg.det(jac[:, :, cand].transpose(2, 0, 1))
             k = int(np.argmin(dets))
             if dets[k] < worst:
                 worst = float(dets[k])
-                worst_pt = np.append(chart[i[k]], xn[j[k]])
+                worst_pt = np.append(chart[i[cand[k]]], xn[j[cand[k]]])
     return worst, worst_pt
 
 
@@ -574,7 +592,8 @@ def select_alpha(K, n, orientation=1, grid=None):
     chart point with a non-positive second factor fails either way).  Since
     d <= sqrt(2) m, the alpha-free part (m/d)^{n-1} is at least
     2^{-(n-1)/2}, above the floor, so the search always terminates.
-    ``spiral_jacobian_scan`` checks the same determinants with LAPACK.
+    ``spiral_jacobian_scan`` checks the same determinants with LAPACK, on
+    the pairs its entry-wise screen keeps as candidates for the minimum.
     """
     _require_stretch_factor(K)
     if n < 3:

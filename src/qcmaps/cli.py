@@ -78,6 +78,8 @@ class RunConfig:
         for name in ("K", "L", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise QcmapsError(f"{name} must be finite")
+        if self.bound is not None and not np.isfinite(self.bound):
+            raise QcmapsError("bound must be finite")
         _alpha_value(self.alpha, "alpha")
         if self.samples < 1:
             raise QcmapsError("samples must be at least 1")

@@ -18,6 +18,8 @@ then return a single result.  Conventions shared by all of them:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 HALF_PI = np.pi / 2.0
@@ -248,6 +250,46 @@ def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last):
     top *= sign
     jac[nb] = last
     return jac
+
+
+# c in the rounding bound c n eps prod_i |row_i|_1 of ``_laplace_det``
+_LAPLACE_C = 8.0
+
+
+def _laplace_det(jac):
+    """Determinants of an (n, n, m) entry array with a bound on their rounding.
+
+    Laplace expansion from the bottom row up: every k x k minor of the last
+    k rows is formed from the (k-1)-minors of the rows below, along its top
+    row, so the table takes n 2^{n-1} products of contiguous length-m
+    vectors and holds at most C(n, n/2) minors per level; no matrix is
+    transposed, copied or passed to LAPACK.
+
+    Returns (det, bound).  bound = c n eps prod_i |row_i|_1, c = _LAPLACE_C:
+    the product of the row 1-norms is at least the permanent of |J|, which
+    bounds each expanded term, so it bounds the rounding of the Laplace sum
+    (at most about (n + 1)/4 n eps times the permanent for this order).
+    c = 8 leaves room for LAPACK's own rounding as well, so that the bound
+    also covers the difference to ``np.linalg.det``.
+    """
+    n, m = jac.shape[0], jac.shape[2]
+    minors = {(j,): jac[n - 1, j] for j in range(n)}
+    term = np.empty(m)
+    for row in range(n - 2, -1, -1):
+        top = jac[row]
+        level = {}
+        for cols in itertools.combinations(range(n), n - row):
+            acc = top[cols[0]] * minors[cols[1:]]
+            for t in range(1, len(cols)):
+                np.multiply(top[cols[t]], minors[cols[:t] + cols[t + 1:]], out=term)
+                if t % 2:
+                    acc -= term
+                else:
+                    acc += term
+            level[cols] = acc
+        minors = level
+    norms = np.abs(jac).sum(axis=1).prod(axis=0)
+    return minors[tuple(range(n))], _LAPLACE_C * n * np.finfo(float).eps * norms
 
 
 def spiral_jac_batch(x, K, alpha):

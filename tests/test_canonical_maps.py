@@ -477,19 +477,22 @@ class TestSelectAlpha:
             spiral_jacobian_scan(K, n, alpha, 17)
 
     @staticmethod
-    def _check_scan(n, res, alpha):
+    def _check_scan(n, res, alpha, factors=(1.0, 2.0, 12.0)):
         # reference: keep every (chart, phase) point by its own region
-        # margins, then take LAPACK's first minimum over all kept points
-        pts = np.concatenate(list(_grid_points(n, res)))
-        _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-        pts = pts[(pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)]
-        pts[:, -1] = pts[:, -1] / alpha if alpha != 0 else 0.0
-        for K in (1.0, 2.0, 12.0):
-            dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
+        # margins, then take LAPACK's first minimum over all kept points,
+        # one lead row of the grid at a time
+        pts = []
+        for row in _grid_points(n, res):
+            _, _, pyr, switch = kernels.spiral_region_batch(row, 1.0)
+            pts.append(row[(pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)])
+            pts[-1][:, -1] = pts[-1][:, -1] / alpha if alpha != 0 else 0.0
+        for K in factors:
+            dets = np.concatenate(
+                [np.linalg.det(kernels.spiral_jac_batch(p, K, alpha)) for p in pts])
             i = int(np.argmin(dets))
             worst, where = spiral_jacobian_scan(K, n, alpha, res)
             assert worst == dets[i]
-            assert np.array_equal(where, pts[i])
+            assert np.array_equal(where, np.concatenate(pts)[i])
 
     @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
@@ -503,6 +506,46 @@ class TestSelectAlpha:
         # its point must survive block boundaries within and across lead rows
         monkeypatch.setattr(cm, "_BLOCK", 100)
         self._check_scan(n, res, alpha)
+
+    @pytest.mark.parametrize("K", [1.0, 2.0, 12.0])
+    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
+    def test_scan_matches_reference_on_cli_grids(self, n, res, K):
+        # the grids verify spiral walks, at K's certified rate; at K = 1,
+        # det = (m/d)^{n-1} is constant on whole regions of the grid, so the
+        # screen keeps runs of tied pairs and LAPACK must find the first
+        # minimum among them
+        self._check_scan(n, res, select_alpha(K, n), factors=(K,))
+
+    @pytest.mark.parametrize("n, res", [(3, 65), (4, 25)])
+    def test_scan_matches_reference_at_zero_rate(self, n, res):
+        # verify spiral --alpha 0: det = 1 at every pair up to rounding, so
+        # every pair is a candidate, and the screen's own minimum is not
+        # LAPACK's at K = 12
+        self._check_scan(n, res, 0.0)
+
+    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9)])
+    def test_scan_with_exact_screen(self, monkeypatch, n, res):
+        # with a screen equal to LAPACK's dets and a zero bound, the
+        # candidates are exactly the minimizers, and the first of them is kept
+        def exact(jac):
+            return np.linalg.det(jac.transpose(2, 0, 1)), np.zeros(jac.shape[2])
+
+        monkeypatch.setattr(kernels, "_laplace_det", exact)
+        monkeypatch.setattr(cm, "_BLOCK", 100)
+        self._check_scan(n, res, 0.25)
+
+    def test_scan_calls_lapack_on_candidates_only(self, monkeypatch):
+        # a sub-block whose screened minimum lies above the running worst
+        # makes no LAPACK call, and the others pass only near-minimal pairs
+        screens, calls = [], []
+        screen, det = kernels._laplace_det, np.linalg.det
+        monkeypatch.setattr(
+            kernels, "_laplace_det", lambda jac: screens.append(jac.shape[2]) or screen(jac))
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
+        monkeypatch.setattr(cm, "_BLOCK", 100)
+        spiral_jacobian_scan(2.0, 3, 0.25, 17)
+        assert 0 < len(calls) < len(screens) / 2
+        assert sum(calls) < sum(screens) / 20
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):

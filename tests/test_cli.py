@@ -100,6 +100,17 @@ def test_verify_rejects_nonfinite_parameters(capsys, suite, field, value, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_nonfinite_bound(capsys, value):
+    # a non-finite bound would print a NaN or infinite margin, which is not
+    # strict JSON; it is rejected before any report is written
+    code = main(["verify", "spiral", "--dim", "3", "--grid", "9", f"--bound={value}"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "bound must be finite" in err
+    assert out == ""
+
+
 def test_tol_default_shared():
     assert RunConfig().tol == DEFAULT_TOL == 1e-12
     assert _build_parser().parse_args(["verify", "zorich"]).tol == DEFAULT_TOL
