@@ -527,7 +527,8 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     The grid defaults to ``certification_grid(n)``.  Returns (min_det,
     worst_point), the first minimum in row order, with the worst point's last
     coordinate converted back from phase to x_n.  At alpha = 0 the Jacobian
-    does not depend on x_n, so every grid point is evaluated at x_n = 0.
+    does not depend on x_n, so each chart point is evaluated once, at x_n = 0
+    with its first kept phase: its other kept phases give the same entries.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -540,7 +541,11 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     worst = np.inf
     worst_pt = None
     for chart, phases, keep, _, _ in _kept_blocks(n, grid):
-        xn = phases / alpha if alpha != 0 else np.zeros_like(phases)
+        if alpha == 0:
+            keep = keep & (np.cumsum(keep, axis=1) == 1)
+            xn = np.zeros_like(phases)
+        else:
+            xn = phases / alpha
         phase = alpha * xn
         cos, sin = np.cos(phase), np.sin(phase)
         terms = kernels._spiral_chart_terms(chart, K)

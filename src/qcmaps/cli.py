@@ -375,7 +375,7 @@ def load_target(path):
         raise QcmapsError("target file must be a JSON object with 'waypoints'")
     return realizer.TargetSet(
         waypoints=np.asarray(payload["waypoints"], dtype=float),
-        closed=bool(payload.get("closed", False)),
+        closed=payload.get("closed", False),
         annulus_bound=payload.get("C"),
     )
 

@@ -22,6 +22,8 @@ circle; plans whose arcs leave that plane are rejected at build time.
 from __future__ import annotations
 
 import functools
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,13 +71,22 @@ class TargetSet:
         for i, (a, b) in enumerate(pairs):
             if np.linalg.norm(a - b) <= 1e-12:
                 raise InvalidInputError(f"waypoints {i} and {i + 1} coincide")
+        if not isinstance(self.closed, (bool, np.bool_)):
+            raise InvalidInputError(f"closed must be true or false, got {self.closed!r}")
         if self.closed and len(w) > 1 and np.linalg.norm(w[-1] - w[0]) <= 1e-12:
             raise InvalidInputError("closed polylines must not repeat the start")
         c = self.annulus_bound
         if c is None:
             c = max(radii.max(), 1.0 / radii.min()) * (1.0 + 1e-12)
-        elif c < 1.0 or radii.max() > c * (1 + 1e-9) or radii.min() < (1 - 1e-9) / c:
-            raise InvalidInputError("waypoints leave the declared annulus")
+        else:
+            if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real):
+                raise InvalidInputError(f"annulus bound C must be a number, got {c!r}")
+            # NaN fails both comparisons, and an integer beyond the float
+            # range fails the first as an infinite bound does
+            if not (abs(c) <= sys.float_info.max and c >= 1.0):
+                raise InvalidInputError(f"annulus bound C must be finite and >= 1, got {c!r}")
+            if radii.max() > c * (1 + 1e-9) or radii.min() < (1 - 1e-9) / c:
+                raise InvalidInputError("waypoints leave the declared annulus")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "waypoints", w)
@@ -515,10 +526,10 @@ def eval_map(rm, x):
 FIBONACCI_POINTS = 4096
 GAUSS_NODES = 256
 
-# The mean-radius quadrature and the Hausdorff scan both run in row blocks of
+# The mean-radius quadrature and the Hausdorff scan both run in blocks of
 # about this many elements, 256 KiB per float64 block buffer, so a block
 # stays in a core's L2 cache: on a 2 MiB-L2 Xeon, 2^17- and 2^18-pair
-# Hausdorff blocks ran a 15k x 960 scan 1.3x and 1.7x slower.
+# Hausdorff blocks ran a dense 15k x 960 scan 1.3x and 1.7x slower.
 _BLOCK = 1 << 15
 
 
@@ -665,22 +676,167 @@ def default_orbit_times(rm, per_piece=200):
     return np.concatenate(ts)
 
 
+# Rows per chunk of the Hausdorff scan's bounding balls.  Smaller chunks cull
+# more pairs but make more chunk pairs to bound and more blocks to walk; 16
+# scanned the realize orbits fastest among 8, 16, 24 and 32.
+_CHUNK = 16
+# Relative slack on the chunk bounds, far above their rounding (a few eps of
+# the bounded distances), plus an absolute floor that keeps every pair whose
+# squared distance could be subnormal, where rounding stops being relative.
+_SLACK = 1e-9
+_TINY = 1e-150
+
+
+def _chunk_balls(cols, cuts):
+    """Centres (d, k) and radii (k,) of balls around the k chunks of the
+    coordinate rows `cols` (d, m) between consecutive `cuts`."""
+    lo = cuts[:-1]
+    sizes = np.diff(cuts)
+    centres = np.add.reduceat(cols, lo, axis=1) / sizes
+    r2 = np.zeros(cols.shape[1])
+    for c in range(len(cols)):
+        diff = cols[c] - np.repeat(centres[c], sizes)
+        r2 += np.square(diff, out=diff)
+    return centres, np.sqrt(np.maximum.reduceat(r2, lo))
+
+
+def _ball_gaps(ca, cb):
+    """Distances |cI - cJ| between the centres ca (d, k) and cb (d, l), as
+    an (l, k) array."""
+    gap = np.zeros((cb.shape[1], ca.shape[1]))
+    sq = np.empty_like(gap)
+    for c in range(len(ca)):
+        np.subtract(cb[c][:, None], ca[c], out=sq)
+        np.square(sq, out=sq)
+        gap += sq
+    return np.sqrt(gap, out=gap)
+
+
+def _chunk_keep(ca, ra, seg_first, cb, rb):
+    """keep[J, I]: whether chunk J of b must be scanned against chunk I of a.
+
+    The chunks of `a` have ball centres `ca` (d, k) and radii `ra`, and
+    those from index seg_first[g] on form segment g; the chunks of `b` have
+    `cb` and `rb`.  A pair of chunks I, J has every distance between lb =
+    |cI - cJ| - RI - RJ and ub = |cI - cJ| + RI + RJ.  The nearest sample of
+    `b` to a row of I lies within the min over J of ub(I, J), and the
+    nearest row of the segment-g suffix of `a` to a sample of J within the
+    min of ub(I', J) over the chunks I' of that suffix.  So a pair whose lb
+    exceeds both can hold neither minimum.  ``_SLACK`` and ``_TINY`` widen
+    the bounds, which can keep a pair but never cull one that holds a
+    minimum of the computed squared distances.
+
+    Yields (J0, keep[J0:J1]) for blocks of rows of about ``_BLOCK`` entries:
+    a first pass takes the row bounds, a second the column bounds and the
+    keep test, so the bounds hold O(_BLOCK + k) floats however many chunk
+    pairs there are.
+    """
+    step = max(1, _BLOCK // len(ra))
+    spans = [(j, min(j + step, len(rb))) for j in range(0, len(rb), step)]
+    seg_of = np.repeat(np.arange(len(seg_first)), np.diff([*seg_first, len(ra)]))
+    row_ub = np.full(len(ra), np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0, j1 in spans:
+            ub = _ball_gaps(ca, cb[:, j0:j1])
+            ub += rb[j0:j1, None]
+            ub += ra
+            if not np.isfinite(ub).all():
+                # a bound overflowed, so the balls cull nothing
+                for k0, k1 in spans:
+                    yield k0, np.ones((k1 - k0, len(ra)), dtype=bool)
+                return
+            np.minimum(row_ub, ub.min(axis=0), out=row_ub)
+    row_ub *= 1.0 + _SLACK
+    for j0, j1 in spans:
+        gap = _ball_gaps(ca, cb[:, j0:j1])
+        ub = gap + rb[j0:j1, None]
+        ub += ra
+        ub *= 1.0 + _SLACK
+        seg_ub = np.minimum.reduceat(ub, seg_first, axis=1)
+        suffix_ub = np.minimum.accumulate(seg_ub[:, ::-1], axis=1)[:, ::-1]
+        reach = np.take(suffix_ub, seg_of, axis=1)
+        np.maximum(reach, row_ub, out=reach)
+        lb = np.multiply(gap, 1.0 - _SLACK, out=gap)
+        lb -= rb[j0:j1, None] * (1.0 + _SLACK)
+        lb -= ra * (1.0 + _SLACK) + _TINY
+        yield j0, lb <= reach
+
+
+def _kept_rows(cols_a, cols_b, seg_lo):
+    """The rows of `a` that each chunk of `b` is scanned against.
+
+    `a` (coordinate rows `cols_a`, d x m) is cut into chunks of ``_CHUNK``
+    rows with a cut at each segment start in `seg_lo`, and `b` into chunks
+    of ``_CHUNK`` rows; ``_chunk_keep`` says which chunk pairs to scan.
+    Yields (c0, c1, rows) per run b[c0:c1] of consecutive chunks that keep
+    the same rows of `a`: rows indexes those rows in increasing order, or is
+    ``slice(None)`` when all are kept.
+    """
+    n_rows = cols_a.shape[1]
+    cuts_a = []
+    for lo, hi in zip(seg_lo, [*seg_lo[1:], n_rows]):
+        cuts_a.extend(range(lo, hi, _CHUNK))
+    seg_first = np.searchsorted(cuts_a, seg_lo)
+    cuts_a = np.array([*cuts_a, n_rows])
+    sizes = np.diff(cuts_a)
+    cuts_b = np.array([*range(0, cols_b.shape[1], _CHUNK), cols_b.shape[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ca, ra = _chunk_balls(cols_a, cuts_a)
+        cb, rb = _chunk_balls(cols_b, cuts_b)
+
+    def run(j, k, keep):
+        kept = np.flatnonzero(keep)
+        if len(kept) == len(sizes):
+            return int(cuts_b[j]), int(cuts_b[k]), slice(None)
+        n_kept = sizes[kept]
+        ends = np.cumsum(n_kept)
+        rows = np.arange(ends[-1]) + np.repeat(cuts_a[kept] - ends + n_kept, n_kept)
+        return int(cuts_b[j]), int(cuts_b[k]), rows
+
+    # a run may go on across the blocks of keep rows
+    lo, last = 0, None
+    for j0, keep in _chunk_keep(ca, ra, seg_first, cb, rb):
+        new_run = np.ones(len(keep), dtype=bool)
+        new_run[1:] = (keep[1:] != keep[:-1]).any(axis=1)
+        if last is not None:
+            new_run[0] = (keep[0] != last).any()
+        for j in np.flatnonzero(new_run).tolist():
+            if last is not None:
+                yield run(lo, j0 + j, last)
+            lo, last = j0 + j, keep[j]
+        last = keep[-1]
+    yield run(lo, len(rb), last)
+
+
 def hausdorff_by_suffix(a, b, starts):
     """Hausdorff distance between each suffix a[s:] and b, for s in `starts`.
 
-    One pass walks `a` from its end toward index 0 in row blocks of about
-    ``_BLOCK`` (row, column) pairs and builds each block's squared-distance
-    matrix against `b` once, in two buffers allocated once per call (the
-    same cache-sized blocks as the mean-radius quadrature).  The block serves
-    both directions: a running max of the row minima gives the a-suffix to b
-    distance, a running per-column min gives the b to a-suffix one, and the
-    state is read off as the walk passes each start.  The cost is one
-    len(a) x len(b) scan however many starts are asked for.
+    The suffixes cut the rows of `a` from the lowest start on into segments,
+    one per distinct start.  For each row of `a` the scan finds the least
+    squared distance to `b`, and for each column (sample of `b`) the least
+    one to each segment.  A start's distance is then the larger of the worst
+    row minimum over its suffix and the worst column minimum, folded over
+    the segments from the last one back to the start's own.
+
+    Only the pairs that can hold such a minimum are computed:
+    ``_chunk_keep`` bounds chunks of consecutive samples by balls and culls
+    the chunk pairs that are provably farther apart than an alternative
+    (Taha and Hanbury's bound-and-prune idea for the exact Hausdorff
+    distance).  Samples along curves, such as orbit and polyline samples,
+    form small balls, so few pairs are kept; for unordered clouds nothing is
+    culled and the loop is a dense blocked scan.  Each run of chunks of `b`
+    that keep the same rows of `a` is walked against them in blocks of about
+    ``_BLOCK`` pairs, in two buffers allocated once per call (the same
+    cache-sized blocks as the mean-radius quadrature).  Block rows run along
+    the kept rows of `a`, and numpy broadcasts short rows more slowly, so
+    the scan is fastest with the larger set as `a`, as the orbit is in
+    ``realize``.
 
     Squared distances are summed per coordinate from explicit differences,
     (dx*dx + dy*dy) + dz*dz in coordinate order, not from the expanded
     dot-product form: identical samples report exactly zero and, below 8
     coordinates, each value equals ``np.sum`` over the squared differences.
+    The result is the one a scan of every pair gives, to the bit.
     """
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
@@ -693,33 +849,53 @@ def hausdorff_by_suffix(a, b, starts):
     starts = [int(s) for s in starts]
     if any(not 0 <= s < len(pa) for s in starts):
         raise InvalidInputError("suffix starts must index a non-empty suffix of a")
-    rows = max(1, _BLOCK // len(pb))
+    if not starts:
+        return []
+    segs = sorted(set(starts))
     # rows before the lowest start belong to no requested suffix
-    lowest = min(starts, default=len(pa))
-    cuts = sorted(set(starts).union(range(lowest, len(pa), rows)), reverse=True)
-    wanted = set(starts)
-    row_worst = 0.0
-    col_min = np.full(len(pb), np.inf)
-    found = {}
+    seg_lo = [s - segs[0] for s in segs]
     # one contiguous row per coordinate, so each subtract streams
-    cols_a = np.ascontiguousarray(pa.T)
+    cols_a = np.ascontiguousarray(pa[segs[0]:].T)
     cols_b = np.ascontiguousarray(pb.T)
-    d2_buf = np.empty((min(rows, len(pa)), len(pb)))
-    sq_buf = np.empty_like(d2_buf)
-    hi = len(pa)
-    for lo in cuts:
-        d2, sq = d2_buf[: hi - lo], sq_buf[: hi - lo]
-        np.subtract(cols_a[0, lo:hi, None], cols_b[0], out=d2)
-        np.square(d2, out=d2)
-        for c in range(1, pa.shape[1]):
-            np.subtract(cols_a[c, lo:hi, None], cols_b[c], out=sq)
-            np.square(sq, out=sq)
-            d2 += sq
-        row_worst = max(row_worst, float(np.sqrt(d2.min(axis=1)).max()))
-        np.minimum(col_min, d2.min(axis=0), out=col_min)
-        if lo in wanted:
-            found[lo] = max(row_worst, float(np.sqrt(col_min).max()))
-        hi = lo
+    n_rows = cols_a.shape[1]
+    seg_of_row = np.repeat(np.arange(len(segs)), np.diff([*seg_lo, n_rows]))
+    row_min = np.full(n_rows, np.inf)
+    col_min = np.full((len(segs), len(pb)), np.inf)
+    buf = np.empty(2 * _BLOCK)
+    for c0, c1, rows in _kept_rows(cols_a, cols_b, seg_lo):
+        ka = cols_a[:, rows]
+        n_kept = ka.shape[1]
+        # block rows run along the kept rows of `a`, whole where they fit
+        r_step = min(n_kept, _BLOCK)
+        b_step = max(1, _BLOCK // r_step)
+        for r0 in range(0, n_kept, r_step):
+            r1 = min(n_kept, r0 + r_step)
+            idx = rows[r0:r1] if isinstance(rows, np.ndarray) else slice(r0, r1)
+            # the segments met in this run of rows, and where each begins
+            seg = seg_of_row[idx]
+            first = np.ones(len(seg), dtype=bool)
+            np.not_equal(seg[1:], seg[:-1], out=first[1:])
+            at = np.flatnonzero(first).tolist()
+            parts = list(zip(seg[at].tolist(), at, [*at[1:], r1 - r0]))
+            for b0 in range(c0, c1, b_step):
+                b1 = min(c1, b0 + b_step)
+                size = (b1 - b0) * (r1 - r0)
+                d2 = buf[:size].reshape(b1 - b0, r1 - r0)
+                sq = buf[_BLOCK:_BLOCK + size].reshape(d2.shape)
+                # (b - a)^2 == (a - b)^2: negation is exact
+                np.subtract(cols_b[0, b0:b1, None], ka[0, r0:r1], out=d2)
+                np.square(d2, out=d2)
+                for c in range(1, pa.shape[1]):
+                    np.subtract(cols_b[c, b0:b1, None], ka[c, r0:r1], out=sq)
+                    np.square(sq, out=sq)
+                    d2 += sq
+                row_min[idx] = np.minimum(row_min[idx], d2.min(axis=0))
+                for g, lo, hi in parts:
+                    col = col_min[g, b0:b1]
+                    np.minimum(col, d2[:, lo:hi].min(axis=1), out=col)
+    row_worst = np.maximum.accumulate(np.maximum.reduceat(row_min, seg_lo)[::-1])[::-1]
+    col_worst = np.minimum.accumulate(col_min[::-1], axis=0)[::-1].max(axis=1)
+    found = dict(zip(segs, np.sqrt(np.maximum(row_worst, col_worst)).tolist()))
     return [found[s] for s in starts]
 
 

@@ -517,11 +517,20 @@ class TestSelectAlpha:
         self._check_scan(n, res, select_alpha(K, n), factors=(K,))
 
     @pytest.mark.parametrize("n, res", [(3, 65), (4, 25)])
-    def test_scan_matches_reference_at_zero_rate(self, n, res):
+    def test_scan_matches_reference_at_zero_rate(self, monkeypatch, n, res):
         # verify spiral --alpha 0: det = 1 at every pair up to rounding, so
         # every pair is a candidate, and the screen's own minimum is not
         # LAPACK's at K = 12
         self._check_scan(n, res, 0.0)
+        # the phases of a chart point all give one Jacobian, so LAPACK
+        # factors at most one pair per chart point
+        charts = sum(len(chart) for chart, *_ in cm._kept_blocks(n, res))
+        calls, det = [], np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
+        for K in (1.0, 2.0, 12.0):
+            calls.clear()
+            spiral_jacobian_scan(K, n, 0.0, res)
+            assert 0 < sum(calls) <= charts
 
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9)])
     def test_scan_with_exact_screen(self, monkeypatch, n, res):

@@ -257,6 +257,31 @@ def test_realize_bad_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('"C": NaN', "annulus bound C must be finite"),
+        ('"C": Infinity', "annulus bound C must be finite"),
+        ('"C": "3"', "annulus bound C must be a number"),
+        ('"C": true', "annulus bound C must be a number"),
+        ('"closed": "false"', "closed must be true or false"),
+    ],
+    ids=["nan-C", "inf-C", "string-C", "bool-C", "string-closed"],
+)
+def test_realize_rejects_bad_target_key(tmp_path, capsys, entry, message):
+    # json.loads reads NaN and Infinity, and bool("false") is True: each is
+    # rejected by name before anything is planned or written
+    target = tmp_path / "bad.json"
+    waypoints = json.dumps(circle_waypoints().tolist())
+    target.write_text(f'{{"waypoints": {waypoints}, {entry}}}')
+    code = main(["realize", str(target), "--out", str(tmp_path / "x")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert message in err
+    assert out == ""
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         pytest.param(["probe", "--map", "stretch", "--t", "1,foo"], "--t must be",

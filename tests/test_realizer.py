@@ -642,6 +642,74 @@ def _suffix_cases(n, rows=400):
     }
 
 
+def _staircase(n, sweeps=4, hops=8):
+    """Orbit-like samples around a polyline in R^n: (a, b, sweep starts).
+
+    `b` samples the polyline through `hops` + 1 waypoints on r = 2 + 0.3 sin
+    2theta.  `a` holds 4 outer samples, then `sweeps` staircases, each hop an
+    arc at the entry radius followed by a radial move, jittered by 0.01 / k
+    in sweep k so that each sweep start changes the distance.
+    """
+    th = np.linspace(0.0, np.pi / 2, hops + 1)
+    radius = 2.0 + 0.3 * np.sin(2.0 * th)
+    lift = 0.1 * np.sin(3.0 * th)
+    way = np.zeros((hops + 1, n))
+    way[:, 0], way[:, 1], way[:, -1] = radius * np.cos(th), radius * np.sin(th), lift
+    b = rz._polyline_samples(way, False)
+    rng = np.random.default_rng(n)
+    u = np.linspace(0.0, 1.0, 50, endpoint=False)
+    parts, starts = [way[0] * np.linspace(2.0, 1.25, 4)[:, None]], []
+    for k in range(1, sweeps + 1):
+        starts.append(sum(len(p) for p in parts))
+        for i in range(hops):
+            ang = th[i] + (th[i + 1] - th[i]) * u
+            arc = np.zeros((len(u), n))
+            arc[:, 0], arc[:, 1] = radius[i] * np.cos(ang), radius[i] * np.sin(ang)
+            arc[:, -1] = lift[i] + (lift[i + 1] - lift[i]) * u
+            r = radius[i] + (radius[i + 1] - radius[i]) * u
+            radial = np.zeros((len(u), n))
+            radial[:, 0], radial[:, 1] = r * np.cos(th[i + 1]), r * np.sin(th[i + 1])
+            radial[:, -1] = lift[i + 1]
+            parts += [arc, radial]
+        parts[-2 * hops:] = [p + rng.normal(0.0, 0.01 / k, p.shape) for p in parts[-2 * hops:]]
+    return np.concatenate(parts), b, starts
+
+
+def _lattice(length=200):
+    """Points of a length x 2 x 2 integer lattice and the centres of its
+    cells, in x-major order: every distance between the sets ties with many
+    others, exactly, and the long axis lets the chunk balls cull."""
+    axes = np.arange(length, dtype=float), np.arange(2.0), np.arange(2.0)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    centres = grid[np.all(grid < [length - 1, 1, 1], axis=1)] + 0.5
+    return grid, centres, [0, 50, 100, 150, len(grid) - 1]
+
+
+def _touching_ball(seed):
+    """A chunk ball that touches the nearest sample of `b` to x0, and a
+    second chunk one rounding step farther away: (a, b).
+
+    `b` is one chunk of 8 antipodal pairs on a sphere whose nearest point to
+    x0 lies on the line through its centre, so the ball's lower bound equals
+    that distance up to rounding, then 16 copies of the point whose squared
+    distance to x0 is the next float up.  `a` is 16 copies of x0 followed by
+    copies of both chunks, so the distance is x0's own: the first chunk's.
+    """
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, 3)
+    v = rng.standard_normal((8, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    gap = rng.uniform(1.0, 3.0)
+    radius = rng.uniform(0.1, 0.45) * gap
+    ball = x0 + (gap + radius) * v[0] + radius * np.concatenate([-v, v])
+    near = ((ball - x0) ** 2).sum(axis=1).min()
+    far = x0 + np.array([np.sqrt(near), 0.0, 0.0])
+    while ((far - x0) ** 2).sum() <= near:
+        far[0] = np.nextafter(far[0], np.inf)
+    b = np.concatenate([ball, np.repeat(far[None], 16, axis=0)])
+    return np.concatenate([np.repeat(x0[None], 16, axis=0), b]), b
+
+
 class TestHausdorffBySuffix:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("case", ["random", "receding", "spread", "one-row-b"])
@@ -670,12 +738,13 @@ class TestHausdorffBySuffix:
     @pytest.mark.parametrize(
         "rows_a, rows_b, starts",
         [
-            # len(b) above the block size: one row of `a` per block
+            # len(b) above the block size: blocks split the columns of a run
+            # of chunks of b
             (6, rz._BLOCK + 5, [0, 5]),
-            # 32-row blocks whose last (lowest) block is ragged, with starts
-            # inside blocks and on block edges
+            # starts inside chunks of `a` and on their edges, which leave
+            # ragged chunks
             (100, 1000, [0, 99, 37, 4, 68, 5]),
-            # fewer rows than one block
+            # one start inside the first chunk of `a`
             (20, 1000, [3, 0]),
         ],
         ids=["one-row-blocks", "ragged", "partial-block"],
@@ -694,6 +763,108 @@ class TestHausdorffBySuffix:
     def test_empty_suffix_rejected(self, start):
         with pytest.raises(InvalidInputError):
             rz.hausdorff_by_suffix(np.ones((3, 3)), np.zeros((2, 3)), [start])
+
+    @pytest.mark.parametrize("block", [None, 100])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_staircase_matches_brute_force(self, monkeypatch, n, block):
+        # orbit-like samples, where most chunk pairs are culled; with blocks
+        # of 100 pairs, runs of kept rows are split inside and across sweeps
+        if block is not None:
+            monkeypatch.setattr(rz, "_BLOCK", block)
+        a, b, sweeps = _staircase(n)
+        starts = [sweeps[2], 0, *sweeps, len(a) - 1, sweeps[1] + 5]
+        got = rz.hausdorff_by_suffix(a, b, starts)
+        assert got == [_hausdorff_reference(a[s:], b) for s in starts]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("case", ["staircase", "lattice"])
+    def test_ties_and_offsets_match_brute_force(self, case, offset):
+        # the lattice ties many distances exactly, and an offset of 1e8 makes
+        # the chunk centres and radii round at 1e-8 while distances stay O(1)
+        a, b, starts = _staircase(3) if case == "staircase" else _lattice()
+        shift = offset * np.array([1.0, -1.0, 0.5])
+        a, b = a + shift, b + shift
+        got = rz.hausdorff_by_suffix(a, b, starts)
+        assert got == [_hausdorff_reference(a[s:], b) for s in starts]
+        # one suffix is symmetric in the two sets
+        assert rz.hausdorff_distance(b, a[starts[0]:]) == got[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-162])
+    def test_ball_touching_the_minimum_is_kept(self, scale):
+        # the rounding of a ball's centre and radius can put its lower bound
+        # above the next chunk's upper bound, a few ulps from a tie; only the
+        # slack on the bounds keeps the pair that holds the minimum.  At
+        # 1e-162 the squared distances are subnormal, and the relative slack
+        # alone culls some of those pairs.
+        for seed in range(300):
+            a, b = (scale * x for x in _touching_ball(seed))
+            assert rz.hausdorff_by_suffix(a, b, [0]) == [_hausdorff_reference(a, b)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_curves_match_brute_force(self, data):
+        n = data.draw(st.sampled_from([3, 4]))
+        rows_a, rows_b = data.draw(st.integers(1, 160)), data.draw(st.integers(1, 80))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        offset = data.draw(st.sampled_from([0.0, 1e3, 1e8]))
+        a = offset + np.cumsum(rng.standard_normal((rows_a, n)) * rng.uniform(0.01, 1.0), axis=0)
+        b = offset + np.cumsum(rng.standard_normal((rows_b, n)) * rng.uniform(0.01, 1.0), axis=0)
+        starts = data.draw(st.lists(st.integers(0, rows_a - 1), min_size=1, max_size=6))
+        got = rz.hausdorff_by_suffix(a, b, starts)
+        assert got == [_hausdorff_reference(a[s:], b) for s in starts]
+
+    def test_overflowing_bounds_keep_every_pair(self):
+        # the chunk centres lie 1.4e154 apart, so their squared distance
+        # overflows, yet the nearest pair across them is 2e152 apart
+        line = np.linspace(0.01e154, 1.39e154, 16)[:, None] * [1.0, 0.0, 0.0]
+        a, b = np.concatenate([line, -line]), np.concatenate([-line, line[1:]])
+        with np.errstate(over="ignore"):
+            # the scan squares the 2.78e154 distances across the chunks too
+            assert rz.hausdorff_by_suffix(a, b, [0]) == [_hausdorff_reference(a, b)] == [2e152]
+
+    @pytest.mark.parametrize("case", ["staircase", "cloud"])
+    def test_bounds_stream_in_blocks(self, monkeypatch, case):
+        # the chunk bounds come in blocks of about _BLOCK entries, and the
+        # runs of equal keep rows do not depend on where the blocks end; in
+        # the cloud, one run spans every block
+        if case == "staircase":
+            a, b, starts = _staircase(3)
+        else:
+            rng = np.random.default_rng(1)
+            a, b, starts = rng.standard_normal((300, 3)), rng.standard_normal((200, 3)), [0]
+        a, seg_lo = a[starts[0]:], [s - starts[0] for s in starts]
+        cols_a, cols_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        runs = list(rz._kept_rows(cols_a, cols_b, seg_lo))
+        blocks, chunk_keep = [], rz._chunk_keep
+
+        def spy(*args):
+            for j0, keep in chunk_keep(*args):
+                blocks.append(keep.shape)
+                yield j0, keep
+
+        monkeypatch.setattr(rz, "_chunk_keep", spy)
+        monkeypatch.setattr(rz, "_BLOCK", 1)
+        small = list(rz._kept_rows(cols_a, cols_b, seg_lo))
+        assert len(blocks) > 1
+        assert all(rows * cols <= max(rz._BLOCK, cols) for rows, cols in blocks)
+        assert [(c0, c1) for c0, c1, _ in small] == [(c0, c1) for c0, c1, _ in runs]
+        for (_, _, got), (_, _, want) in zip(small, runs):
+            assert np.array_equal(np.arange(len(a))[got], np.arange(len(a))[want])
+
+    def test_orbit_like_scan_is_culled(self, monkeypatch):
+        # switching culling off keeps every pair and fails this
+        a, b, starts = _staircase(3)
+        scanned, kept_rows = [], rz._kept_rows
+
+        def spy(cols_a, cols_b, seg_lo):
+            for c0, c1, rows in kept_rows(cols_a, cols_b, seg_lo):
+                scanned.append((c1 - c0) * np.arange(cols_a.shape[1])[rows].size)
+                yield c0, c1, rows
+
+        monkeypatch.setattr(rz, "_kept_rows", spy)
+        got = rz.hausdorff_by_suffix(a, b, starts)
+        assert got == [_hausdorff_reference(a[s:], b) for s in starts]
+        assert 0 < sum(scanned) < (len(a) - starts[0]) * len(b) / 4
 
 
 class TestInjectivity:
