@@ -148,7 +148,7 @@ def stretch_factor(cos2, K):
 
 
 def _norms(y):
-    return np.sqrt(np.sum(y * y, axis=-1))
+    return np.sqrt(kernels._sum_sq(np.moveaxis(y, -1, 0)))
 
 
 def _require_nonzero(r):
@@ -266,9 +266,9 @@ def chart_cos2(xb):
     Folds into the cube first, so both fundamental-set boxes (and any other
     representative) evaluate consistently.
     """
-    p, _ = kernels._fold_chart(np.asarray(xb, dtype=float))
-    m = np.max(np.abs(p), axis=-1)
-    return np.cos(m) ** 2
+    a = np.asarray(xb, dtype=float)
+    p, _ = kernels._fold_chart(a.reshape(-1, a.shape[-1]).T)
+    return np.cos(kernels._abs_max(p)).reshape(a.shape[:-1]) ** 2
 
 
 def stretch_shift_batch(xb, K):
@@ -440,14 +440,15 @@ def _grid_rows(n, res):
 def _phase_free_terms(xb):
     """(h, s^2) at chart points: h = grad(s^2) . (G x - ((G x)_p / x_p) x) with
     G x = (-x_2, x_1, 0, ...) and p the index of the max-norm coordinate."""
-    p = np.argmax(np.abs(xb), axis=1)
-    ssq, ds = kernels._spiral_ssq(xb, p)
-    gx = np.zeros_like(xb)
-    gx[:, 0] = -xb[:, 1]
-    gx[:, 1] = xb[:, 0]
-    rows = np.arange(len(xb))
-    y = gx - (gx[rows, p] / xb[rows, p])[:, None] * xb
-    return np.sum(ds * y, axis=1), ssq
+    cols = xb.T
+    p, xp, ssq, ds = kernels._spiral_ssq(cols)
+    gx = [-cols[1], cols[0], *[0.0] * (len(cols) - 2)]
+    ratio = kernels._pick(gx, p) / xp
+    # from +0.0, as np.sum adds: a row of -0.0 terms sums to +0.0
+    h = np.zeros(len(xp))
+    for d, g, c in zip(ds, gx, cols):
+        h += d * (g - ratio * c)
+    return h, ssq
 
 
 def _closed_form_det(power, h, ssq, K, alpha):
@@ -548,8 +549,8 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
             xn = phases / alpha
         phase = alpha * xn
         cos, sin = np.cos(phase), np.sin(phase)
-        terms = kernels._spiral_chart_terms(chart, K)
         coords = np.ascontiguousarray(chart.T)
+        terms = kernels._spiral_chart_terms(coords, K)
         step = max(1, _BLOCK // len(phases))
         for lo in range(0, len(chart), step):
             # chart point by chart point, the kept phases of each consecutive

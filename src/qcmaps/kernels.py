@@ -14,6 +14,19 @@ then return a single result.  Conventions shared by all of them:
   ([-pi/2,pi/2] x [-pi/2,pi/2]^{n-2}  union  (pi/2,3pi/2) x (-pi/2,pi/2)^{n-2})
   cross R, with boundary points assigned to the first box and x_1 = 3pi/2
   wrapped to -pi/2.
+
+The kernels work on coordinate columns: every reduction across coordinates
+(``_abs_max``, ``_argmax_abs``, ``_sum_sq``), every per-row pick (``_pick``)
+and every per-row masked add (``_only_where``) is a chain of elementwise
+ufuncs over the column views a[:, i], one call per coordinate over all m
+rows.  None reduces along the last axis of an (m, n) array, where numpy runs
+one inner loop of only n entries per row.  Sums of squares add the columns
+left to right, ((x_1^2 + x_2^2) + x_3^2) + ...; up to 7 coordinates this is
+the order np.sum and np.linalg.norm take along a short last axis, so the
+sums equal theirs to the bit, while from 8 coordinates on numpy sums
+pairwise and the two can differ in the last place.  Masked ufuncs (``where=``)
+write only to contiguous vectors, never to a column view: numpy 2.4's masked
+np.negative misreads a 64-byte stride, the last column of an (m, 8) array.
 """
 
 from __future__ import annotations
@@ -32,31 +45,95 @@ def _as_batch(x):
     return (a[None, :] if single else a), single
 
 
-def _fold_chart(xb):
-    """Fold chart coordinates into the cube; return (folded, reflection parity).
+def _abs_max(cols):
+    """Elementwise max of |c| over `cols`, a sequence of at least one array:
+    np.max(np.abs(x), axis=-1) for cols = x.T."""
+    out = np.abs(cols[0])
+    for c in cols[1:]:
+        np.maximum(out, np.abs(c), out=out)
+    return out
+
+
+def _argmax_abs(cols):
+    """Index of the column of largest |c| in each row, as
+    np.argmax(np.abs(x), axis=-1) gives for cols = x.T and finite x.
+
+    The index is the count of leading columns strictly below the row's
+    max, so ties give the first index; counting takes no masked writes,
+    whose cost grows with how unpredictable the mask is.
+    """
+    top = _abs_max(cols)
+    below = np.abs(cols[0]) < top
+    idx = below.astype(np.intp)
+    for c in cols[1:-1]:
+        below &= np.abs(c) < top
+        idx += below
+    return idx
+
+
+def _sum_sq(cols):
+    """Elementwise sum of c * c over `cols`, added left to right."""
+    out = cols[0] * cols[0]
+    for c in cols[1:]:
+        out += c * c
+    return out
+
+
+def _pick(cols, idx):
+    """cols[idx[k]][k] for every row k: the per-row pick of columns."""
+    out = cols[0]
+    for i, c in enumerate(cols[1:], 1):
+        out = np.where(idx == i, c, out)
+    return out
+
+
+def _only_where(mask, v):
+    """v where mask holds, else -0.0: the addend of a masked add.
+
+    -0.0 is the exact additive identity (x + -0.0 is x, -0.0 included, where
+    +0.0 would turn a -0.0 into +0.0), so ``a += _only_where(mask, v)`` adds
+    v at the masked entries only.  A select costs less than np.add's masked
+    loop, whose time grows with how unpredictable the mask is.
+    """
+    return np.where(mask, v, -0.0)
+
+
+def _fold_chart(cols):
+    """Fold chart coordinate columns into the cube; return (folded, odd).
 
     2*pi translations are parity-even (two face reflections); the at-most-one
-    remaining face reflection per coordinate is parity-odd.  The rint-based
-    wrap leaves already-in-range coordinates bit-exact.
+    remaining face reflection per coordinate is parity-odd, so the reflection
+    parity `odd` is the XOR of the per-coordinate reflection masks.  The
+    rint-based wrap leaves already-in-range coordinates bit-exact.
     """
-    w = xb - TWO_PI * np.rint(xb / TWO_PI)
-    hi = w > HALF_PI
-    lo = w < -HALF_PI
-    w = np.where(hi, np.pi - w, w)
-    w = np.where(lo, -np.pi - w, w)
-    parity = (hi.sum(axis=-1) + lo.sum(axis=-1)) % 2
-    return w, parity
+    folded = []
+    odd = np.zeros(np.shape(cols[0]), dtype=bool)
+    for x in cols:
+        w = x / TWO_PI
+        np.rint(w, out=w)
+        w *= TWO_PI
+        np.subtract(x, w, out=w)
+        hi = w > HALF_PI
+        lo = w < -HALF_PI
+        np.subtract(np.pi, w, out=w, where=hi)
+        np.subtract(-np.pi, w, out=w, where=lo)
+        odd ^= hi
+        odd ^= lo
+        folded.append(w)
+    return folded, odd
 
 
-def _chart(p):
-    """Cube chart onto the closed upper half unit sphere."""
-    m = np.max(np.abs(p), axis=-1)
-    r = np.sqrt(np.sum(p * p, axis=-1))
+def _chart(cols):
+    """Cube chart onto the closed upper half unit sphere, (m, n), from the
+    n-1 chart coordinate columns of an m-point batch."""
+    m = _abs_max(cols)
+    r = np.sqrt(_sum_sq(cols))
     safe = r > 0.0
     scale = np.where(safe, np.sin(m) / np.where(safe, r, 1.0), 0.0)
-    y = np.empty(p.shape[:-1] + (p.shape[-1] + 1,))
-    y[..., :-1] = p * scale[..., None]
-    y[..., -1] = np.cos(m)
+    y = np.empty(m.shape + (len(cols) + 1,))
+    for i, c in enumerate(cols):
+        np.multiply(c, scale, out=y[:, i])
+    y[:, -1] = np.cos(m)
     return y
 
 
@@ -74,6 +151,11 @@ def _rotate_12(v, c, s):
     w = v.copy()
     w[..., 0], w[..., 1] = _rotate_pair(v[..., 0], v[..., 1], c, s)
     return w
+
+
+def _rotated_cols(xb, c, s):
+    """The chart columns xb with the first two rotated by (c, s)."""
+    return [*_rotate_pair(xb[0], xb[1], c, s), *xb[2:]]
 
 
 def _max_and_gap(cols):
@@ -94,10 +176,15 @@ def _max_and_gap(cols):
 def zorich_forward_batch(x):
     """Z(x) = e^{x_n} h(x_1..x_{n-1}) for arbitrary points of R^n."""
     a, single = _as_batch(x)
-    p, parity = _fold_chart(a[..., :-1])
-    y = _chart(p)
-    y[..., -1] = np.where(parity == 1, -y[..., -1], y[..., -1])
-    out = y * np.exp(a[..., -1])[..., None]
+    p, odd = _fold_chart(a[:, :-1].T)
+    out = _chart(p)
+    scale = np.exp(a[:, -1])
+    for c in out.T[:-1]:
+        c *= scale
+    # negation commutes with the product exactly
+    last = out[:, -1] * scale
+    np.negative(last, out=last, where=odd)
+    out[:, -1] = last
     return out[0] if single else out
 
 
@@ -108,34 +195,37 @@ def zorich_inverse_batch(y):
     at both the poles and the equator, unlike arccos of the axial cosine).
     """
     a, single = _as_batch(y)
-    r = np.sqrt(np.sum(a * a, axis=-1))
-    yn = a[..., -1]
-    yb = a[..., :-1]
-    m = np.arctan2(np.sqrt(np.sum(yb * yb, axis=-1)), np.abs(yn))
-    mx = np.max(np.abs(yb), axis=-1)
+    yb, yn = a.T[:-1], a[:, -1]
+    # |y|^2 sums the columns left to right, so it extends the transverse sum
+    sb = _sum_sq(yb)
+    r = np.sqrt(sb + yn * yn)
+    m = np.arctan2(np.sqrt(sb), np.abs(yn))
+    mx = _abs_max(yb)
     safe = mx > 0.0
     scale = np.where(safe, m / np.where(safe, mx, 1.0), 0.0)
-    pb = yb * scale[..., None]
     out = np.empty_like(a)
-    out[..., :-1] = pb
-    out[..., 0] = np.where(yn < 0.0, np.pi - pb[..., 0], pb[..., 0])
-    out[..., -1] = np.log(r)
+    for i, c in enumerate(yb[1:], 1):
+        np.multiply(c, scale, out=out[:, i])
+    p1 = yb[0] * scale
+    np.subtract(np.pi, p1, out=p1, where=yn < 0.0)
+    out[:, 0] = p1
+    out[:, -1] = np.log(r)
     return out[0] if single else out
 
 
 def canonicalize_batch(x):
     """Canonical fundamental-set representative of arbitrary coordinates."""
     a, single = _as_batch(x)
-    p, parity = _fold_chart(a[..., :-1])
-    mx = np.max(np.abs(p), axis=-1)
+    p, odd = _fold_chart(a[:, :-1].T)
     # odd parity flips the image hemisphere: represent in the second box,
     # except on the equator preimage (max |p_i| = pi/2) where both agree
     # and the convention assigns the first box.
-    odd = (parity == 1) & (mx < HALF_PI)
+    odd &= _abs_max(p) < HALF_PI
+    np.subtract(np.pi, p[0], out=p[0], where=odd)
     out = np.empty_like(a)
-    out[..., :-1] = p
-    out[..., 0] = np.where(odd, np.pi - p[..., 0], p[..., 0])
-    out[..., -1] = a[..., -1]
+    for i, c in enumerate(p):
+        out[:, i] = c
+    out[:, -1] = a[:, -1]
     return out[0] if single else out
 
 
@@ -149,58 +239,63 @@ def spiral_u_batch(x, K, alpha):
     """
     a, single = _as_batch(x)
     K = float(K)
-    xb = a[..., :-1]
-    xn = a[..., -1]
+    xb, xn = a.T[:-1], a[:, -1]
     phase = float(alpha) * xn
-    w = _rotate_12(xb, np.cos(phase), np.sin(phase))
-    m = np.max(np.abs(xb), axis=-1)
-    dm = np.max(np.abs(w), axis=-1)
-    scale = m / dm
-    x1 = xb[..., 0]
-    rho2 = np.sum(xb * xb, axis=-1)
+    w = _rotated_cols(xb, np.cos(phase), np.sin(phase))
+    m = _abs_max(xb)
+    scale = m / _abs_max(w)
+    x1 = xb[0]
     sin2m = np.sin(m) ** 2
-    g = K * K + (1.0 - K * K) * (x1 * x1 * sin2m / rho2)
+    g = K * K + (1.0 - K * K) * (x1 * x1 * sin2m / _sum_sq(xb))
     out = np.empty_like(a)
-    out[..., :-1] = w * scale[..., None]
-    out[..., -1] = xn + np.log(K) - 0.5 * np.log(g)
+    for i, c in enumerate(w):
+        np.multiply(c, scale, out=out[:, i])
+    out[:, -1] = xn + np.log(K) - 0.5 * np.log(g)
     return out[0] if single else out
 
 
-def _spiral_ssq(xb, p):
-    """s^2 = x_1^2 sin^2(x_p) / |x_b|^2 and its gradient in x_b, (m,), (m, n-1).
+def _spiral_ssq(xb):
+    """Max-norm coordinate, s^2 = x_1^2 sin^2(x_p) / |x_b|^2 and its gradient.
 
-    s^2 is the squared first coordinate of the chart image of the chart
-    points xb, whose max-norm coordinate has index p; the spiral stretch's
-    log factor is -ln(K^2 + (1 - K^2) s^2) / 2 plus ln K.
+    xb holds the n-1 chart columns of m points.  Returns (p, x_p, s^2, ds):
+    the index and value of each point's max-norm coordinate, s^2 as (m,) and
+    its gradient in x_b as (n-1, m) rows.  s^2 is the squared first
+    coordinate of the chart image of xb; the spiral stretch's log factor is
+    -ln(K^2 + (1 - K^2) s^2) / 2 plus ln K.
     """
-    rows = np.arange(len(xb))
-    x1 = xb[:, 0]
-    xp = xb[rows, p]
-    rho2 = np.sum(xb * xb, axis=1)
+    p = _argmax_abs(xb)
+    xp = _pick(xb, p)
+    x1 = xb[0]
+    rho2 = _sum_sq(xb)
     sinp = np.sin(xp)
     sin2p = np.sin(2.0 * xp)
     ssq = x1 * x1 * sinp * sinp / rho2
-    ds = -2.0 * ssq[:, None] * xb / rho2[:, None]
-    ds[:, 0] += 2.0 * x1 * sinp * sinp / rho2
-    ds[rows, p] += x1 * x1 * sin2p / rho2
-    return ssq, ds
+    ds = np.empty((len(xb), len(x1)))
+    t = -2.0 * ssq
+    for d, c in zip(ds, xb):
+        np.multiply(t, c, out=d)
+        d /= rho2
+    ds[0] += 2.0 * x1 * sinp * sinp / rho2
+    t = x1 * x1 * sin2p / rho2
+    for i, d in enumerate(ds):
+        d += _only_where(p == i, t)
+    return p, xp, ssq, ds
 
 
 def _spiral_chart_terms(xb, K):
-    """The phase-free part of the spiral Jacobian at chart points xb, (m, n-1).
+    """The phase-free part of the spiral Jacobian at chart points.
 
-    Returns (p, x_p, sign(x_p), last): the index and value of each point's
-    max-norm coordinate, its sign, and the Jacobian's last row
-    (coef(K) grad(s^2), 1) as an (n, m) array of entry vectors, with
-    coef(K) = (K^2 - 1) / (2 g) and g = K^2 + (1 - K^2) s^2.
+    xb is the chart block as (n-1, m) coordinate vectors.  Returns
+    (p, x_p, sign(x_p), last): the index and value of each point's max-norm
+    coordinate, its sign, and the Jacobian's last row (coef(K) grad(s^2), 1)
+    as an (n, m) array of entry vectors, with coef(K) = (K^2 - 1) / (2 g) and
+    g = K^2 + (1 - K^2) s^2.
     """
-    p = np.argmax(np.abs(xb), axis=1)
-    xp = xb[np.arange(len(xb)), p]
-    ssq, ds = _spiral_ssq(xb, p)
+    p, xp, ssq, ds = _spiral_ssq(xb)
     g = K * K + (1.0 - K * K) * ssq
     coef = -(1.0 - K * K) / (2.0 * g)
-    last = np.empty((xb.shape[1] + 1, len(xb)))
-    last[:-1] = coef * ds.T
+    last = np.empty((len(xb) + 1, len(xp)))
+    np.multiply(coef, ds, out=last[:-1])
     last[-1] = 1.0
     return p, xp, np.sign(xp), last
 
@@ -219,22 +314,18 @@ def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last):
     and (s, c, 0.., alpha w_1), and the unit rows e_k beyond them.
     """
     nb, m = xb.shape
-    w = np.empty((nb, m))
-    w[0], w[1] = _rotate_pair(xb[0], xb[1], c, s)
-    w[2:] = xb[2:]
-    q = np.argmax(np.abs(w), axis=0)
-    cols = np.arange(m)
-    dval = w[q, cols]
+    w = np.array(_rotated_cols(xb, c, s))
+    q = _argmax_abs(w)
+    dval = _pick(w, q)
     sign = sign_p * np.sign(dval)
     w_over_d = w / dval
     u = xp * w_over_d / dval
 
     # dw's first two rows on their nonzero columns 0, 1 and n-1
     rot = ((c, -s, -alpha * w[1]), (s, c, alpha * w[0]))
-    on0, on1 = q == 0, q == 1
     dd = np.zeros((nb + 1, m))
     for j, a, b in zip((0, 1, nb), *rot):
-        dd[j] = np.where(on0, a, np.where(on1, b, 0.0))
+        dd[j] = _pick((a, b, *[0.0] * (nb - 2)), q)
     for k in range(2, nb):
         dd[k] = q == k
 
@@ -246,7 +337,8 @@ def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last):
             top[i, j] += xp * v / dval
     for k in range(2, nb):
         top[k, k] += xp / dval
-    top[:, p, cols] += w_over_d
+    for j in range(nb):
+        top[:, j] += _only_where(p == j, w_over_d)
     top *= sign
     jac[nb] = last
     return jac
@@ -305,9 +397,9 @@ def spiral_jac_batch(x, K, alpha):
     K, alpha = float(K), float(alpha)
     nb = x.shape[1] - 1
     phase = alpha * x[:, nb]
+    xb = np.ascontiguousarray(x[:, :nb].T)
     jac = _spiral_jac_assemble(
-        np.ascontiguousarray(x[:, :nb].T), np.cos(phase), np.sin(phase), alpha,
-        *_spiral_chart_terms(x[:, :nb], K),
+        xb, np.cos(phase), np.sin(phase), alpha, *_spiral_chart_terms(xb, K)
     ).transpose(2, 0, 1)
     return jac[0] if single else jac
 
@@ -318,11 +410,10 @@ def spiral_region_batch(x, alpha):
     Always returns length-m arrays; a single point gives length-1 arrays.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    xb = x[:, :-1]
+    xb = x.T[:-1]
     phase = float(alpha) * x[:, -1]
-    w = _rotate_12(xb, np.cos(phase), np.sin(phase))
-    absx = np.abs(xb)
-    absw = np.abs(w)
-    _, pyr = _max_and_gap(absx.T)
-    _, switch = _max_and_gap(absw.T)
-    return np.argmax(absx, axis=1), np.argmax(absw, axis=1), pyr, switch
+    w = _rotated_cols(xb, np.cos(phase), np.sin(phase))
+    absx = [np.abs(c) for c in xb]
+    _, pyr = _max_and_gap(absx)
+    _, switch = _max_and_gap([np.abs(w[0]), np.abs(w[1]), *absx[2:]])
+    return _argmax_abs(xb), _argmax_abs(w), pyr, switch

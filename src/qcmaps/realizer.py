@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .canonical_maps import (
     _interp_log_mix,
     _interp_log_weight,
@@ -43,7 +44,9 @@ from .vecgeom import fibonacci_sphere, frame_from_direction, planar_rotation, un
 # Planned hops must chain to this accuracy; arcs must lie in the running
 # spiral plane to the same accuracy.
 CHAIN_TOL = 1e-9
-_LOG_RADIUS_FLOOR = -600.0  # keep shell radii representable in float64
+# ln of the least radius whose square is a normal float64, so that norms
+# formed as sqrt(sum x_i^2) neither underflow to 0 nor lose digits
+_LOG_RADIUS_FLOOR = 0.5 * np.log(np.finfo(float).tiny)
 
 
 # =====================================================================
@@ -498,7 +501,7 @@ def eval_map_batch(rm, x):
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.size == 0 or not np.all(np.isfinite(a)):
         raise InvalidInputError("points must be a non-empty finite batch")
-    r = np.linalg.norm(a, axis=1)
+    r = np.sqrt(kernels._sum_sq(a.T))
     if r.min() == 0.0:
         raise OriginError("realized map evaluation requires x != 0")
     order, runs = _region_runs(_locate(rm, r))

@@ -18,6 +18,21 @@ def test_single_point_wrappers():
     assert np.array_equal(batch[0], single)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_batch_rows_match_single_points(n):
+    # a batch's column views are strided by n entries, a single point's are
+    # not; at n = 8 a masked np.negative on the strided last column misreads
+    # its input, so masked writes go to contiguous vectors only
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-6.0, 6.0, (64, n))
+    box = np.clip(x, -1.5, 1.5)
+    for f, a in ((kernels.zorich_forward_batch, x), (kernels.zorich_inverse_batch, x),
+                 (kernels.canonicalize_batch, x),
+                 (lambda v: kernels.spiral_u_batch(v, 2.0, 0.25), box)):
+        batch = f(a)
+        assert np.array_equal(batch, np.stack([f(row) for row in a]))
+
+
 def test_max_and_gap_matches_sort():
     rng = np.random.default_rng(3)
     a = np.abs(rng.standard_normal((500, 5)))
@@ -31,6 +46,72 @@ def test_max_and_gap_matches_sort():
         assert np.array_equal(top, s[:, -1])
         assert np.array_equal(gap, s[:, -1] - s[:, -2])
     assert np.all(gap[:50] == 0.0) and np.all(gap[100:110] == 0.0)
+
+
+def _tied_rows(n, seed):
+    """Random rows of n coordinates, with ties among the largest |x_i|:
+    (-a, a) pairs, rows of +-1 and +-0.0, rows of signed zeros only, and
+    rows whose first and last |x_i| tie at the top."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3000, n)) * np.exp(rng.uniform(-4.0, 4.0, (3000, n)))
+    x[:500, 1] = -x[:500, 0]
+    x[500:1000] = rng.choice([-1.0, 1.0, -0.0, 0.0], (500, n))
+    x[1000:1100] = rng.choice([-0.0, 0.0], (100, n))
+    x[1100:1200, 0] = rng.choice([-1e6, 1e6], 100)
+    x[1100:1200, -1] = -x[1100:1200, 0]
+    return x
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_column_reductions_match_numpy(n):
+    # bit for bit, signed zeros and ties included, up to 7 coordinates
+    x = _tied_rows(n, n)
+    cols = x.T
+    assert _bits(kernels._abs_max(cols)) == _bits(np.max(np.abs(x), axis=1))
+    p = kernels._argmax_abs(cols)
+    assert np.array_equal(p, np.argmax(np.abs(x), axis=1))
+    assert _bits(kernels._pick(cols, p)) == _bits(x[np.arange(len(x)), p])
+    assert _bits(kernels._sum_sq(cols)) == _bits(np.sum(x * x, axis=1))
+    assert _bits(np.sqrt(kernels._sum_sq(cols))) == _bits(np.linalg.norm(x, axis=1))
+
+
+def test_only_where_adds_nothing_elsewhere():
+    # -0.0 is the additive identity: +0.0 would turn the -0.0 entries to +0.0
+    a = np.array([-0.0, 0.0, -0.0, 1.5])
+    a += kernels._only_where(np.array([False, False, True, True]), np.array([7.0, 7.0, 0.0, -0.0]))
+    assert _bits(a) == _bits([-0.0, 0.0, 0.0, 1.5])
+
+
+def _fold_reference(xb):
+    """The row-layout fold and parity, kept as the reference for the column
+    ``_fold_chart``."""
+    w = xb - kernels.TWO_PI * np.rint(xb / kernels.TWO_PI)
+    hi = w > kernels.HALF_PI
+    lo = w < -kernels.HALF_PI
+    w = np.where(hi, np.pi - w, w)
+    w = np.where(lo, -np.pi - w, w)
+    return w, (hi.sum(axis=-1) + lo.sum(axis=-1)) % 2
+
+
+@pytest.mark.parametrize("nb", [2, 3, 4])
+def test_fold_chart_parity_on_cube_faces(nb):
+    # coordinates on the faces |w| = pi/2, at their 2 pi translates, on the
+    # fold seam pi and just beside the faces
+    h = kernels.HALF_PI
+    faces = [h, -h, 3 * h, -3 * h, 5 * h, np.pi, -np.pi, 0.0, -0.0,
+             np.nextafter(h, 4.0), np.nextafter(-h, -4.0), np.nextafter(h, 0.0)]
+    rng = np.random.default_rng(nb)
+    xb = rng.choice(faces, (4000, nb))
+    xb[:1000, 0] = rng.uniform(-9.0, 9.0, 1000)
+    w, odd = kernels._fold_chart(xb.T)
+    ref_w, ref_parity = _fold_reference(xb)
+    assert _bits(np.stack(w, axis=1)) == _bits(ref_w)
+    assert np.array_equal(odd, ref_parity == 1)
+    assert odd.any() and not odd.all()
 
 
 def _dense_spiral_jac(x, K, alpha):
@@ -67,9 +148,9 @@ def _dense_spiral_jac(x, K, alpha):
     )
     jac[rows, :nb, p] += w_over_d
     jac[:, :nb, :] *= sign[:, None, None]
-    ssq, ds = kernels._spiral_ssq(xb, p)
+    _, _, ssq, ds = kernels._spiral_ssq(xb.T)
     g = K * K + (1.0 - K * K) * ssq
-    jac[:, n - 1, :nb] = (-(1.0 - K * K) / (2.0 * g))[:, None] * ds
+    jac[:, n - 1, :nb] = (-(1.0 - K * K) / (2.0 * g))[:, None] * ds.T
     jac[:, n - 1, n - 1] = 1.0
     return jac
 

@@ -132,6 +132,18 @@ class TestBuildMap:
         expected_exit = p.frame @ rz.planar_rotation(np.pi / 2, 0, 1, 3)
         assert np.allclose(p.exit_frame, expected_exit)
 
+    def test_shell_radii_stop_where_squares_underflow(self):
+        # a 120-waypoint closed loop at k_max 3 needs shells down to about
+        # 1e-183, whose points have |x|^2 = 0 in float64: planning refuses
+        # it, where evaluation used to reject its orbit as the origin
+        th = np.arange(120) * np.pi / 60
+        r = 2.0 + 0.3 * np.sin(2.0 * th)
+        w = np.stack([r * np.cos(th), r * np.sin(th), 0.0 * th], axis=1)
+        plans = rz.plan_paths(rz.TargetSet(waypoints=w, closed=True), 3)
+        with pytest.raises(PlanningError, match="shell radii underflow"):
+            rz.build_map(plans, n=3)
+        assert np.exp(rz._LOG_RADIUS_FLOOR) ** 2 >= np.finfo(float).tiny
+
     def test_interface_agreement(self, quarter_circle_map):
         rm, _, _ = quarter_circle_map
         rng = np.random.default_rng(1)
@@ -591,6 +603,15 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             rz.hausdorff_distance(np.empty((0, 3)), np.ones((1, 3)))
+
+    def test_symmetric_on_realize_orbit(self, quarter_circle_map):
+        # swapping the sets only flips the sign of each coordinate
+        # difference, so the distance is the same to the bit
+        rm, target, _ = quarter_circle_map
+        gamma = rz.orbit_curve(rm, rz.default_orbit_times(rm, per_piece=60))
+        poly = rz._polyline_samples(target.waypoints, target.closed)
+        d = rz.hausdorff_distance(gamma, poly)
+        assert d > 0.0 and d == rz.hausdorff_distance(poly, gamma)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
