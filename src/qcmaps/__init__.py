@@ -2,16 +2,20 @@
 
 Modules:
 
-- ``vecgeom``: small-n dense kernel (singular values, frames, rotations).
-- ``zorich``: cube-chart Zorich map, fundamental set, conjugation evaluator.
-- ``canonical_maps``: radial stretch, radial interpolation, spiral stretch,
-  their log-coordinate transforms, analytic Jacobians, spiral-rate selection.
-- ``distortion``: finite differences on one point or a batch,
-  dilatation/linear-distortion reports, and the chart bilipschitz form.
-- ``realizer``: waypoint path planning, shell-map assembly, mean radius,
-  rescaled orbit curves, Hausdorff distances.
-- ``kernels``: batched numpy hot loops (Zorich map, canonicalization,
-  spiral transform and its Jacobian).
+- ``kernels``: batched numpy hot loops (Zorich map and its inverse,
+  canonicalization, spiral transform and its Jacobian); each takes one
+  (n,) point or an (m, n) batch and checks its shape.
+- ``zorich``: fundamental-set samples, the quotient metric and the
+  conjugation residual of the cube-chart Zorich map.
+- ``canonical_maps``: radial stretch, radial interpolation and spiral
+  stretch, one y-space entry per family, their log-coordinate shifts, and
+  spiral-rate selection.
+- ``distortion``: finite-difference Jacobians and linear distortion on one
+  point or a batch, and the chart bilipschitz form.
+- ``realizer``: waypoint path planning, shell-map assembly, evaluation,
+  mean radius, orbit tables, Hausdorff distances.
+- ``vecgeom``: small-n helpers (validation, frames, rotations, sphere
+  directions).
 - ``cli``: the ``qcmaps`` command (verify / realize / probe).
 """
 
@@ -21,19 +25,12 @@ from .canonical_maps import (
     SpiralSpec,
     StretchSpec,
     interp_stretch,
-    interp_stretch_transform,
     oriented_stretch,
-    radial_stretch,
-    radial_stretch_transform,
     select_alpha,
     spiral_stretch,
-    spiral_stretch_transform,
-    spiral_transform_jacobian_analytic,
 )
 from .distortion import (
-    DistortionReport,
     bilipschitz_form,
-    distortion_report,
     finite_diff_jacobian,
     linear_distortion_numeric,
 )
@@ -44,28 +41,13 @@ from .realizer import (
     ShellPiece,
     TargetSet,
     build_map,
-    eval_map,
+    eval_map_batch,
     hausdorff_distance,
-    mean_radius,
-    orbit_curve,
+    mean_radius_batch,
+    orbit_table,
     plan_paths,
-    rescaled_map,
 )
-from .vecgeom import (
-    frame_from_direction,
-    great_circle_angle,
-    planar_rotation,
-    svd_small,
-)
-from .zorich import (
-    FundamentalPoint,
-    canonicalize,
-    composition_residual,
-    quotient_distance,
-    sphere_chart,
-    transform_eval,
-    zorich_forward,
-    zorich_inverse,
-)
+from .vecgeom import frame_from_direction, planar_rotation
+from .zorich import composition_residual, quotient_distance_batch
 
 __version__ = "0.1.0"

@@ -2,23 +2,27 @@
 
 Each family exists in two coordinate systems:
 
-- y-space maps on R^n (minus the origin where noted).  The raw radial
-  stretch scales by K / sqrt(K^2 + (1 - K^2) cos^2 phi) with phi the angle
-  from the last axis; oriented variants conjugate the e_1-axis form by a
-  frame, so a single frame drives stretch direction and spiral plane.
+- y-space maps on R^n (minus the origin where noted), one entry per family
+  (``oriented_stretch``, ``interp_stretch``, ``spiral_stretch``) that takes
+  an (n,) point or an (m, n) batch and a spec.  The stretch scales by
+  K / sqrt(K^2 + (1 - K^2) cos^2 phi), with phi the angle from the spec
+  frame's first column, so a single frame drives stretch direction and
+  spiral plane.
 - log-coordinate transforms on the fundamental set (conjugation by the cube
   chart Zorich map).  The stretch and interpolation transforms keep the
-  chart block and shift the last coordinate by V resp. V_I; the spiral
-  transform rescales the chart block through the max-norm/reciprocal-min
-  bookkeeping and shifts the last coordinate by the log stretch factor.
+  chart block and shift the last coordinate by V resp. V_I
+  (``stretch_shift_batch``, ``interp_shift_batch``); the spiral transform,
+  ``kernels.spiral_u_batch``, rescales the chart block through the
+  max-norm/reciprocal-min bookkeeping and shifts the last coordinate by the
+  log stretch factor.
 
-The spiral transform's closed-form Jacobian is assembled per differentiability
-region (which coordinate attains the max-norm, which candidate attains the
-min) and is verified against finite differences in the tests.  Its
-determinant has the closed form (m/d)^{n-1} (1 - alpha coef(K) h), where m
-and d are the chart block's max-norms before and after the spiral rotation
-and h and coef(K) do not depend on the phase (derived in ``select_alpha``).
-``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
+The spiral transform's closed-form Jacobian, ``kernels.spiral_jac_batch``, is
+assembled per differentiability region (which coordinate attains the
+max-norm, which candidate attains the min) and is verified against finite
+differences in the tests.  Its determinant has the closed form
+(m/d)^{n-1} (1 - alpha coef(K) h), where m and d are the chart block's
+max-norms before and after the spiral rotation and h and coef(K) do not
+depend on the phase (derived in ``select_alpha``).  ``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
 that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
 2^{-(n-1)/2}.  One generator, ``_grid_rows``, walks each grid and filters
 it, and ``_kept_blocks`` joins its rows into blocks of chart points with a
@@ -39,19 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ChartSingularityError,
-    InvalidInputError,
-    NearSingularRegionError,
-    OriginError,
-    OutsideShellError,
-)
+from .errors import InvalidInputError, OriginError, OutsideShellError
 from .kernels import HALF_PI, TWO_PI
 from .vecgeom import check_frame
-from .zorich import FundamentalPoint, _coords_of
 
 SHELL_TOL = 1e-9
-REGION_MARGIN = 1e-6
 
 
 # =====================================================================
@@ -156,42 +152,28 @@ def _require_nonzero(r):
         raise OriginError("map is undefined at the origin")
 
 
-def _as_points(y):
+def _as_points(y, n):
+    """y as finite points of R^n, the space of the spec they are mapped by."""
     a = np.asarray(y, dtype=float)
-    if a.shape[-1] < 3:
+    if a.ndim == 0 or a.shape[-1] < 3:
         raise InvalidInputError("points need n >= 3 coordinates")
+    if a.shape[-1] != n:
+        raise InvalidInputError(
+            f"points have {a.shape[-1]} coordinates; the map acts on R^{n}"
+        )
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("points have non-finite coordinates")
     return a
 
 
-def _axis_stretch(y, K, axis):
-    _require_stretch_factor(K)
-    a = _as_points(y)
-    r = _norms(a)
-    _require_nonzero(r)
-    cos2 = (a[..., axis] / r) ** 2
-    return stretch_factor(cos2, K)[..., None] * a
-
-
-def radial_stretch(y, K):
-    """Stretch spheres to ellipsoids by K >= 1 along the last axis."""
-    return _axis_stretch(y, K, -1)
-
-
-def stretch_axis1(y, K):
-    """The same stretch re-axised to act along the first coordinate axis."""
-    return _axis_stretch(y, K, 0)
-
-
 def oriented_stretch(y, spec):
-    """F . stretch_axis1(F^T y).
+    """F . S(F^T y), with S the stretch by K along the first coordinate axis.
 
-    Because the axis-1 stretch is a scalar profile times the identity, the
-    conjugation collapses to scaling y by the profile evaluated at the cosine
-    against the frame's first column; the direction of y is preserved.
+    Because S is a scalar profile times the identity, the conjugation
+    collapses to scaling y by the profile evaluated at the cosine against
+    the frame's first column; the direction of y is preserved.
     """
-    a = _as_points(y)
+    a = _as_points(y, spec.n)
     r = _norms(a)
     _require_nonzero(r)
     sigma = spec.frame[:, 0]
@@ -220,7 +202,7 @@ def interp_stretch(y, spec):
     L-stretch profile at the inner one, geometrically interpolated by
     nu = (ln|y| - s) / (t - s) in between.
     """
-    a = _as_points(y)
+    a = _as_points(y, spec.n)
     r = _norms(a)
     _require_nonzero(r)
     lnr = np.log(r)
@@ -238,7 +220,7 @@ def spiral_stretch(y, spec):
     Spheres map to ellipsoids with one semi-axis K|y| along the rotated image
     of the frame's first column; the unit sphere is not rotated at all.
     """
-    a = _as_points(y)
+    a = _as_points(y, spec.n)
     r = _norms(a)
     _require_nonzero(r)
     w = a @ spec.frame
@@ -276,79 +258,18 @@ def stretch_shift_batch(xb, K):
     return np.log(stretch_factor(chart_cos2(xb), K))
 
 
-def radial_stretch_transform(x, K):
-    """Lift of the last-axis radial stretch: chart block fixed, x_n += V.
-
-    The shift is additive because the stretch scales the image radius
-    e^{x_n} by the profile value, and log-radius is the last coordinate.
-    """
-    _require_stretch_factor(K)
-    coords = _coords_of(x)
-    out = coords.copy()
-    out[-1] += float(stretch_shift_batch(coords[:-1], K))
-    return FundamentalPoint(out)
-
-
 def interp_shift_batch(xb, xn, spec):
-    """Vertical shift V_I of the interpolation transform (batched)."""
-    nu = np.clip((np.asarray(xn, dtype=float) - spec.s) / (spec.t - spec.s), 0.0, 1.0)
-    return _interp_log_weight(chart_cos2(xb), nu, spec.K, spec.L)
+    """Vertical shift V_I of the interpolation transform (batched).
 
-
-def interp_stretch_transform(x, spec):
-    """Lift of the radial interpolation (axis-aligned form).
-
-    Defined for s <= x_n <= t; the chart block is fixed and x_n gains
-    V_I = nu ln(K-profile) + (1 - nu) ln(L-profile).  The spec's frame plays
-    no role here: oriented variants go through the conjugation evaluator.
+    Defined on the slab s <= x_n <= t; the chart block is fixed and x_n gains
+    V_I = nu ln(K-profile) + (1 - nu) ln(L-profile), nu = (x_n - s) / (t - s).
+    The axis-aligned form: the spec's frame plays no role here.
     """
-    coords = _coords_of(x)
-    xn = coords[-1]
-    if xn < spec.s - SHELL_TOL or xn > spec.t + SHELL_TOL:
+    xn = np.asarray(xn, dtype=float)
+    if np.min(xn) < spec.s - SHELL_TOL or np.max(xn) > spec.t + SHELL_TOL:
         raise OutsideShellError("x_n outside the interpolation slab")
-    out = coords.copy()
-    out[-1] += float(interp_shift_batch(coords[:-1], xn, spec))
-    return FundamentalPoint(out)
-
-
-def _first_box_coords(x, what):
-    coords = _coords_of(x)
-    xb = coords[:-1]
-    if np.abs(xb).max() > HALF_PI + SHELL_TOL:
-        raise InvalidInputError(
-            f"{what} is defined on the first box; use transform_eval for "
-            "other representatives"
-        )
-    if np.max(np.abs(xb)) == 0.0:
-        raise ChartSingularityError("chart block vanishes: max/min bookkeeping undefined")
-    return coords
-
-
-def spiral_stretch_transform(x, spec):
-    """Lift of the axis-aligned spiral stretch on the first box.
-
-    Chart block becomes M * m * (rotated x_1 x_2 pair, x_3, ...), preserving
-    the max-norm; the last coordinate gains ln K minus half the log of the
-    direction term.  Oriented specs go through the conjugation evaluator.
-    """
-    coords = _first_box_coords(x, "spiral transform")
-    return FundamentalPoint(kernels.spiral_u_batch(coords, spec.K, spec.alpha))
-
-
-def spiral_transform_jacobian_analytic(x, spec):
-    """Closed-form derivative matrix of the spiral transform at x.
-
-    Requires x to sit inside one differentiability region: at least
-    REGION_MARGIN away from both the pyramid faces (max-norm ties) and the
-    candidate switching surfaces; callers resample on the near-singular error.
-    """
-    coords = _first_box_coords(x, "spiral transform Jacobian")
-    _, _, pyr, switch = kernels.spiral_region_batch(coords, spec.alpha)
-    if pyr[0] < REGION_MARGIN or switch[0] < REGION_MARGIN:
-        raise NearSingularRegionError(
-            "point within margin of a non-differentiability surface"
-        )
-    return kernels.spiral_jac_batch(coords, spec.K, spec.alpha)
+    nu = np.clip((xn - spec.s) / (spec.t - spec.s), 0.0, 1.0)
+    return _interp_log_weight(chart_cos2(xb), nu, spec.K, spec.L)
 
 
 # =====================================================================

@@ -83,6 +83,8 @@ class RunConfig:
         _alpha_value(self.alpha, "alpha")
         if self.samples < 1:
             raise QcmapsError("samples must be at least 1")
+        if self.seed < 0:
+            raise QcmapsError("seed must be non-negative")
         if self.dimension < 3:
             raise QcmapsError("dimension must be at least 3")
         if self.tol <= 0:
@@ -296,7 +298,7 @@ def _suite_bilipschitz(cfg):
     keep = (gx >= np.abs(gy)) & (gx > 0)
     xs, ys = gx[keep], gy[keep]
     pts = np.stack([xs, ys], 1)
-    a11, a12, a22 = dist._bilipschitz_entries(xs, ys)
+    a11, a12, a22 = dist.bilipschitz_form(xs, ys)
     tr = a11 + a22
     disc = np.sqrt(np.maximum((a11 - a22) ** 2 + 4.0 * a12 * a12, 0.0))
     lam_hi = 0.5 * (tr + disc)
@@ -436,7 +438,8 @@ def run_realize(target, k_max, samples):
 def _probe_map(args):
     n = args.dim
     if args.map == "stretch":
-        fn = lambda x: cm.stretch_axis1(x, args.K)  # noqa: E731
+        spec = cm.StretchSpec(K=args.K, frame=np.eye(n))
+        fn = lambda x: cm.oriented_stretch(x, spec)  # noqa: E731
         rho = lambda t: args.K ** (1.0 / n) * t  # noqa: E731
     elif args.map == "rotation":
         rot = planar_rotation(args.theta, 0, 1, n)
@@ -457,7 +460,7 @@ def _probe_map(args):
         plans = realizer.plan_paths(target, args.kmax)
         rm = realizer.build_map(plans, n=target.n)
         fn = lambda x: realizer.eval_map_batch(rm, x)  # noqa: E731
-        rho = lambda t: realizer.mean_radius(rm, t)  # noqa: E731
+        rho = lambda t: float(realizer.mean_radius_batch(rm, [t])[0])  # noqa: E731
     else:
         raise QcmapsError(f"unknown probe map {args.map!r}")
     return fn, rho
@@ -483,6 +486,8 @@ def run_probe(args):
     t_values = _scales(args.t)
     if args.dim < 3:
         raise QcmapsError("--dim must be at least 3")
+    if args.seed < 0:
+        raise QcmapsError("--seed must be non-negative")
     if not np.isfinite(args.theta):
         raise QcmapsError("--theta must be finite")
     if not (np.isfinite(args.K) and args.K >= 1.0):

@@ -1,47 +1,26 @@
-"""Numerical differentiation and distortion functionals.
+"""Numerical differentiation, linear distortion and the chart bilipschitz form.
 
-The distortion report collects, from a central-difference Jacobian estimate:
-operator norm, smallest singular value, Jacobian determinant, the outer and
-inner dilatations K_O = ||f'||^n / J and K_I = J / l(f')^n, and the linear
-distortion H = ||f'|| ||(f')^{-1}||.  ``finite_diff_jacobian`` and
-``linear_distortion_numeric`` take one (n,) point or an (m, n) batch; a batch
+``finite_diff_jacobian`` estimates a map's Jacobian by central differences
+and ``linear_distortion_numeric`` the ratio max / min of its displacements
+on a small sphere.  Both take one (n,) point or an (m, n) batch; a batch
 goes to the map in one call, which is how every CLI suite runs them, and
-the suites reduce the values to report rows themselves.  ``bilipschitz_form``
-is the 2x2 quadratic form whose eigenvalue window certifies the cube chart
-is infinitesimally bilipschitz in three dimensions.
+the suites reduce the values to report rows themselves.
+``bilipschitz_form`` gives, elementwise, the entries of the 2x2 quadratic
+form whose eigenvalue window certifies that the cube chart is
+infinitesimally bilipschitz in three dimensions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    ChartSingularityError,
-    DegenerateDerivativeError,
-    InvalidInputError,
-    StencilError,
-)
+from .errors import ChartSingularityError, InvalidInputError, StencilError
 from .kernels import HALF_PI
-from .vecgeom import as_vector, sphere_directions, svd_small
+from .vecgeom import as_vector, sphere_directions
 
 # Default finite-difference step before input-magnitude scaling; balances
 # truncation against cancellation at 64-bit precision.
 DEFAULT_STEP = 1e-6
-JAC_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Derivative-based distortion quantities at one point."""
-
-    op_norm: float
-    min_sv: float
-    jac: float
-    k_outer: float
-    k_inner: float
-    h_linear: float
 
 
 def _eval_map(f, x):
@@ -100,32 +79,6 @@ def finite_diff_jacobian(f, x, h=None):
     return jac[0] if single else jac
 
 
-def report_from_jacobian(jac, n=None):
-    """Distortion report computed from an explicit derivative matrix."""
-    a = np.asarray(jac, dtype=float)
-    n = a.shape[0] if n is None else n
-    det = float(np.linalg.det(a))
-    if abs(det) <= JAC_FLOOR:
-        raise DegenerateDerivativeError(
-            "Jacobian determinant within 1e-12 of zero; singular-set hit or bug"
-        )
-    sv = svd_small(a)
-    op, small = float(sv[0]), float(sv[-1])
-    return DistortionReport(
-        op_norm=op,
-        min_sv=small,
-        jac=det,
-        k_outer=op**n / det,
-        k_inner=det / small**n,
-        h_linear=op / small,
-    )
-
-
-def distortion_report(f, x, h=None):
-    """Distortion report for f at x from the finite-difference Jacobian."""
-    return report_from_jacobian(finite_diff_jacobian(f, x, h))
-
-
 def linear_distortion_numeric(f, x, r, directions=64, seed=0):
     """max / min of |f(x + r w) - f(x)| over a deterministic direction set.
 
@@ -151,26 +104,23 @@ def linear_distortion_numeric(f, x, r, directions=64, seed=0):
 
 
 def bilipschitz_form(x, y):
-    """The 2x2 quadratic form governing chart displacements at (x, y), n = 3.
+    """Entries (a11, a12, a22) of the 2x2 quadratic form governing chart
+    displacements at (x, y), n = 3, elementwise on scalars or arrays.
 
     Valid on the region {x >= |y|} of the chart square minus the origin; the
-    other pyramid regions follow by symmetry.  Entries:
+    other pyramid regions follow by symmetry.  The form is
 
         [[1 + y^2 sin^2 x / (x^2+y^2)^2,  -x y sin^2 x / (x^2+y^2)^2],
          [-x y sin^2 x / (x^2+y^2)^2,      x^2 sin^2 x / (x^2+y^2)^2]]
     """
-    if x == 0.0 and y == 0.0:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any((x == 0.0) & (y == 0.0)):
         raise ChartSingularityError("form undefined at the chart origin")
-    if not (abs(x) <= HALF_PI + 1e-12 and abs(y) <= HALF_PI + 1e-12):
+    if not np.all((np.abs(x) <= HALF_PI + 1e-12) & (np.abs(y) <= HALF_PI + 1e-12)):
         raise InvalidInputError("(x, y) outside the chart square")
-    if x < abs(y):
+    if np.any(x < np.abs(y)):
         raise InvalidInputError("(x, y) outside the region x >= |y|")
-    a11, a12, a22 = _bilipschitz_entries(x, y)
-    return np.array([[a11, a12], [a12, a22]])
-
-
-def _bilipschitz_entries(x, y):
-    """Entries (a11, a12, a22) of ``bilipschitz_form``, elementwise on arrays."""
     q = (x * x + y * y) ** 2
     s2 = np.sin(x) ** 2
     return 1.0 + y * y * s2 / q, -x * y * s2 / q, x * x * s2 / q

@@ -17,10 +17,6 @@ class DegenerateHintError(QcmapsError):
     """Frame hint is (anti)parallel to the primary direction."""
 
 
-class AmbiguousArcError(QcmapsError):
-    """Antipodal endpoints admit no unique great-circle arc."""
-
-
 class OriginError(QcmapsError):
     """Map is undefined at (or maps through) the origin."""
 
@@ -39,14 +35,6 @@ class TransformUndefinedError(QcmapsError):
 
 class StencilError(QcmapsError):
     """Map evaluation failed on a finite-difference stencil or sphere sample."""
-
-
-class DegenerateDerivativeError(QcmapsError):
-    """Jacobian determinant too close to zero for distortion ratios."""
-
-
-class NearSingularRegionError(QcmapsError):
-    """Point too close to a non-differentiability surface; resample."""
 
 
 class PlanningError(QcmapsError):

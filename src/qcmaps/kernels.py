@@ -1,8 +1,17 @@
 """Hot numeric kernels: batched numpy implementations.
 
-Kernels operate on batched float64 arrays of shape (m, n); the ``*_batch``
-functions except ``spiral_region_batch`` also accept a single point (n,) and
-then return a single result.  Conventions shared by all of them:
+Every public kernel takes one point (n,) or a batch (m, n) of float64
+coordinates with n >= 3 and m >= 1; ``_as_batch`` rejects any other shape
+with ``InvalidInputError``.  A single point gives a single result, except
+in ``spiral_region_batch``, which always returns length-m arrays.
+``zorich_inverse_batch`` also raises ``OriginError`` on a zero row.  Entries
+are not scanned for finiteness, which would add a few percent to a large
+call: a non-finite row gives non-finite output in its own row.  The
+finiteness checks sit where outside input enters (the CLI's ``RunConfig``,
+the map specs, ``TargetSet`` and the point-taking public functions of
+``canonical_maps``, ``distortion`` and ``realizer``).
+
+Conventions shared by all of them:
 
 - chart coordinates are the first n-1 entries, the free log-radius is last;
 - the cube chart maps [-pi/2, pi/2]^{n-1} onto the closed upper half sphere
@@ -35,12 +44,19 @@ import itertools
 
 import numpy as np
 
+from .errors import InvalidInputError, OriginError
+
 HALF_PI = np.pi / 2.0
 TWO_PI = 2.0 * np.pi
 
 
 def _as_batch(x):
+    """x as an (m, n) float batch, and whether it was a single (n,) point."""
     a = np.asarray(x, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] < 3 or a.size == 0:
+        raise InvalidInputError(
+            "points must be one (n,) point or a non-empty (m, n) batch, n >= 3"
+        )
     single = a.ndim == 1
     return (a[None, :] if single else a), single
 
@@ -193,12 +209,16 @@ def zorich_inverse_batch(y):
 
     The colatitude comes from arctan2 of the transverse/axial parts (stable
     at both the poles and the equator, unlike arccos of the axial cosine).
+    A row whose |y| is 0, or underflows to 0, raises ``OriginError``.
     """
     a, single = _as_batch(y)
     yb, yn = a.T[:-1], a[:, -1]
     # |y|^2 sums the columns left to right, so it extends the transverse sum
     sb = _sum_sq(yb)
     r = np.sqrt(sb + yn * yn)
+    # NaN counts as nonzero, so a zero row is found whatever else the batch holds
+    if not np.all(r):
+        raise OriginError("the origin is outside the range of the map")
     m = np.arctan2(np.sqrt(sb), np.abs(yn))
     mx = _abs_max(yb)
     safe = mx > 0.0
@@ -207,7 +227,11 @@ def zorich_inverse_batch(y):
     for i, c in enumerate(yb[1:], 1):
         np.multiply(c, scale, out=out[:, i])
     p1 = yb[0] * scale
-    np.subtract(np.pi, p1, out=p1, where=yn < 0.0)
+    # the second box is open: a row below the equator whose chart max-norm,
+    # mx * scale, rounds to pi/2 is an equator point and keeps the first box
+    second = yn < 0.0
+    second &= mx * scale < HALF_PI
+    np.subtract(np.pi, p1, out=p1, where=second)
     out[:, 0] = p1
     out[:, -1] = np.log(r)
     return out[0] if single else out
@@ -409,7 +433,7 @@ def spiral_region_batch(x, alpha):
 
     Always returns length-m arrays; a single point gives length-1 arrays.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x, _ = _as_batch(x)
     xb = x.T[:-1]
     phase = float(alpha) * x[:, -1]
     w = _rotated_cols(xb, np.cos(phase), np.sin(phase))

@@ -134,10 +134,6 @@ class ArcSegment:
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
 
-    @property
-    def angle(self):
-        return float(np.arccos(np.clip(self.sigma1 @ self.sigma2, -1.0, 1.0)))
-
 
 def _slerp(s1, s2, taus):
     """Great-circle points from s1 to s2, one row per fraction in `taus`."""
@@ -488,8 +484,8 @@ def _region_runs(idx):
 
 
 def eval_map_batch(rm, x):
-    """Evaluate the realized map at a non-empty (m, n) batch of finite,
-    nonzero points.
+    """Evaluate the realized map at one finite nonzero point (n,) or at a
+    non-empty (m, n) batch of them; returns the matching shape.
 
     Dispatch takes one stable sort of the region codes (``_region_runs``):
     the points are gathered once into region order, each shell formula runs
@@ -498,7 +494,12 @@ def eval_map_batch(rm, x):
     gathers, whatever the number of shells.  The gathers use ``np.take``:
     on (m, 3) rows it is several times faster than fancy indexing.
     """
-    a = np.atleast_2d(np.asarray(x, dtype=float))
+    a = np.asarray(x, dtype=float)
+    single = a.ndim == 1
+    if single:
+        a = a[None, :]
+    if a.ndim != 2 or a.shape[1] != rm.n:
+        raise InvalidInputError(f"points must be (n,) or (m, n) arrays with n = {rm.n}")
     if a.size == 0 or not np.all(np.isfinite(a)):
         raise InvalidInputError("points must be a non-empty finite batch")
     r = np.sqrt(kernels._sum_sq(a.T))
@@ -517,12 +518,8 @@ def eval_map_batch(rm, x):
             out_s[lo:hi] = _apply_piece(rm.pieces[code], xs, rs)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
-    return np.take(out_s, inverse, axis=0)
-
-
-def eval_map(rm, x):
-    """Evaluate the realized map at a single nonzero point."""
-    return eval_map_batch(rm, np.asarray(x, dtype=float)[None, :])[0]
+    out = np.take(out_s, inverse, axis=0)
+    return out[0] if single else out
 
 
 # Sizes of the fixed mean-radius rule (see ``mean_radius_batch``).
@@ -634,33 +631,16 @@ def mean_radius_batch(rm, radii):
     return out
 
 
-def mean_radius(rm, r):
-    """Mean radius rho_f(r): radius of the ball matching the image volume."""
-    return float(mean_radius_batch(rm, [r])[0])
-
-
-def rescaled_map(rm, t, x):
-    """f(t x) / rho_f(t), the rescaling whose limits are generalized
-    derivatives."""
-    if t <= 0:
-        raise InvalidInputError("scale t must be positive")
-    a = np.asarray(x, dtype=float)
-    return eval_map(rm, t * a) / mean_radius(rm, t)
-
-
 def _e1(n):
     e = np.zeros(n)
     e[0] = 1.0
     return e
 
 
-def orbit_curve(rm, t_values):
-    """Samples of the orbit curve gamma(t) = f(t e_1) / rho_f(t)."""
-    return orbit_table(rm, t_values)["gamma"]
-
-
 def orbit_table(rm, t_values):
-    """Orbit samples plus the active region code and rho per sample."""
+    """Samples of the orbit curve gamma(t) = f(t e_1) / rho_f(t), the
+    rescaling whose limits are generalized derivatives, plus the active
+    region code and rho per sample."""
     t = np.asarray(t_values, dtype=float)
     if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or t.min() <= 0:
         raise InvalidInputError("t values must be a nonempty finite positive sequence")

@@ -1,26 +1,20 @@
-"""Dimension-generic dense vector/matrix kernel for small n.
+"""Dimension-generic dense vector/matrix helpers for small n.
 
 Everything here targets the n = 3..8 range used by the map constructions:
-norms, singular values, deterministic orthonormal frames, great-circle
-angles and planar rotations.  All values are plain float64 ndarrays; all
-functions are pure.
+input validation of vectors and matrices, unit vectors, deterministic
+orthonormal frames, planar rotations and deterministic direction sets on
+the sphere.  All values are plain float64 ndarrays; all functions are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AmbiguousArcError,
-    DegenerateHintError,
-    InvalidAxesError,
-    InvalidInputError,
-)
+from .errors import DegenerateHintError, InvalidAxesError, InvalidInputError
 
 # Frames are accepted as orthogonal (F^T F = I within ORTHO_TOL) with det +1.
 ORTHO_TOL = 1e-12
 ANTIPODAL_TOL = 1e-10
-UNIT_TOL = 1e-12
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -52,15 +46,6 @@ def unit(v, name="vector"):
     if r == 0.0:
         raise InvalidInputError(f"{name} is zero")
     return a / r
-
-
-def svd_small(m):
-    """Singular values of a small square matrix, descending.
-
-    Returns sigma_1 >= ... >= sigma_n >= 0 from LAPACK after checking that m
-    is square and finite.
-    """
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def frame_from_direction(sigma, hint=None):
@@ -115,20 +100,6 @@ def check_frame(f):
     return a
 
 
-def great_circle_angle(sigma1, sigma2):
-    """Minor-arc angle between two directions, in (0, pi)."""
-    a = unit(sigma1, "sigma1")
-    b = unit(sigma2, "sigma2")
-    if a.size != b.size:
-        raise InvalidInputError("dimension mismatch")
-    if np.linalg.norm(a + b) <= ANTIPODAL_TOL:
-        raise AmbiguousArcError("antipodal directions: subdivide the arc")
-    d = float(np.clip(a @ b, -1.0, 1.0))
-    if d >= 1.0 - 1e-15:
-        raise InvalidInputError("directions coincide; no arc to measure")
-    return float(np.arccos(d))
-
-
 def planar_rotation(theta, i, j, n):
     """n x n rotation by theta in the (i, j) coordinate plane (0-based axes).
 
@@ -181,9 +152,3 @@ def sphere_directions(n, count, seed=0):
         extra = rng.standard_normal((fill, n))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     return np.concatenate([axes, extra], axis=0)
-
-
-def random_unit_vectors(rng, m, n):
-    """m seeded uniform directions on S^{n-1}."""
-    v = rng.standard_normal((m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import last_axis_stretch
 from qcmaps import canonical_maps as cm
 from qcmaps import kernels, zorich
 from qcmaps.canonical_maps import (
@@ -8,27 +9,16 @@ from qcmaps.canonical_maps import (
     SpiralSpec,
     StretchSpec,
     interp_stretch,
-    interp_stretch_transform,
     oriented_stretch,
-    radial_stretch,
-    radial_stretch_transform,
     select_alpha,
     spiral_jacobian_scan,
     spiral_stretch,
-    spiral_stretch_transform,
-    spiral_transform_jacobian_analytic,
-    stretch_axis1,
+    stretch_factor,
 )
 from qcmaps.distortion import finite_diff_jacobian
-from qcmaps.errors import (
-    ChartSingularityError,
-    InvalidInputError,
-    NearSingularRegionError,
-    OriginError,
-    OutsideShellError,
-)
-from qcmaps.vecgeom import frame_from_direction, random_unit_vectors
-from qcmaps.zorich import FundamentalPoint
+from qcmaps.errors import InvalidInputError, OriginError, OutsideShellError
+from qcmaps.realizer import RealizedMap, eval_map_batch
+from qcmaps.vecgeom import frame_from_direction
 
 HALF_PI = np.pi / 2
 
@@ -37,6 +27,25 @@ def _axis_frame(n):
     e = np.zeros(n)
     e[-1] = 1.0
     return frame_from_direction(e)
+
+
+def _lift_stretch(x, K):
+    """The lift of the last-axis stretch: the chart block fixed, x_n += V."""
+    out = np.array(x, dtype=float)
+    out[..., -1] += cm.stretch_shift_batch(out[..., :-1], K)
+    return out
+
+
+def _lift_interp(x, spec):
+    """The lift of the last-axis interpolation: x_n += V_I."""
+    out = np.array(x, dtype=float)
+    out[..., -1] += cm.interp_shift_batch(out[..., :-1], out[..., -1], spec)
+    return out
+
+
+def _unit_vectors(rng, m, n):
+    v = rng.standard_normal((m, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def sample_region(rng, m, n, alpha, margin=2e-3, p_kind=None, d_kind=None):
@@ -65,46 +74,40 @@ def sample_region(rng, m, n, alpha, margin=2e-3, p_kind=None, d_kind=None):
 
 
 class TestRadialStretch:
+    # the radial stretch along the last axis
     def test_equator_fixed(self):
-        assert np.allclose(radial_stretch([1.0, 0, 0], 2.0), [1.0, 0, 0])
+        assert np.allclose(last_axis_stretch([1.0, 0, 0], 2.0), [1.0, 0, 0])
 
     def test_pole_scaled(self):
-        assert np.allclose(radial_stretch([0.0, 0, 1.0], 2.0), [0, 0, 2.0])
+        assert np.allclose(last_axis_stretch([0.0, 0, 1.0], 2.0), [0, 0, 2.0])
 
     def test_k_one_identity(self):
         y = np.array([0.3, -0.7, 0.2])
-        assert np.allclose(radial_stretch(y, 1.0), y)
+        assert np.allclose(last_axis_stretch(y, 1.0), y)
 
     def test_origin_rejected(self):
         with pytest.raises(OriginError):
-            radial_stretch([0.0, 0, 0], 2.0)
+            last_axis_stretch([0.0, 0, 0], 2.0)
 
 
 class TestRadialStretchTransform:
     def test_pole_shift(self):
-        fp = FundamentalPoint(np.zeros(3))
-        out = radial_stretch_transform(fp, 2.0)
-        assert np.allclose(out.coords, [0, 0, np.log(2.0)])
+        assert np.allclose(_lift_stretch(np.zeros(3), 2.0), [0, 0, np.log(2.0)])
 
     def test_face_point_unchanged(self):
-        fp = FundamentalPoint(np.array([HALF_PI, 0.0, 0.0]))
-        out = radial_stretch_transform(fp, 2.0)
-        assert np.allclose(out.coords, fp.coords, atol=1e-15)
+        x = np.array([HALF_PI, 0.0, 0.0])
+        assert np.allclose(_lift_stretch(x, 2.0), x, atol=1e-15)
 
     def test_k_one_identity(self):
-        fp = FundamentalPoint(np.array([0.4, 0.2, -0.3]))
-        out = radial_stretch_transform(fp, 1.0)
-        assert np.allclose(out.coords, fp.coords)
+        x = np.array([0.4, 0.2, -0.3])
+        assert np.allclose(_lift_stretch(x, 1.0), x)
 
     @pytest.mark.parametrize("n,K", [(3, 2.0), (4, 5.0)])
     def test_conjugacy(self, n, K):
         rng = np.random.default_rng(n)
         x = zorich.sample_fundamental(rng, 3000, n)
-        lifted = x.copy()
-        for i, row in enumerate(x):
-            lifted[i] = radial_stretch_transform(FundamentalPoint(row), K).coords
-        lhs = kernels.zorich_forward_batch(lifted)
-        rhs = radial_stretch(kernels.zorich_forward_batch(x), K)
+        lhs = kernels.zorich_forward_batch(_lift_stretch(x, K))
+        rhs = last_axis_stretch(kernels.zorich_forward_batch(x), K)
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
@@ -121,10 +124,27 @@ class TestRadialStretchTransform:
 
 class TestOrientedStretch:
     def test_reaxis_consistency(self):
+        # the frame with first column e_n stretches along the last axis
         spec = StretchSpec(K=2.0, frame=_axis_frame(3))
         rng = np.random.default_rng(0)
         y = rng.standard_normal((500, 3))
-        assert np.abs(oriented_stretch(y, spec) - radial_stretch(y, 2.0)).max() <= 1e-12
+        r = np.linalg.norm(y, axis=1)
+        axis = stretch_factor((y[:, -1] / r) ** 2, 2.0)[:, None] * y
+        assert np.abs(oriented_stretch(y, spec) - axis).max() <= 1e-12
+
+    @pytest.mark.parametrize("K", [1.0, 2.0, 7.3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_identity_frame_is_axis_formula(self, n, K):
+        # bit for bit: the axis-1 stretch formula, kept here as the reference,
+        # including rows whose first coordinate is +-0.0
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((20_000, n)) * np.exp(rng.uniform(-3, 3, (20_000, 1)))
+        y[:500, 0] = 0.0
+        y[500:1000, 0] = -0.0
+        r = cm._norms(y)
+        axis1 = stretch_factor((y[:, 0] / r) ** 2, K)[:, None] * y
+        got = oriented_stretch(y, StretchSpec(K=K, frame=np.eye(n)))
+        assert got.tobytes() == axis1.tobytes()
 
     def test_lemma_tip(self):
         # stretch preimage axis = e_1: the tip r*e_1 lands at K r * sigma
@@ -139,9 +159,7 @@ class TestOrientedStretch:
         sigma = np.array([0.6, -0.8, 0.0])
         frame = frame_from_direction(sigma)
         spec = StretchSpec(K=3.0, frame=frame)
-        dirs = np.concatenate(
-            [random_unit_vectors(rng, 10_000, 3), [sigma], [frame[:, 1]]]
-        )
+        dirs = np.concatenate([_unit_vectors(rng, 10_000, 3), [sigma], [frame[:, 1]]])
         r = np.linalg.norm(oriented_stretch(dirs, spec), axis=1)
         assert abs(r.max() - 3.0) <= 1e-9 and abs(r.min() - 1.0) <= 1e-9
         assert np.all(r >= 1.0 - 1e-9) and np.all(r <= 3.0 + 1e-9)
@@ -149,6 +167,29 @@ class TestOrientedStretch:
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             StretchSpec(K=0.5, frame=np.eye(3))
+
+
+_FRAME3 = np.eye(3)
+_MAPS_ON_R3 = {
+    "oriented_stretch": lambda y: oriented_stretch(y, StretchSpec(K=2.0, frame=_FRAME3)),
+    "interp_stretch": lambda y: interp_stretch(
+        y, InterpSpec(K=2.0, L=3.0, s=-2.0, t=0.0, frame=_FRAME3)),
+    "spiral_stretch": lambda y: spiral_stretch(
+        y, SpiralSpec(K=2.0, alpha=0.25, frame=_FRAME3)),
+    "eval_map_batch": lambda y: eval_map_batch(
+        RealizedMap(pieces=(), outer_K=2.0, outer_frame=_FRAME3, n=3), y),
+}
+
+
+@pytest.mark.parametrize("name", _MAPS_ON_R3)
+def test_dimension_mismatch_rejected(name):
+    # 4-D points against 3-D maps reached matmul and raised a numpy error;
+    # |y| = 1 lies inside the interpolation shell
+    y = np.full((2, 4), 0.5)
+    for points in (y, y[0]):
+        with pytest.raises(InvalidInputError):
+            _MAPS_ON_R3[name](points)
+    assert _MAPS_ON_R3[name](y[:, :3] / np.sqrt(0.75)).shape == (2, 3)
 
 
 class TestInterpStretch:
@@ -159,21 +200,21 @@ class TestInterpStretch:
     def test_outer_boundary_is_k_stretch(self):
         spec = self._spec()
         rng = np.random.default_rng(2)
-        y = random_unit_vectors(rng, 200, 3)  # |y| = e^t = 1
+        y = _unit_vectors(rng, 200, 3)  # |y| = e^t = 1
         ref = oriented_stretch(y, StretchSpec(K=spec.K, frame=spec.frame))
         assert np.abs(interp_stretch(y, spec) - ref).max() <= 1e-12
 
     def test_inner_boundary_is_l_stretch(self):
         spec = self._spec()
         rng = np.random.default_rng(3)
-        y = np.exp(spec.s) * random_unit_vectors(rng, 200, 3)
+        y = np.exp(spec.s) * _unit_vectors(rng, 200, 3)
         ref = oriented_stretch(y, StretchSpec(K=spec.L, frame=spec.frame))
         assert np.abs(interp_stretch(y, spec) - ref).max() <= 1e-12
 
     def test_equal_factors_collapse(self):
         spec = InterpSpec(K=2.0, L=2.0, s=-1.0, t=0.0, frame=np.eye(3))
         rng = np.random.default_rng(4)
-        y = np.exp(-0.4) * random_unit_vectors(rng, 200, 3)
+        y = np.exp(-0.4) * _unit_vectors(rng, 200, 3)
         ref = oriented_stretch(y, StretchSpec(K=2.0, frame=spec.frame))
         assert np.abs(interp_stretch(y, spec) - ref).max() <= 1e-12
 
@@ -194,40 +235,35 @@ class TestInterpTransform:
 
     def test_face_point_unchanged(self):
         spec = self._spec()
-        fp = FundamentalPoint(np.array([HALF_PI, 0.0, spec.s / 2]))
-        out = interp_stretch_transform(fp, spec)
-        assert np.allclose(out.coords, fp.coords, atol=1e-15)
+        x = np.array([HALF_PI, 0.0, spec.s / 2])
+        assert np.allclose(_lift_interp(x, spec), x, atol=1e-15)
 
     def test_pole_at_outer_boundary(self):
         spec = self._spec()
-        fp = FundamentalPoint(np.array([0.0, 0.0, 0.0]))  # x_n = t, chart center
-        out = interp_stretch_transform(fp, spec)
-        assert out.coords[-1] == pytest.approx(np.log(spec.K), abs=1e-14)
+        x = np.array([0.0, 0.0, 0.0])  # x_n = t, chart center
+        assert _lift_interp(x, spec)[-1] == pytest.approx(np.log(spec.K), abs=1e-14)
 
     def test_unit_factors_identity(self):
         spec = InterpSpec(K=1.0, L=1.0, s=-1.0, t=0.0, frame=_axis_frame(3))
-        fp = FundamentalPoint(np.array([0.3, 0.1, -0.5]))
-        out = interp_stretch_transform(fp, spec)
-        assert np.allclose(out.coords, fp.coords)
+        x = np.array([0.3, 0.1, -0.5])
+        assert np.allclose(_lift_interp(x, spec), x)
 
     def test_outside_slab_rejected(self):
         spec = self._spec()
+        # one row above the slab among rows inside it, then one below it
+        x = np.array([[0.1, 0.1, -0.5], [0.1, 0.1, 1.0]])
         with pytest.raises(OutsideShellError):
-            interp_stretch_transform(FundamentalPoint(np.array([0.1, 0.1, 1.0])), spec)
+            _lift_interp(x, spec)
+        x[1, -1] = spec.s - 1e-6
+        with pytest.raises(OutsideShellError):
+            _lift_interp(x, spec)
 
     @pytest.mark.parametrize("n,K,L", [(3, 2.0, 2.0), (4, 5.0, 2.0)])
     def test_conjugacy(self, n, K, L):
         spec = self._spec(n, K, L)
         rng = np.random.default_rng(n)
         x = zorich.sample_fundamental(rng, 3000, n, height_range=(spec.s, spec.t))
-        lifted = x.copy()
-        lifted[:, -1] += np.array(
-            [
-                interp_stretch_transform(FundamentalPoint(r), spec).coords[-1] - r[-1]
-                for r in x
-            ]
-        )
-        lhs = kernels.zorich_forward_batch(lifted)
+        lhs = kernels.zorich_forward_batch(_lift_interp(x, spec))
         rhs = interp_stretch(kernels.zorich_forward_batch(x), spec)
         assert np.abs(lhs - rhs).max() <= 1e-9
 
@@ -237,7 +273,8 @@ class TestSpiralStretch:
         spec = SpiralSpec(K=2.0, alpha=0.0, frame=np.eye(3))
         rng = np.random.default_rng(5)
         y = rng.standard_normal((300, 3))
-        assert np.abs(spiral_stretch(y, spec) - stretch_axis1(y, 2.0)).max() <= 1e-12
+        axis1 = oriented_stretch(y, StretchSpec(K=2.0, frame=np.eye(3)))
+        assert np.abs(spiral_stretch(y, spec) - axis1).max() <= 1e-12
 
     def test_unit_sphere_tip(self):
         # |y| = 1: no rotation, the frame axis is scaled by K
@@ -251,7 +288,7 @@ class TestSpiralStretch:
         spec = SpiralSpec(K=2.0, alpha=0.4, frame=np.eye(3))
         axes = np.array([[1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
         for r in (0.3, 1.7):
-            dirs = r * np.concatenate([random_unit_vectors(rng, 10_000, 3), axes])
+            dirs = r * np.concatenate([_unit_vectors(rng, 10_000, 3), axes])
             img = np.linalg.norm(spiral_stretch(dirs, spec), axis=1)
             assert abs(img.max() - 2.0 * r) <= 1e-9 * r
             assert abs(img.min() - r) <= 1e-9 * r
@@ -259,18 +296,14 @@ class TestSpiralStretch:
 
 class TestSpiralTransform:
     def test_axis_point_gains_log_k(self):
-        spec = SpiralSpec(K=2.0, alpha=0.0, frame=np.eye(3))
-        fp = FundamentalPoint(np.array([HALF_PI, 0.0, 0.0]))
-        out = spiral_stretch_transform(fp, spec)
+        out = kernels.spiral_u_batch([HALF_PI, 0.0, 0.0], 2.0, 0.0)
         # max-term 2/pi cancels; the shift is ln 2 - 0.5 ln(4 - 3)
-        assert np.allclose(out.coords, [HALF_PI, 0.0, np.log(2.0)], atol=1e-14)
+        assert np.allclose(out, [HALF_PI, 0.0, np.log(2.0)], atol=1e-14)
 
     def test_quarter_phase_rotation(self):
         xn = 0.9
-        spec = SpiralSpec(K=1.0, alpha=(np.pi / 2) / xn, frame=np.eye(3))
-        fp = FundamentalPoint(np.array([HALF_PI, 0.0, xn]))
-        out = spiral_stretch_transform(fp, spec)
-        assert np.allclose(out.coords, [0.0, HALF_PI, xn], atol=1e-12)
+        out = kernels.spiral_u_batch([HALF_PI, 0.0, xn], 1.0, (np.pi / 2) / xn)
+        assert np.allclose(out, [0.0, HALF_PI, xn], atol=1e-12)
 
     def test_max_norm_preserved(self):
         rng = np.random.default_rng(7)
@@ -280,18 +313,6 @@ class TestSpiralTransform:
             np.max(np.abs(u[:, :-1]), axis=1) - np.max(np.abs(x[:, :-1]), axis=1)
         )
         assert gap.max() <= 1e-12
-
-    def test_chart_singularity(self):
-        spec = SpiralSpec(K=2.0, alpha=0.1, frame=np.eye(3))
-        with pytest.raises(ChartSingularityError):
-            spiral_stretch_transform(FundamentalPoint(np.array([0.0, 0.0, 1.0])), spec)
-
-    def test_second_box_rejected(self):
-        spec = SpiralSpec(K=2.0, alpha=0.1, frame=np.eye(3))
-        with pytest.raises(InvalidInputError):
-            spiral_stretch_transform(
-                FundamentalPoint(np.array([np.pi, 0.1, 0.0])), spec
-            )
 
     @pytest.mark.parametrize("n,K", [(3, 2.0), (4, 5.0)])
     def test_conjugacy(self, n, K):
@@ -323,9 +344,7 @@ class TestSpiralJacobian:
         # carries the stretch slope.
         rng = np.random.default_rng(9)
         pts = sample_region(rng, 50, 4, 0.0, p_kind="first", d_kind="a")
-        spec = SpiralSpec(K=2.0, alpha=0.0, frame=np.eye(4))
-        for x in pts:
-            jac = spiral_transform_jacobian_analytic(x, spec)
+        for jac in kernels.spiral_jac_batch(pts, 2.0, 0.0):
             assert np.abs(jac[:3, :3] - np.eye(3)).max() <= 1e-12
             assert np.abs(jac[:3, 3]).max() <= 1e-12
             assert jac[3, 3] == 1.0
@@ -349,13 +368,10 @@ class TestSpiralJacobian:
         rng = np.random.default_rng(hash((n, p_kind, d_kind)) % 2**32)
         alpha, K = 0.25, 2.0
         pts = sample_region(rng, 100, n, alpha, p_kind=p_kind, d_kind=d_kind)
-        spec = SpiralSpec(K=K, alpha=alpha, frame=np.eye(n))
-        for x in pts:
-            ana = spiral_transform_jacobian_analytic(x, spec)
-            fd = finite_diff_jacobian(
-                lambda c: kernels.spiral_u_batch(c, K, alpha), x, 1e-6
-            )
-            assert np.abs(fd - ana).max() / np.abs(ana).max() <= 1e-5
+        ana = kernels.spiral_jac_batch(pts, K, alpha)
+        fd = finite_diff_jacobian(lambda c: kernels.spiral_u_batch(c, K, alpha), pts, 1e-6)
+        rel = np.abs(fd - ana).max(axis=(1, 2)) / np.abs(ana).max(axis=(1, 2))
+        assert rel.max() <= 1e-5
 
     def test_rotation_block_structure(self):
         # third-pyramid region with the plain-coordinate candidate active:
@@ -364,19 +380,12 @@ class TestSpiralJacobian:
         x = np.array([0.3, 0.2, 1.4, 0.35, 0.9])
         p, d, _, _ = kernels.spiral_region_batch(x, alpha)
         assert p[0] == 2 and d[0] == 2
-        spec = SpiralSpec(K=2.0, alpha=alpha, frame=np.eye(n))
-        jac = spiral_transform_jacobian_analytic(x, spec)
+        jac = kernels.spiral_jac_batch(x, 2.0, alpha)
         c, s = np.cos(alpha * 0.9), np.sin(alpha * 0.9)
         assert np.allclose(jac[0, :2], [c, -s], atol=1e-14)
         assert np.allclose(jac[1, :2], [s, c], atol=1e-14)
         assert np.allclose(jac[2, :4], [0, 0, 1, 0], atol=1e-14)
         assert np.allclose(jac[3, :4], [0, 0, 0, 1], atol=1e-14)
-
-    def test_near_singular_region_rejected(self):
-        spec = SpiralSpec(K=2.0, alpha=0.0, frame=np.eye(3))
-        x = np.array([0.4, 0.4 - 1e-9, 0.2])  # pyramid-face tie
-        with pytest.raises(NearSingularRegionError):
-            spiral_transform_jacobian_analytic(x, spec)
 
 
 def _grid_points(n, res):

@@ -91,13 +91,26 @@ _FINITE_ALPHA = "alpha must be 'auto' or a finite number"
         pytest.param(
             "spiral", "samples", "0", "samples must be at least 1", id="0-samples"
         )
+    ]
+    # numpy's default_rng raised a bare ValueError on a negative seed, and
+    # the stretch suite, which draws no samples, recorded it in its report
+    + [
+        pytest.param(s, "seed", "-1", "seed must be non-negative", id=f"-1-seed-{s}")
+        for s in ("zorich", "spiral", "stretch")
     ],
 )
-def test_verify_rejects_nonfinite_parameters(capsys, suite, field, value, message):
-    # bad values end in a QcmapsError naming the field, never a traceback
-    code = main(["verify", suite, "--grid", "9", f"--{field}", value])
+def test_verify_rejects_nonfinite_parameters(
+    tmp_path, capsys, suite, field, value, message
+):
+    # bad values end in a QcmapsError naming the field, never a traceback,
+    # and no report is printed or written
+    report = tmp_path / "report.json"
+    code = main(["verify", suite, "--grid", "9", f"--{field}", value, "--out", str(report)])
+    out, err = capsys.readouterr()
     assert code == 1
-    assert message in capsys.readouterr().err
+    assert message in err
+    assert out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -181,7 +194,10 @@ def test_realize_checkpoint_error_matches_single_points(n):
     _, summary, rm = run_realize(realizer.TargetSet(waypoints=w), 2, samples=20)
     e1 = np.eye(n)[0]
     errs = [
-        float(np.linalg.norm(realizer.rescaled_map(rm, r, e1) - u * sig))
+        float(np.linalg.norm(
+            realizer.eval_map_batch(rm, r * e1) / realizer.mean_radius_batch(rm, r)[0]
+            - u * sig
+        ))
         for r, u, sig in rm.checkpoints
     ]
     assert summary["checkpoint_max_error"] == max(errs)
@@ -300,6 +316,8 @@ def test_realize_rejects_bad_target_key(tmp_path, capsys, entry, message):
                      "--K must be", id="0.5-K"),
         pytest.param(["probe", "--map", "spiral", "--K", "inf", "--t", "1"],
                      "--K must be", id="inf-K"),
+        pytest.param(["probe", "--map", "stretch", "--dim", "4", "--seed", "-1", "--t", "1"],
+                     "--seed must be non-negative", id="-1-seed"),
         pytest.param(["realize", "TARGET", "--samples", "0"],
                      "--samples must be at least 1", id="0-samples"),
         pytest.param(["realize", "TARGET", "--samples", "-3"],

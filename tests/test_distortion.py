@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import last_axis_stretch
 from qcmaps import kernels, zorich
-from qcmaps.canonical_maps import radial_stretch
 from qcmaps.cli import CHART_EIG_HIGH, CHART_EIG_LOW, LINEAR_DISTORTION_BOUND
 from qcmaps.distortion import (
     bilipschitz_form,
-    distortion_report,
     finite_diff_jacobian,
     linear_distortion_numeric,
-    report_from_jacobian,
 )
-from qcmaps.errors import (
-    ChartSingularityError,
-    DegenerateDerivativeError,
-    InvalidInputError,
-    StencilError,
-)
+from qcmaps.errors import ChartSingularityError, InvalidInputError, StencilError
 from qcmaps.vecgeom import planar_rotation
 
 
@@ -45,12 +38,12 @@ class TestFiniteDiff:
             ]
         )
         oracle = s * np.eye(3) + np.outer(y0, ds * grad_c)
-        jac = finite_diff_jacobian(lambda y: radial_stretch(y, K), y0)
+        jac = finite_diff_jacobian(lambda y: last_axis_stretch(y, K), y0)
         assert np.abs(jac - oracle).max() <= 1e-6
 
     def test_equator_derivative_is_identity(self):
         # on the equator the profile is flat to first order
-        jac = finite_diff_jacobian(lambda y: radial_stretch(y, 2.0), [0.8, 0.6, 0.0])
+        jac = finite_diff_jacobian(lambda y: last_axis_stretch(y, 2.0), [0.8, 0.6, 0.0])
         assert np.abs(jac - np.eye(3)).max() <= 1e-6
 
     def test_second_order_convergence(self):
@@ -79,40 +72,6 @@ class TestFiniteDiff:
             finite_diff_jacobian(partial, np.array([1.0, 0.0, 0.0]), 1e-3)
 
 
-class TestDistortionReport:
-    def test_diagonal_map(self):
-        rep = distortion_report(lambda y: np.array([2.0, 1.0, 1.0]) * y, np.ones(3))
-        assert rep.op_norm == pytest.approx(2.0, abs=1e-9)
-        assert rep.min_sv == pytest.approx(1.0, abs=1e-9)
-        assert rep.jac == pytest.approx(2.0, abs=1e-9)
-        assert rep.k_outer == pytest.approx(4.0, abs=1e-8)
-        assert rep.k_inner == pytest.approx(2.0, abs=1e-8)
-        assert rep.h_linear == pytest.approx(2.0, abs=1e-9)
-
-    def test_rotation_is_conformal(self):
-        rot = planar_rotation(0.8, 0, 2, 3)
-        rep = distortion_report(lambda y: rot @ y, np.array([0.2, 0.5, -1.0]))
-        for v in (rep.k_outer, rep.k_inner, rep.h_linear):
-            assert v == pytest.approx(1.0, abs=1e-9)
-
-    def test_inner_outer_inequality(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            m = rng.standard_normal((3, 3))
-            if abs(np.linalg.det(m)) < 1e-3:
-                continue
-            if np.linalg.det(m) < 0:
-                m[0] = -m[0]
-            rep = report_from_jacobian(m)
-            assert rep.k_inner <= rep.k_outer ** 2 * (1 + 1e-6)
-            assert rep.k_outer >= 1 - 1e-9 and rep.k_inner >= 1 - 1e-9
-            assert rep.h_linear ** 2 >= max(rep.k_outer, rep.k_inner) * (1 - 1e-6)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateDerivativeError):
-            report_from_jacobian(np.diag([1.0, 1.0, 1e-14]))
-
-
 class TestLinearDistortion:
     def test_conformal(self):
         rot = planar_rotation(1.1, 0, 1, 3)
@@ -128,10 +87,8 @@ class TestLinearDistortion:
         rng = np.random.default_rng(1)
         x = zorich.sample_fundamental(rng, 100, 3, second_box=False)
         x[:, :2] *= (np.pi / 2 - 1e-3) / (np.pi / 2)
-        worst = max(
-            linear_distortion_numeric(zorich.zorich_forward, p, 1e-5, 64) for p in x
-        )
-        assert worst <= LINEAR_DISTORTION_BOUND
+        h = linear_distortion_numeric(kernels.zorich_forward_batch, x, 1e-5, 64)
+        assert h.max() <= LINEAR_DISTORTION_BOUND
 
 
 def _raising_map(y):
@@ -209,30 +166,40 @@ class TestBatchContract:
             linear_distortion_numeric(lambda y: y, np.full((2, 3), np.nan), 1e-3)
 
 
+def _form(x, y):
+    """The bilipschitz form as (..., 2, 2) matrices."""
+    a11, a12, a22 = bilipschitz_form(x, y)
+    return np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+
+
 class TestBilipschitzForm:
     def test_edge_value(self):
-        b = bilipschitz_form(np.pi / 2, 0.0)
+        b = _form(np.pi / 2, 0.0)
         assert np.allclose(b, np.diag([1.0, 4.0 / np.pi**2]), atol=1e-15)
         assert np.allclose(np.linalg.eigvalsh(b), [4.0 / np.pi**2, 1.0])
 
     def test_window_on_grid(self):
+        # LAPACK's eigenvalues of each form, independent of the closed-form
+        # eigenvalues the bilipschitz suite takes
         ax = np.linspace(-np.pi / 2, np.pi / 2, 200)
-        worst_lo, worst_hi = np.inf, -np.inf
-        for x in ax:
-            for y in ax:
-                if x < abs(y) or (x == 0 and y == 0):
-                    continue
-                lam = np.linalg.eigvalsh(bilipschitz_form(x, y))
-                worst_lo = min(worst_lo, lam[0])
-                worst_hi = max(worst_hi, lam[1])
-        assert worst_lo > 0.0  # strictly positive everywhere sampled
-        assert worst_lo >= CHART_EIG_LOW - 1e-9
-        assert worst_hi <= CHART_EIG_HIGH + 1e-9
+        gx, gy = np.meshgrid(ax, ax, indexing="ij")
+        keep = (gx >= np.abs(gy)) & ~((gx == 0) & (gy == 0))
+        lam = np.linalg.eigvalsh(_form(gx[keep], gy[keep]))
+        assert lam[:, 0].min() > 0.0  # strictly positive everywhere sampled
+        assert lam[:, 0].min() >= CHART_EIG_LOW - 1e-9
+        assert lam[:, 1].max() <= CHART_EIG_HIGH + 1e-9
 
     def test_origin_rejected(self):
         with pytest.raises(ChartSingularityError):
             bilipschitz_form(0.0, 0.0)
+        # one origin point in an array of valid ones
+        with pytest.raises(ChartSingularityError):
+            bilipschitz_form(np.array([1.0, 0.0]), np.array([0.5, 0.0]))
 
     def test_outside_region_rejected(self):
         with pytest.raises(InvalidInputError):
             bilipschitz_form(0.1, 0.5)
+        with pytest.raises(InvalidInputError):
+            bilipschitz_form(np.array([1.0, 0.1]), np.array([0.5, 0.5]))
+        with pytest.raises(InvalidInputError):  # outside the chart square
+            bilipschitz_form(np.array([1.0, 2.0]), np.array([0.5, 0.0]))

@@ -2,6 +2,37 @@ import numpy as np
 import pytest
 
 from qcmaps import kernels
+from qcmaps.errors import InvalidInputError
+
+# every public kernel, as a function of its points alone
+PUBLIC_KERNELS = {
+    "zorich_forward_batch": kernels.zorich_forward_batch,
+    "zorich_inverse_batch": kernels.zorich_inverse_batch,
+    "canonicalize_batch": kernels.canonicalize_batch,
+    "spiral_u_batch": lambda x: kernels.spiral_u_batch(x, 2.0, 0.25),
+    "spiral_jac_batch": lambda x: kernels.spiral_jac_batch(x, 2.0, 0.25),
+    "spiral_region_batch": lambda x: kernels.spiral_region_batch(x, 0.25),
+}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones((2, 2)), np.ones(2), np.ones((2, 2, 3)), np.empty((0, 3)), np.empty(0), 1.0],
+    ids=["n-2-batch", "n-2-point", "ndim-3", "empty-batch", "empty-point", "scalar"],
+)
+@pytest.mark.parametrize("name", PUBLIC_KERNELS)
+def test_malformed_shapes_rejected(name, bad):
+    # without the check, a (2, 2) batch gave values silently
+    with pytest.raises(InvalidInputError):
+        PUBLIC_KERNELS[name](bad)
+
+
+def test_region_single_point_gives_length_one_arrays():
+    x = np.array([0.3, -0.2, 0.7])
+    for single, batch in zip(kernels.spiral_region_batch(x, 0.25),
+                             kernels.spiral_region_batch(x[None, :], 0.25)):
+        assert single.shape == (1,)
+        assert np.array_equal(single, batch)
 
 
 def test_fold_wraps_box_edge():

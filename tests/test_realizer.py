@@ -73,7 +73,8 @@ class TestPlanPaths:
         t = rz.TargetSet(waypoints=w)
         plans = rz.plan_paths(t, 1)
         assert len(plans[0]) == 4
-        assert all(s.angle <= np.pi / 2 + 1e-9 for s in plans[0])
+        angles = [np.arccos(np.clip(s.sigma1 @ s.sigma2, -1.0, 1.0)) for s in plans[0]]
+        assert max(angles) <= np.pi / 2 + 1e-9
 
     def test_antipodal_hop_rejected(self):
         t = rz.TargetSet(waypoints=np.array([[2.0, 0, 0], [-2.0, 0, 0]]))
@@ -102,7 +103,7 @@ class TestBuildMap:
         rm = rz.build_map([[], []], n=3)
         assert len(rm.pieces) == 0 and rm.outer_K == 1.0
         x = np.array([0.3, -0.4, 1.2])
-        assert np.allclose(rz.eval_map(rm, x), x)
+        assert np.allclose(rz.eval_map_batch(rm, x), x)
 
     def test_single_radial_piece_factors(self):
         seg = rz.RadialSegment(1.0, 2.0, E1)
@@ -193,12 +194,12 @@ class TestEvalMap:
     def test_outer_identity(self):
         rm = rz.build_map([[]], n=3)
         x = np.array([5.0, 1.0, -2.0])
-        assert np.allclose(rz.eval_map(rm, x), x)
+        assert np.allclose(rz.eval_map_batch(rm, x), x)
 
     def test_origin_rejected(self):
         rm = rz.build_map([[]], n=3)
         with pytest.raises(OriginError):
-            rz.eval_map(rm, np.zeros(3))
+            rz.eval_map_batch(rm, np.zeros(3))
 
     @pytest.mark.parametrize(
         "x",
@@ -318,7 +319,7 @@ class TestRealizedMapProperties:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         x = dirs * _stack_radii(rm, [t for _, t in points])[:, None]
         batch = rz.eval_map_batch(rm, x)
-        single = np.stack([rz.eval_map(rm, p) for p in x])
+        single = np.stack([rz.eval_map_batch(rm, p) for p in x])
         # one-row and many-row matrix products may round differently
         scale = np.linalg.norm(single, axis=1)
         assert np.all(np.abs(batch - single).max(axis=1) <= 8 * np.finfo(float).eps * scale)
@@ -341,8 +342,8 @@ class TestRealizedMapProperties:
         v = np.array(direction[: rm.n])
         v /= np.linalg.norm(v)
         for r in [p.r_out for p in rm.pieces] + [rm.r_end]:
-            above = rz.eval_map(rm, v * r * (1.0 + 1e-12))
-            below = rz.eval_map(rm, v * r * (1.0 - 1e-12))
+            above = rz.eval_map_batch(rm, v * r * (1.0 + 1e-12))
+            below = rz.eval_map_batch(rm, v * r * (1.0 - 1e-12))
             assert np.abs(above - below).max() <= 1e-9 * r
 
     @settings(max_examples=60, deadline=None)
@@ -465,12 +466,12 @@ class TestRegionDispatch:
 class TestMeanRadius:
     def test_pure_stretch_k8(self):
         rm = rz.RealizedMap(pieces=(), outer_K=8.0, outer_frame=np.eye(3), n=3)
-        assert rz.mean_radius(rm, 0.37) / 0.37 == pytest.approx(2.0, abs=1e-12)
+        assert rz.mean_radius_batch(rm, 0.37)[0] / 0.37 == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_everywhere(self):
         rm = rz.build_map([[]], n=3)
-        for r in (0.01, 1.0, 40.0):
-            assert rz.mean_radius(rm, r) == pytest.approx(r, abs=1e-9 * r)
+        r = np.array([0.01, 1.0, 40.0])
+        assert np.allclose(rz.mean_radius_batch(rm, r), r, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize(
         "radii", [[np.nan], [0.5, np.inf], []], ids=["nan", "inf", "empty"]
@@ -524,7 +525,7 @@ class TestMeanRadius:
         rm = rz.build_map([[seg]])
         p = rm.pieces[0]
         r_mid = float(np.sqrt(p.r_in * p.r_out))
-        rho = rz.mean_radius(rm, r_mid)
+        rho = rz.mean_radius_batch(rm, r_mid)[0]
         rng = np.random.default_rng(3)
         dirs = rng.standard_normal((1_000_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -533,31 +534,35 @@ class TestMeanRadius:
         assert abs(rho - rho_mc) / rho_mc <= 1e-2
 
 
+def _gamma(rm, t_values):
+    """The orbit curve gamma(t) = f(t e_1) / rho_f(t) at each t."""
+    return rz.orbit_table(rm, t_values)["gamma"]
+
+
 class TestOrbit:
     def test_rescaled_tip_matches_volume_normalization(self):
         # global stretch by K: the e_1 tip rescales to K^{1-1/n} sigma
         rm = rz.RealizedMap(pieces=(), outer_K=8.0, outer_frame=np.eye(3), n=3)
-        tip = rz.rescaled_map(rm, 0.11, E1)
-        assert np.allclose(tip, [4.0, 0, 0], atol=1e-12)
+        assert np.allclose(_gamma(rm, [0.11])[0], [4.0, 0, 0], atol=1e-12)
 
     def test_rescaled_map_homogeneous(self):
+        # f(t x) / rho_f(t) does not depend on t for a global stretch
         rm = rz.RealizedMap(pieces=(), outer_K=3.0, outer_frame=np.eye(3), n=3)
         x = np.array([0.3, 0.4, 0.5])
-        a = rz.rescaled_map(rm, 0.5, x)
-        b = rz.rescaled_map(rm, 0.01, x)
-        assert np.abs(a - b).max() <= 1e-12
+        t = np.array([0.5, 0.01])
+        f_t = rz.eval_map_batch(rm, t[:, None] * x) / rz.mean_radius_batch(rm, t)[:, None]
+        assert np.abs(f_t[0] - f_t[1]).max() <= 1e-12
 
     def test_identity_orbit_constant(self):
         rm = rz.build_map([[]], n=3)
-        gamma = rz.orbit_curve(rm, np.geomspace(1.0, 1e-4, 50))
+        gamma = _gamma(rm, np.geomspace(1.0, 1e-4, 50))
         assert np.abs(gamma - E1).max() <= 1e-12
 
     def test_radial_plan_checkpoints(self):
         seg = rz.RadialSegment(1.0, 2.0, E1)
         rm = rz.build_map([[seg]])
         p = rm.pieces[0]
-        g_out = rz.rescaled_map(rm, p.r_out, E1)
-        g_in = rz.rescaled_map(rm, p.r_in, E1)
+        g_out, g_in = _gamma(rm, [p.r_out, p.r_in])
         assert np.linalg.norm(g_out - E1) <= 1e-6
         assert np.linalg.norm(g_in - 2.0 * E1) <= 1e-6
 
@@ -565,7 +570,7 @@ class TestOrbit:
         seg = rz.RadialSegment(1.0, 2.0, E1)
         rm = rz.build_map([[seg, rz.RadialSegment(2.0, 1.0, E1)]])
         ts = rz.default_orbit_times(rm, per_piece=150)
-        gamma = rz.orbit_curve(rm, ts)
+        gamma = _gamma(rm, ts)
         assert np.abs(gamma[:, 1:]).max() <= 1e-6
         radii = gamma[:, 0]
         assert radii.min() >= 1.0 - 1e-6 and radii.max() <= 2.0 + 1e-6
@@ -573,16 +578,14 @@ class TestOrbit:
 
     def test_quarter_circle_checkpoints(self, quarter_circle_map):
         rm, _, _ = quarter_circle_map
-        errs = [
-            np.linalg.norm(rz.rescaled_map(rm, r, E1) - u * sig)
-            for r, u, sig in rm.checkpoints
-        ]
-        assert max(errs) <= 1e-6
+        r, u, sig = (np.array(v) for v in zip(*rm.checkpoints))
+        errs = np.linalg.norm(_gamma(rm, r) - u[:, None] * sig, axis=1)
+        assert errs.max() <= 1e-6
 
     def test_orbit_in_annulus(self, quarter_circle_map):
         rm, _, _ = quarter_circle_map
         ts = rz.default_orbit_times(rm, per_piece=60)
-        radii = np.linalg.norm(rz.orbit_curve(rm, ts), axis=1)
+        radii = np.linalg.norm(_gamma(rm, ts), axis=1)
         assert radii.min() >= 1.0 / 2.5 and radii.max() <= 2.5
 
 
@@ -608,7 +611,7 @@ class TestHausdorff:
         # swapping the sets only flips the sign of each coordinate
         # difference, so the distance is the same to the bit
         rm, target, _ = quarter_circle_map
-        gamma = rz.orbit_curve(rm, rz.default_orbit_times(rm, per_piece=60))
+        gamma = _gamma(rm, rz.default_orbit_times(rm, per_piece=60))
         poly = rz._polyline_samples(target.waypoints, target.closed)
         d = rz.hausdorff_distance(gamma, poly)
         assert d > 0.0 and d == rz.hausdorff_distance(poly, gamma)
