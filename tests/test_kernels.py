@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qcmaps import kernels
-from qcmaps.errors import InvalidInputError
+from qcmaps.errors import InvalidInputError, OriginError
 
 # every public kernel, as a function of its points alone
 PUBLIC_KERNELS = {
@@ -268,3 +270,82 @@ def test_laplace_det_small_integers_exact(n):
     mats = np.random.default_rng(n).integers(-9, 10, (3000, n, n)).astype(float)
     det, _ = kernels._laplace_det(_entry_array(mats))
     assert np.array_equal(det, np.rint(np.linalg.det(mats)))
+
+
+def test_spiral_u_fixes_the_pole():
+    # a zero chart block is the pole (0, ..., 0, x_n), which the spiral fixes
+    # as spiral_stretch fixes the e_n axis; a block that underflows |x_b|^2
+    # takes the same limit in its last coordinate.  Other rows are unchanged.
+    x = _first_box_points(4, 60, 5)
+    pole = np.zeros(60, dtype=bool)
+    pole[::4] = True
+    x[pole, :-1] = np.array([0.0, -0.0, 0.0])
+    tiny = np.zeros(60, dtype=bool)
+    tiny[2::8] = True
+    x[tiny, :-1] = [1e-170, -3e-171, 2e-171]
+    regular = ~(pole | tiny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kernels.spiral_u_batch(x, 2.0, 0.1)
+        single = kernels.spiral_u_batch([0.0, 0.0, 1.0], 2.0, 0.1)
+        alone = kernels.spiral_u_batch(x[regular], 2.0, 0.1)
+    assert np.array_equal(single, [0.0, 0.0, 1.0])
+    assert np.array_equal(out[pole], np.where(np.arange(4) < 3, 0.0, x[pole]))
+    assert np.array_equal(out[tiny, -1], x[tiny, -1])
+    assert np.all(np.isfinite(out[tiny])) and np.all(np.abs(out[tiny, :-1]) < 1e-169)
+    assert np.array_equal(out[regular], alone)
+
+
+def _kernel_outputs(name, x):
+    """A public kernel's outputs on x, as a tuple of arrays."""
+    out = PUBLIC_KERNELS[name](x)
+    return out if name == "spiral_region_batch" else (out,)
+
+
+def _assert_same_outputs(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", PUBLIC_KERNELS)
+def test_strips_match_one_pass(monkeypatch, name, n):
+    # rows are independent, so any strip length gives the one-pass result bit
+    # for bit: batches one short of a strip, one strip, one over, two and more
+    strip = 5
+    for rows in (strip - 1, strip, strip + 1, 2 * strip + 3):
+        x = _first_box_points(n, rows, 100 * n + rows)
+        monkeypatch.setattr(kernels, "_STRIP", 1 << 20)
+        ref = _kernel_outputs(name, x)
+        monkeypatch.setattr(kernels, "_STRIP", strip)
+        _assert_same_outputs(_kernel_outputs(name, x), ref)
+        # each row alone, the single-point path, is row k of the batch
+        if name != "spiral_region_batch":
+            for k in range(rows):
+                assert np.array_equal(PUBLIC_KERNELS[name](x[k]), ref[0][k])
+
+
+@pytest.mark.parametrize("name", PUBLIC_KERNELS)
+def test_strips_match_one_pass_at_full_size(monkeypatch, name):
+    x = _first_box_points(4, 2 * kernels._STRIP + 3, 9)
+    got = _kernel_outputs(name, x)
+    monkeypatch.setattr(kernels, "_STRIP", 1 << 20)
+    _assert_same_outputs(got, _kernel_outputs(name, x))
+
+
+def test_spiral_jac_strips_fill_one_entry_array(monkeypatch):
+    # the (m, n, n) result stays a view of one (n, n, m) entry array
+    monkeypatch.setattr(kernels, "_STRIP", 5)
+    jac = kernels.spiral_jac_batch(_first_box_points(4, 13, 4), 2.0, 0.25)
+    assert jac.shape == (13, 4, 4)
+    assert jac.base is not None and jac.base.shape == (4, 4, 13)
+    assert jac.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_zorich_inverse_origin_in_last_strip(monkeypatch):
+    monkeypatch.setattr(kernels, "_STRIP", 5)
+    y = _first_box_points(3, 13, 8)
+    y[12] = 0.0
+    with pytest.raises(OriginError):
+        kernels.zorich_inverse_batch(y)

@@ -29,7 +29,7 @@ class TestSphereChart:
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(-np.pi / 2, np.pi / 2, (2000, 4))
-        y = kernels._chart(p.T)
+        y = kernels._chart(p.T, np.empty((2000, 5)))
         assert np.abs(np.linalg.norm(y, axis=1) - 1.0).max() <= 1e-12
 
 
