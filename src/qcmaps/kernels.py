@@ -40,17 +40,33 @@ np.negative misreads a 64-byte stride, the last column of an (m, 8) array.
 The public kernels run over strips of rows: each checks its input once with
 ``_as_batch``, allocates its output once, and calls its private body
 (``_zorich_forward_rows`` and so on) on consecutive strips of at most
-``_STRIP`` = 8192 rows, each body writing its strip's rows of the output.
+``_STRIP`` = 16384 rows, each body writing its strip's rows of the output.
 A body is row-local (column ufuncs only, no reduction across rows, no BLAS
 call), so a row's result does not depend on the strip it falls in and the
-strips are exact to the bit.  8192 rows keep a strip's column temporaries,
-some 40 of 64 KiB, within a 2 MiB L2; a batch of at most 8192 rows, or a
+strips are exact to the bit.  16384 rows keep a strip's column temporaries,
+some 40 of 128 KiB, near a 2 MiB L2; a batch of at most 16384 rows, or a
 single point, is one strip and is not copied.
+
+The strips of one call may run on several threads (``_each_strip``): the
+calling thread and one helper per further usable CPU and further full strip,
+started for the call and joined before it returns or raises.  numpy releases
+the GIL inside its ufunc loops, so the strips compute side by side.  The bits
+still cannot change: each strip writes only its own rows, and a row's
+arithmetic is the same on any thread and in any order.  The helpers run
+under the caller's numpy error state (``np.errstate`` is per thread), so
+ignored floating-point errors stay silent and raised ones raise, from any
+strip.  A body calls no public function, so wrappers installed on the public
+kernels (a tracer's spans, say) only ever run on the calling thread.  There
+is no knob: the thread count is the number of CPUs the process may run on,
+read once at import, and a batch of fewer than two full strips, or a single
+CPU, runs inline, starting no thread.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 
 import numpy as np
 
@@ -72,17 +88,77 @@ def _as_batch(x):
 
 
 # Rows per strip of the public kernels.  A strip's column temporaries, some 40
-# of 64 KiB, fit a 2 MiB L2, and malloc hands the same blocks back strip after
-# strip.  The six kernels on the 200k-row bulk inputs (n = 3 and 4, 2-vCPU
-# Xeon, median ms): 377 at 2^11 rows, 313 at 2^12, 274 at 2^13, 292 at 2^14,
-# 308 at 2^15, and 433 in one pass over all rows.
-_STRIP = 1 << 13
+# of 128 KiB, stay near a 2 MiB L2, and malloc hands the same blocks back strip
+# after strip.  The six kernels on the 200k-row bulk inputs (n = 3 and 4,
+# 2-vCPU Xeon, median ms), on one thread: 377 at 2^11 rows, 313 at 2^12, 274
+# at 2^13, 292 at 2^14, 308 at 2^15, and 433 in one pass over all rows.  With
+# both CPUs (median of 9 and of 15 alternating rounds, seeds 0 and 7): 268 and
+# 284 at 2^12, 179 and 183 at 2^13, 156 and 164 at 2^14, 163 and 169 at 2^15,
+# against 211 and 232 on one thread at 2^13.
+_STRIP = 1 << 14
+
+# Threads that run the strips of one call: the calling thread and
+# _WORKERS - 1 helpers, never more than there are full strips.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:
+    _WORKERS = os.cpu_count() or 1
 
 
-def _strips(m):
-    """Row slices of the consecutive strips of an m-row batch: one slice,
-    a view of every row, when m <= _STRIP."""
-    return [slice(lo, lo + _STRIP) for lo in range(0, m, _STRIP)]
+def _each_strip(m, body):
+    """Call body(s) for the row slice s of every strip of an m-row batch.
+
+    A batch of fewer than two full strips, or one usable CPU, runs inline
+    on the calling thread.  Otherwise the calling thread and helper threads
+    started for this call, at most one per full strip, take strips in order
+    from one shared list until it is empty, so a slow thread takes fewer.
+    Helpers run under the caller's numpy error state, which is per thread.
+    The call joins every helper before it returns or raises; a strip that
+    raises stops the hand-out, and the call re-raises the exception of the
+    lowest strip that raised, which is the one a serial loop would raise.
+    """
+    strips = [slice(lo, lo + _STRIP) for lo in range(0, m, _STRIP)]
+    # a thread pays for its start and its share of the GIL only with a full
+    # strip of its own
+    workers = min(_WORKERS, m // _STRIP)
+    if workers <= 1:
+        for s in strips:
+            body(s)
+        return
+    todo = iter(enumerate(strips))
+    lock = threading.Lock()
+    failed = []
+
+    def work():
+        while True:
+            with lock:
+                job = None if failed else next(todo, None)
+            if job is None:
+                return
+            k, s = job
+            try:
+                body(s)
+            except BaseException as exc:
+                with lock:
+                    failed.append((k, exc))
+                return
+
+    err, call = np.geterr(), np.geterrcall()
+
+    def helper():
+        with np.errstate(call=call, **err):
+            work()
+
+    threads = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
 
 
 def _abs_max(cols):
@@ -229,8 +305,7 @@ def zorich_forward_batch(x):
     """Z(x) = e^{x_n} h(x_1..x_{n-1}) for arbitrary points of R^n."""
     a, single = _as_batch(x)
     out = np.empty(a.shape)
-    for s in _strips(len(a)):
-        _zorich_forward_rows(a[s], out[s])
+    _each_strip(len(a), lambda s: _zorich_forward_rows(a[s], out[s]))
     return out[0] if single else out
 
 
@@ -267,8 +342,7 @@ def zorich_inverse_batch(y):
     """
     a, single = _as_batch(y)
     out = np.empty(a.shape)
-    for s in _strips(len(a)):
-        _zorich_inverse_rows(a[s], out[s])
+    _each_strip(len(a), lambda s: _zorich_inverse_rows(a[s], out[s]))
     return out[0] if single else out
 
 
@@ -288,8 +362,7 @@ def canonicalize_batch(x):
     """Canonical fundamental-set representative of arbitrary coordinates."""
     a, single = _as_batch(x)
     out = np.empty(a.shape)
-    for s in _strips(len(a)):
-        _canonicalize_rows(a[s], out[s])
+    _each_strip(len(a), lambda s: _canonicalize_rows(a[s], out[s]))
     return out[0] if single else out
 
 
@@ -324,8 +397,8 @@ def spiral_u_batch(x, K, alpha):
     """
     a, single = _as_batch(x)
     out = np.empty(a.shape)
-    for s in _strips(len(a)):
-        _spiral_u_rows(a[s], out[s], float(K), float(alpha))
+    K, alpha = float(K), float(alpha)
+    _each_strip(len(a), lambda s: _spiral_u_rows(a[s], out[s], K, alpha))
     return out[0] if single else out
 
 
@@ -481,8 +554,8 @@ def spiral_jac_batch(x, K, alpha):
     a, single = _as_batch(x)
     n = a.shape[1]
     jac = np.empty((n, n, len(a)))
-    for s in _strips(len(a)):
-        _spiral_jac_rows(a[s], jac[:, :, s], float(K), float(alpha))
+    K, alpha = float(K), float(alpha)
+    _each_strip(len(a), lambda s: _spiral_jac_rows(a[s], jac[:, :, s], K, alpha))
     jac = jac.transpose(2, 0, 1)
     return jac[0] if single else jac
 
@@ -507,6 +580,6 @@ def spiral_region_batch(x, alpha):
     a, _ = _as_batch(x)
     m = len(a)
     out = (np.empty(m, np.intp), np.empty(m, np.intp), np.empty(m), np.empty(m))
-    for s in _strips(m):
-        _spiral_region_rows(a[s], [o[s] for o in out], float(alpha))
+    alpha = float(alpha)
+    _each_strip(m, lambda s: _spiral_region_rows(a[s], [o[s] for o in out], alpha))
     return out

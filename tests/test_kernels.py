@@ -1,3 +1,8 @@
+import inspect
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -308,18 +313,29 @@ def _assert_same_outputs(got, ref):
         assert np.array_equal(g, r)
 
 
+# thread counts of a call: inline, and with one and two helper threads
+WORKERS = (1, 2, 3)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("name", PUBLIC_KERNELS)
 def test_strips_match_one_pass(monkeypatch, name, n):
-    # rows are independent, so any strip length gives the one-pass result bit
-    # for bit: batches one short of a strip, one strip, one over, two and more
+    # rows are independent, so any strip length and thread count gives the
+    # one-pass result bit for bit: batches one short of a strip, one strip,
+    # one over, two and more.  Every output is kept until compared, so no
+    # call gets an output buffer that an earlier call has already filled.
     strip = 5
-    for rows in (strip - 1, strip, strip + 1, 2 * strip + 3):
+    for rows in (strip - 1, strip, strip + 1, 2 * strip + 3, 5 * strip + 2):
         x = _first_box_points(n, rows, 100 * n + rows)
         monkeypatch.setattr(kernels, "_STRIP", 1 << 20)
         ref = _kernel_outputs(name, x)
         monkeypatch.setattr(kernels, "_STRIP", strip)
-        _assert_same_outputs(_kernel_outputs(name, x), ref)
+        got = []
+        for workers in WORKERS:
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            got.append(_kernel_outputs(name, x))
+        for g in got:
+            _assert_same_outputs(g, ref)
         # each row alone, the single-point path, is row k of the batch
         if name != "spiral_region_batch":
             for k in range(rows):
@@ -329,23 +345,207 @@ def test_strips_match_one_pass(monkeypatch, name, n):
 @pytest.mark.parametrize("name", PUBLIC_KERNELS)
 def test_strips_match_one_pass_at_full_size(monkeypatch, name):
     x = _first_box_points(4, 2 * kernels._STRIP + 3, 9)
-    got = _kernel_outputs(name, x)
+    got = {}
+    for workers in WORKERS:
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        got[workers] = _kernel_outputs(name, x)
     monkeypatch.setattr(kernels, "_STRIP", 1 << 20)
-    _assert_same_outputs(got, _kernel_outputs(name, x))
+    ref = _kernel_outputs(name, x)
+    for workers in WORKERS:
+        _assert_same_outputs(got[workers], ref)
 
 
 def test_spiral_jac_strips_fill_one_entry_array(monkeypatch):
     # the (m, n, n) result stays a view of one (n, n, m) entry array
     monkeypatch.setattr(kernels, "_STRIP", 5)
-    jac = kernels.spiral_jac_batch(_first_box_points(4, 13, 4), 2.0, 0.25)
-    assert jac.shape == (13, 4, 4)
-    assert jac.base is not None and jac.base.shape == (4, 4, 13)
-    assert jac.transpose(1, 2, 0).flags.c_contiguous
+    for workers in WORKERS:
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        jac = kernels.spiral_jac_batch(_first_box_points(4, 13, 4), 2.0, 0.25)
+        assert jac.shape == (13, 4, 4)
+        assert jac.base is not None and jac.base.shape == (4, 4, 13)
+        assert jac.transpose(1, 2, 0).flags.c_contiguous
 
 
-def test_zorich_inverse_origin_in_last_strip(monkeypatch):
+def test_strip_bodies_call_no_public_function(monkeypatch):
+    # wrappers on the public functions, such as a tracer's spans, must only
+    # ever run on the calling thread
     monkeypatch.setattr(kernels, "_STRIP", 5)
-    y = _first_box_points(3, 13, 8)
-    y[12] = 0.0
-    with pytest.raises(OriginError):
-        kernels.zorich_inverse_batch(y)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    threads = set()
+    for k, f in list(vars(kernels).items()):
+        if inspect.isfunction(f) and f.__module__ == kernels.__name__ and k[0] != "_":
+            def wrapper(*a, f=f):
+                threads.add(threading.get_ident())
+                return f(*a)
+            monkeypatch.setattr(kernels, k, wrapper)
+    x = _first_box_points(4, 23, 5)
+    for name in PUBLIC_KERNELS:
+        _kernel_outputs(name, x)
+    # the spiral entries of PUBLIC_KERNELS call through the wrappers
+    assert threads == {threading.get_ident()}
+
+
+def test_workers_are_the_usable_cpus():
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    assert kernels._WORKERS == cpus
+
+
+def _record_strips(m, workers, monkeypatch, body=None):
+    """The (strip start, thread id) pairs of one ``_each_strip`` call."""
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    seen = []
+
+    def record(s):
+        seen.append((s.start, threading.get_ident()))
+        if body is not None:
+            body(s)
+
+    kernels._each_strip(m, record)
+    return seen
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_each_strip_runs_every_strip_once(monkeypatch, workers):
+    monkeypatch.setattr(kernels, "_STRIP", 5)
+    for m in (1, 5, 6, 13, 23):
+        seen = _record_strips(m, workers, monkeypatch)
+        assert sorted(lo for lo, _ in seen) == list(range(0, m, 5))
+
+
+def test_each_strip_inline_below_two_full_strips_or_on_one_cpu(monkeypatch):
+    # no thread is started: every strip runs on the calling thread
+    monkeypatch.setattr(kernels, "_STRIP", 5)
+    me = threading.get_ident()
+    for m, workers in ((5, 3), (9, 3), (23, 1)):
+        assert {t for _, t in _record_strips(m, workers, monkeypatch)} == {me}
+
+
+def test_each_strip_hand_out_under_contention(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows:
+    # a strip handed out twice or lost shows in the record
+    monkeypatch.setattr(kernels, "_STRIP", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = _record_strips(3000, 8, monkeypatch, lambda s: np.sqrt(np.arange(50.0)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(lo for lo, _ in seen) == list(range(3000))
+
+
+def test_helpers_run_under_the_callers_error_state(monkeypatch):
+    # np.errstate is per thread; each strip waits until both threads hold one,
+    # so a helper certainly runs a strip
+    monkeypatch.setattr(kernels, "_STRIP", 1)
+    both = threading.Barrier(2, timeout=10.0)
+    states = []
+
+    def body(s):
+        if s.start < 2:
+            both.wait()
+        states.append(np.geterr())
+
+    with np.errstate(divide="raise", over="ignore", under="warn", invalid="ignore"):
+        want = np.geterr()
+        seen = _record_strips(4, 2, monkeypatch, body)
+    assert len({t for _, t in seen}) == 2
+    assert states == [want] * 4
+
+
+# one row in each of two full strips, the rows whose first coordinate is inf
+INF_ROWS = [1000, kernels._STRIP + 1000]
+
+
+def _with_inf_rows():
+    # inf - inf in the fold: an invalid floating-point operation in each strip
+    x = _first_box_points(3, 2 * kernels._STRIP, 21)
+    x[INF_ROWS, 0] = np.inf
+    return x
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_ignored_fp_errors_stay_silent_in_every_strip(monkeypatch, workers):
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    x = _with_inf_rows()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = kernels.zorich_forward_batch(x)
+            alone = kernels.zorich_forward_batch(x[INF_ROWS])
+    assert np.array_equal(out[INF_ROWS], alone, equal_nan=True)
+    assert np.all(np.isfinite(np.delete(out, INF_ROWS, axis=0)))
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_raised_fp_errors_raise_from_every_strip(monkeypatch, workers):
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    x = _with_inf_rows()
+    with np.errstate(invalid="raise", over="ignore"):
+        with pytest.raises(FloatingPointError) as alone:
+            kernels.zorich_forward_batch(x[INF_ROWS[1]])
+        with pytest.raises(FloatingPointError) as batch:
+            kernels.zorich_forward_batch(x)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_zorich_inverse_origin_in_any_strip(monkeypatch):
+    # a zero row in the first, a middle or the last strip raises whichever
+    # thread runs it, and the call joins its helpers first: none outlives
+    # it, and the next call is whole
+    monkeypatch.setattr(kernels, "_STRIP", 5)
+    for rows in (13, 23):
+        y = _first_box_points(3, rows, 8)
+        ref = kernels.zorich_inverse_batch(y)
+        for workers in WORKERS:
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            threads = threading.active_count()
+            for zero in (0, rows // 2, rows - 1):
+                bad = y.copy()
+                bad[zero] = 0.0
+                with pytest.raises(OriginError):
+                    kernels.zorich_inverse_batch(bad)
+                assert threading.active_count() == threads
+                assert np.array_equal(kernels.zorich_inverse_batch(y), ref)
+
+
+def test_each_strip_joins_helpers_before_raising(monkeypatch):
+    # the calling thread fails at once while the helpers sit in slow strips:
+    # the call still raises only once no strip is running
+    monkeypatch.setattr(kernels, "_STRIP", 1)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+    me = threading.get_ident()
+    running = []
+
+    def body(s):
+        if threading.get_ident() == me:
+            raise ValueError(s.start)
+        running.append(s.start)
+        time.sleep(0.05)
+        running.remove(s.start)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError):
+        kernels._each_strip(8, body)
+    assert running == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_each_strip_raises_the_lowest_failing_strip(monkeypatch, workers):
+    # every strip below a failing one has been handed out and runs, so the
+    # lowest failure is the one a serial loop raises
+    monkeypatch.setattr(kernels, "_STRIP", 5)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+
+    def body(s):
+        if s.start in (5, 15):
+            raise ValueError(s.start)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as err:
+        kernels._each_strip(23, body)
+    assert err.value.args == (5,)
+    assert threading.active_count() == threads
