@@ -7,7 +7,9 @@ Each family exists in two coordinate systems:
   an (n,) point or an (m, n) batch and a spec.  The stretch scales by
   K / sqrt(K^2 + (1 - K^2) cos^2 phi), with phi the angle from the spec
   frame's first column, so a single frame drives stretch direction and
-  spiral plane.
+  spiral plane.  Each checks the whole batch, then forms the images over
+  the row strips of ``kernels._each_strip`` (``_map_strips``), which may
+  run on several threads.
 - log-coordinate transforms on the fundamental set (conjugation by the cube
   chart Zorich map).  The stretch and interpolation transforms keep the
   chart block and shift the last coordinate by V resp. V_I
@@ -138,9 +140,19 @@ class SpiralSpec(_FramedSpec):
 # Stretch factors and y-space maps
 # =====================================================================
 
-def stretch_factor(cos2, K):
+def _stretch_factor(cos2, K):
     """K / sqrt(K^2 + (1 - K^2) c) for c = cos^2 of the angle from the axis."""
     return K / np.sqrt(K * K + (1.0 - K * K) * cos2)
+
+
+def stretch_factor(cos2, K):
+    """``_stretch_factor``, the stretch profile, under its public name.
+
+    The strip bodies of the y-space maps call the private name: they may run
+    on helper threads, and wrappers installed on public functions, such as
+    a tracer's, must only ever run on the calling thread.
+    """
+    return _stretch_factor(cos2, K)
 
 
 def _norms(y):
@@ -166,19 +178,57 @@ def _as_points(y, n):
     return a
 
 
+def _scale_rows(lam, v, out=None):
+    """lam[:, None] * v for an (m, n) array v, one multiply per column: a
+    broadcast (m, 1) x (m, n) product runs one inner loop of n entries per
+    row.  The result is written to `out` when it is given."""
+    if out is None:
+        out = np.empty_like(v)
+    for i in range(v.shape[1]):
+        np.multiply(lam, v[:, i], out=out[:, i])
+    return out
+
+
+def _map_strips(a, body, *per_row):
+    """A y-space map of the checked points `a`, evaluated strip by strip.
+
+    body(x, *cols, out) writes the images of the rows x of one strip to out,
+    with cols the strip's entries of each per-point array in `per_row`.  The
+    strips are those of ``kernels._each_strip`` and may run on several
+    threads, so a body calls no public function.  A strip's matrix products
+    have at most ``kernels._STRIP`` + 1 rows, which up to n = 5 keeps them
+    off OpenBLAS's own threads (see ``kernels``); a single point is a
+    one-row strip.  Returns the images in the shape of `a`.
+    """
+    x = a.reshape(-1, a.shape[-1])
+    cols = [np.reshape(v, -1) for v in per_row]
+    out = np.empty_like(x)
+    kernels._each_strip(
+        len(x), lambda s: body(x[s], *(c[s] for c in cols), out[s])
+    )
+    return out.reshape(a.shape)
+
+
 def oriented_stretch(y, spec):
     """F . S(F^T y), with S the stretch by K along the first coordinate axis.
 
     Because S is a scalar profile times the identity, the conjugation
     collapses to scaling y by the profile evaluated at the cosine against
     the frame's first column; the direction of y is preserved.
+
+    The whole batch is checked first (finite, then nonzero); the images are
+    then formed strip by strip (``_map_strips``), each row scaled by its
+    profile with one multiply per column.
     """
     a = _as_points(y, spec.n)
     r = _norms(a)
     _require_nonzero(r)
-    sigma = spec.frame[:, 0]
-    cos2 = (a @ sigma / r) ** 2
-    return stretch_factor(cos2, spec.K)[..., None] * a
+    sigma, K = spec.frame[:, 0], spec.K
+
+    def body(x, r, out):
+        _scale_rows(_stretch_factor((x @ sigma / r) ** 2, K), x, out)
+
+    return _map_strips(a, body, r)
 
 
 def _interp_log_mix(nu, log_k, log_l, out=None):
@@ -191,7 +241,7 @@ def _interp_log_mix(nu, log_k, log_l, out=None):
 
 def _interp_log_weight(cos2, nu, K, L):
     return _interp_log_mix(
-        nu, np.log(stretch_factor(cos2, K)), np.log(stretch_factor(cos2, L))
+        nu, np.log(_stretch_factor(cos2, K)), np.log(_stretch_factor(cos2, L))
     )
 
 
@@ -201,6 +251,10 @@ def interp_stretch(y, spec):
     Scalar-times-identity: the K-stretch profile at the outer boundary, the
     L-stretch profile at the inner one, geometrically interpolated by
     nu = (ln|y| - s) / (t - s) in between.
+
+    The whole batch is checked first (finite, nonzero, inside the shell, in
+    that order, so a batch that fails several checks raises the first); the
+    images are then formed strip by strip (``_map_strips``).
     """
     a = _as_points(y, spec.n)
     r = _norms(a)
@@ -208,10 +262,14 @@ def interp_stretch(y, spec):
     lnr = np.log(r)
     if np.min(lnr) < spec.s - SHELL_TOL or np.max(lnr) > spec.t + SHELL_TOL:
         raise OutsideShellError("point outside the interpolation shell")
-    nu = np.clip((lnr - spec.s) / (spec.t - spec.s), 0.0, 1.0)
     sigma = spec.frame[:, 0]
-    cos2 = (a @ sigma / r) ** 2
-    return np.exp(_interp_log_weight(cos2, nu, spec.K, spec.L))[..., None] * a
+
+    def body(x, r, lnr, out):
+        nu = np.clip((lnr - spec.s) / (spec.t - spec.s), 0.0, 1.0)
+        cos2 = (x @ sigma / r) ** 2
+        _scale_rows(np.exp(_interp_log_weight(cos2, nu, spec.K, spec.L)), x, out)
+
+    return _map_strips(a, body, r, lnr)
 
 
 def spiral_stretch(y, spec):
@@ -219,23 +277,32 @@ def spiral_stretch(y, spec):
 
     Spheres map to ellipsoids with one semi-axis K|y| along the rotated image
     of the frame's first column; the unit sphere is not rotated at all.
+
+    The whole batch is checked first (finite, then nonzero); the images are
+    then formed strip by strip (``_map_strips``).
     """
     a = _as_points(y, spec.n)
     r = _norms(a)
     _require_nonzero(r)
-    w = a @ spec.frame
-    return _spiral_shell(w, r, spec.K, spec.alpha * np.log(r), spec.frame)
+
+    def body(x, r, out):
+        beta = spec.alpha * np.log(r)
+        _spiral_shell(x @ spec.frame, r, spec.K, beta, spec.frame, out)
+
+    return _map_strips(a, body, r)
 
 
-def _spiral_shell(w, r, K, beta, frame):
-    """lambda(w) . F . rotate_{(1,2)}(beta) . w for frame coordinates w, |w| = r.
+def _spiral_shell(w, r, K, beta, frame, out=None):
+    """lambda(w) . F . rotate_{(1,2)}(beta) . w for the frame coordinates
+    w (m, n) of m points, |w| = r.
 
     The one spiral formula behind ``spiral_stretch`` and the realizer's
-    spiral shells; beta is the rotation angle at each point.
+    spiral shells; beta is the rotation angle at each point.  The images are
+    written to `out` when it is given.
     """
-    lam = stretch_factor((w[..., 0] / r) ** 2, K)
+    lam = _stretch_factor((w[:, 0] / r) ** 2, K)
     v = kernels._rotate_12(w, np.cos(beta), np.sin(beta))
-    return lam[..., None] * (v @ frame.T)
+    return _scale_rows(lam, v @ frame.T, out)
 
 
 # =====================================================================

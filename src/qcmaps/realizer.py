@@ -33,10 +33,11 @@ from . import kernels
 from .canonical_maps import (
     _interp_log_mix,
     _interp_log_weight,
+    _scale_rows,
     _spiral_shell,
+    _stretch_factor,
     interp_inner_s,
     select_alpha,
-    stretch_factor,
 )
 from .errors import InvalidInputError, OriginError, PlanningError
 from .vecgeom import fibonacci_sphere, frame_from_direction, planar_rotation, unit
@@ -446,18 +447,20 @@ def _locate(rm, radii):
     return idx
 
 
-def _apply_boundary_stretch(x, r, kfac, frame):
-    lam = stretch_factor((x[:, 0] / r) ** 2, kfac)
-    return lam[:, None] * (x @ frame.T)
+def _apply_boundary_stretch(x, r, kfac, frame, out=None):
+    lam = _stretch_factor((x[:, 0] / r) ** 2, kfac)
+    return _scale_rows(lam, x @ frame.T, out)
 
 
-def _apply_piece(piece, x, r):
+def _apply_piece(piece, x, r, out=None):
+    """Images of the points x, |x| = r, inside `piece`, written to `out`
+    when it is given."""
     if piece.kind == "spiral":
         beta = piece.alpha * np.log(r / piece.r_out)
-        return _spiral_shell(x, r, piece.K, beta, piece.frame)
+        return _spiral_shell(x, r, piece.K, beta, piece.frame, out)
     nu = np.clip((np.log(r) - np.log(piece.r_in)) / (piece.t - piece.s), 0.0, 1.0)
     mu = np.exp(_interp_log_weight((x[:, 0] / r) ** 2, nu, piece.K, piece.L))
-    return mu[:, None] * (x @ piece.frame.T)
+    return _scale_rows(mu, x @ piece.frame.T, out)
 
 
 def _region_runs(idx):
@@ -509,13 +512,13 @@ def eval_map_batch(rm, x):
     a_s, r_s = np.take(a, order, axis=0), r[order]
     out_s = np.empty_like(a_s)
     for code, lo, hi in runs:
-        xs, rs = a_s[lo:hi], r_s[lo:hi]
+        xs, rs, out = a_s[lo:hi], r_s[lo:hi], out_s[lo:hi]
         if code == -1:
-            out_s[lo:hi] = _apply_boundary_stretch(xs, rs, rm.outer_K, rm.outer_frame)
+            _apply_boundary_stretch(xs, rs, rm.outer_K, rm.outer_frame, out)
         elif code == len(rm.pieces):
-            out_s[lo:hi] = _apply_boundary_stretch(xs, rs, rm.inner_K, rm.inner_frame)
+            _apply_boundary_stretch(xs, rs, rm.inner_K, rm.inner_frame, out)
         else:
-            out_s[lo:hi] = _apply_piece(rm.pieces[code], xs, rs)
+            _apply_piece(rm.pieces[code], xs, rs, out)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     out = np.take(out_s, inverse, axis=0)
@@ -555,33 +558,44 @@ def _sphere_rule(n):
     return u2, weights
 
 
-def _interp_mean_pow(piece, nu, n):
-    """Mean over the unit sphere of the interpolation profile to the n-th power.
+def _mean_pow_jobs(piece, nu, n, out):
+    """The row blocks of one interpolation shell's mean-radius quadrature.
 
-    The profile depends only on the first direction cosine, so ln lambda_K
-    and ln lambda_L are taken once at the rule's nodes.  The radii (one nu
-    each) are then walked in row blocks of about ``_BLOCK`` elements, the
-    same cache-sized blocks as the Hausdorff scan: each block is mixed,
-    scaled by n, exponentiated and weighted in place in one buffer.
+    The mean over the unit sphere of the shell's profile to the n-th power,
+    at the radii with interpolation parameters `nu`, goes to `out`, one
+    block of rows per job of ``_mean_pow_block``.  The profile depends only
+    on the first direction cosine, so ln lambda_K and ln lambda_L are taken
+    once at the rule's nodes, here on the calling thread.  The blocks are
+    about ``_BLOCK`` elements each, the same cache-sized blocks as the
+    Hausdorff scan, with a lone last row joined to the block before it
+    (``kernels._row_cuts``).
     """
     u2, weights = _sphere_rule(n)
-    log_k = np.log(stretch_factor(u2, piece.K))
-    log_l = np.log(stretch_factor(u2, piece.L))
-    nu = np.atleast_1d(nu)
-    rows = max(1, _BLOCK // u2.size)
-    cuts = [*range(0, nu.size, rows), nu.size]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        # a one-row product is a dot product, whose sum order differs from
-        # the matrix-vector product's, so a lone last row joins its block
-        del cuts[-2]
-    buf = np.empty((min(rows + 1, nu.size), u2.size))
-    out = np.empty(nu.size)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        blk = _interp_log_mix(nu[lo:hi, None], log_k, log_l, out=buf[: hi - lo])
-        blk *= n
-        np.exp(blk, out=blk)
-        out[lo:hi] = blk @ weights
-    return out
+    log_k = np.log(_stretch_factor(u2, piece.K))
+    log_l = np.log(_stretch_factor(u2, piece.L))
+    cuts = kernels._row_cuts(nu.size, max(1, _BLOCK // u2.size))
+    return [
+        (nu[lo:hi], log_k, log_l, n, weights, out[lo:hi])
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def _mean_pow_block(job):
+    """One job of ``_mean_pow_jobs``: mix the rows' log profiles, scale by
+    n, exponentiate and weight them, in one (rows, nodes) array."""
+    nu, log_k, log_l, n, weights, out = job
+    blk = _interp_log_mix(nu[:, None], log_k, log_l)
+    blk *= n
+    np.exp(blk, out=blk)
+    out[:] = blk @ weights
+
+
+# Quadrature blocks per thread of ``mean_radius_batch``: a helper thread is
+# started only with this many blocks of its own.  A block takes 60-100 us and
+# starting and joining a thread about 0.12 ms (2-vCPU Xeon); one n = 3 shell
+# of 128 radii, 16 blocks, ran 1.3 ms inline and 1.6 ms on two threads, and
+# one of 256 radii 3.6 ms against 3.0 ms.
+_MEAN_BLOCKS_PER_THREAD = 16
 
 
 def mean_radius_batch(rm, radii):
@@ -591,10 +605,14 @@ def mean_radius_batch(rm, radii):
 
     The integral uses one fixed rule per dimension: the 4096-point Fibonacci
     lattice at n = 3 and 256-node Gauss-Legendre above (FIBONACCI_POINTS,
-    GAUSS_NODES).  ``_interp_mean_pow`` applies it in the same cache-sized
-    row blocks as the Hausdorff scan.  Radii are dispatched as in
-    ``eval_map_batch``: one stable sort of the region codes, one contiguous
-    slice per region, one scatter back.
+    GAUSS_NODES).  Radii are dispatched as in ``eval_map_batch``: one stable
+    sort of the region codes, one contiguous slice per region, one scatter
+    back.  The rule is applied in row blocks of about ``_BLOCK`` elements
+    (``_mean_pow_jobs``), and the blocks of every interpolation shell of the
+    batch are handed to the usable CPUs together (``kernels._each_job``).
+    Each block is its own matrix-vector product, with the rows it has when
+    its shell is integrated alone, so the result does not depend on the
+    thread count.
     """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.size == 0 or not np.all(np.isfinite(r)):
@@ -605,6 +623,7 @@ def mean_radius_batch(rm, radii):
     n = rm.n
     r_s = r[order]
     out_s = np.empty_like(r_s)
+    jobs, means = [], []
     for code, lo, hi in runs:
         rs = r_s[lo:hi]
         if code == -1:
@@ -624,8 +643,12 @@ def mean_radius_batch(rm, radii):
                 mid = ~(at_out | at_in)
                 if np.any(mid):
                     nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
-                    mean = _interp_mean_pow(p, nu, n)
-                    res[mid] = mean ** (1.0 / n) * rs[mid]
+                    mean = np.empty(nu.size)
+                    jobs += _mean_pow_jobs(p, nu, n, mean)
+                    means.append((res, mid, rs, mean))
+    kernels._each_job(jobs, _mean_pow_block, len(jobs) // _MEAN_BLOCKS_PER_THREAD)
+    for res, mid, rs, mean in means:
+        res[mid] = mean ** (1.0 / n) * rs[mid]
     out = np.empty_like(r_s)
     out[order] = out_s
     return out

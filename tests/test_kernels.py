@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcmaps import kernels
+from qcmaps import canonical_maps, kernels, realizer
 from qcmaps.errors import InvalidInputError, OriginError
 
 # every public kernel, as a function of its points alone
@@ -368,20 +368,43 @@ def test_spiral_jac_strips_fill_one_entry_array(monkeypatch):
 
 def test_strip_bodies_call_no_public_function(monkeypatch):
     # wrappers on the public functions, such as a tracer's spans, must only
-    # ever run on the calling thread
+    # ever run on the calling thread: wrap every public function of qcmaps
+    # that the kernels, the y-space maps and the realizer call by name, as
+    # perfbench/tracing.py does, and run each batched entry on 3 threads
+    seg = realizer.RadialSegment(1.0, 2.0, np.eye(3)[0])
+    rm = realizer.build_map([[seg]])
+    p = rm.pieces[0]
+    # 598 radii inside the one interpolation shell: 75 quadrature blocks
+    radii = np.geomspace(p.r_out, p.r_in, 600)[1:-1]
+    frame = np.eye(4)
+    maps = {
+        "oriented_stretch": lambda y: canonical_maps.oriented_stretch(
+            y, canonical_maps.StretchSpec(K=2.0, frame=frame)),
+        "interp_stretch": lambda y: canonical_maps.interp_stretch(
+            0.5 * y / np.linalg.norm(y, axis=1, keepdims=True),
+            canonical_maps.InterpSpec(K=2.0, L=3.0, s=-2.0, t=0.0, frame=frame)),
+        "spiral_stretch": lambda y: canonical_maps.spiral_stretch(
+            y, canonical_maps.SpiralSpec(K=2.0, alpha=0.25, frame=frame)),
+    }
     monkeypatch.setattr(kernels, "_STRIP", 5)
     monkeypatch.setattr(kernels, "_WORKERS", 3)
     threads = set()
-    for k, f in list(vars(kernels).items()):
-        if inspect.isfunction(f) and f.__module__ == kernels.__name__ and k[0] != "_":
-            def wrapper(*a, f=f):
-                threads.add(threading.get_ident())
-                return f(*a)
-            monkeypatch.setattr(kernels, k, wrapper)
+    for mod in (kernels, canonical_maps, realizer):
+        for k, f in list(vars(mod).items()):
+            if (inspect.isfunction(f) and f.__module__.startswith("qcmaps.")
+                    and k[0] != "_"):
+                def wrapper(*a, f=f, **kw):
+                    threads.add(threading.get_ident())
+                    return f(*a, **kw)
+                monkeypatch.setattr(mod, k, wrapper)
     x = _first_box_points(4, 23, 5)
     for name in PUBLIC_KERNELS:
         _kernel_outputs(name, x)
-    # the spiral entries of PUBLIC_KERNELS call through the wrappers
+    for f in maps.values():
+        f(x)
+    realizer.mean_radius_batch(rm, radii)
+    # the spiral entries of PUBLIC_KERNELS and the maps call through the
+    # wrappers
     assert threads == {threading.get_ident()}
 
 
@@ -394,12 +417,13 @@ def test_workers_are_the_usable_cpus():
 
 
 def _record_strips(m, workers, monkeypatch, body=None):
-    """The (strip start, thread id) pairs of one ``_each_strip`` call."""
+    """The ((strip start, strip stop), thread id) pairs of one ``_each_strip``
+    call."""
     monkeypatch.setattr(kernels, "_WORKERS", workers)
     seen = []
 
     def record(s):
-        seen.append((s.start, threading.get_ident()))
+        seen.append(((s.start, s.stop), threading.get_ident()))
         if body is not None:
             body(s)
 
@@ -409,10 +433,20 @@ def _record_strips(m, workers, monkeypatch, body=None):
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_each_strip_runs_every_strip_once(monkeypatch, workers):
+    # strips of 5 rows, except that a lone last row joins the strip before it
     monkeypatch.setattr(kernels, "_STRIP", 5)
-    for m in (1, 5, 6, 13, 23):
+    layouts = {
+        1: [(0, 1)],
+        5: [(0, 5)],
+        6: [(0, 6)],
+        7: [(0, 5), (5, 7)],
+        13: [(0, 5), (5, 10), (10, 13)],
+        16: [(0, 5), (5, 10), (10, 16)],
+        23: [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)],
+    }
+    for m, strips in layouts.items():
         seen = _record_strips(m, workers, monkeypatch)
-        assert sorted(lo for lo, _ in seen) == list(range(0, m, 5))
+        assert sorted(s for s, _ in seen) == strips
 
 
 def test_each_strip_inline_below_two_full_strips_or_on_one_cpu(monkeypatch):
@@ -433,7 +467,8 @@ def test_each_strip_hand_out_under_contention(monkeypatch):
         seen = _record_strips(3000, 8, monkeypatch, lambda s: np.sqrt(np.arange(50.0)))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(lo for lo, _ in seen) == list(range(3000))
+    # one-row strips, and the lone last row joined to the strip before it
+    assert sorted(s for s, _ in seen) == [(k, k + 1) for k in range(2998)] + [(2998, 3000)]
 
 
 def test_helpers_run_under_the_callers_error_state(monkeypatch):
@@ -450,7 +485,8 @@ def test_helpers_run_under_the_callers_error_state(monkeypatch):
 
     with np.errstate(divide="raise", over="ignore", under="warn", invalid="ignore"):
         want = np.geterr()
-        seen = _record_strips(4, 2, monkeypatch, body)
+        # strips [0, 1), [1, 2), [2, 3) and [3, 5): the lone last row joins
+        seen = _record_strips(5, 2, monkeypatch, body)
     assert len({t for _, t in seen}) == 2
     assert states == [want] * 4
 

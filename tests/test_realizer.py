@@ -20,6 +20,15 @@ from qcmaps.vecgeom import fibonacci_sphere
 E1 = np.array([1.0, 0.0, 0.0])
 
 
+def _shell_mean_pow(piece, nu, n):
+    """One interpolation shell's blocked quadrature at the parameters nu,
+    its blocks run in order on the calling thread."""
+    out = np.empty(nu.size)
+    for job in rz._mean_pow_jobs(piece, nu, n, out):
+        rz._mean_pow_block(job)
+    return out
+
+
 class TestTargetSet:
     def test_annulus_bound_inferred(self):
         t = rz.TargetSet(waypoints=np.array([[2.0, 0, 0], [0.0, 0.5, 0]]))
@@ -420,7 +429,7 @@ class TestRegionDispatch:
                     mid = ~(at_out | at_in)
                     if np.any(mid):
                         nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
-                        mean = rz._interp_mean_pow(p, nu, n)
+                        mean = _shell_mean_pow(p, nu, n)
                         res[mid] = mean ** (1.0 / n) * rs[mid]
                     out[sel] = res
         return out
@@ -518,7 +527,7 @@ class TestMeanRadius:
         nu[0] = 1.0  # the outer sphere
         if rows > 1:
             nu[-1] = 0.0  # the inner sphere
-        assert np.array_equal(rz._interp_mean_pow(piece, nu, n), unblocked_mean_pow(piece, nu))
+        assert np.array_equal(_shell_mean_pow(piece, nu, n), unblocked_mean_pow(piece, nu))
 
     def test_quadrature_vs_monte_carlo(self):
         seg = rz.RadialSegment(1.0, 2.0, E1)
