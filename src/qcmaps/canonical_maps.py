@@ -27,14 +27,15 @@ max-norms before and after the spiral rotation and h and coef(K) do not
 depend on the phase (derived in ``select_alpha``).  ``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
 that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
 2^{-(n-1)/2}.  One generator, ``_grid_rows``, walks each grid and filters
-it, and ``_kept_blocks`` joins its rows into blocks of chart points with a
-kept phase.  ``select_alpha`` caches only the closed-form factors it reduces
-to.  ``spiral_jacobian_scan`` walks the same blocks to compute the
-determinants directly, without the closed form: it takes the phase-free part
-of each Jacobian once per chart point and assembles the rest entry by entry,
-with the entries of ``kernels.spiral_jac_batch``, screens every determinant
-with a Laplace expansion and its rounding bound, and calls LAPACK only on
-the pairs the screen keeps as candidates for the minimum.
+it, and ``_kept_grid`` keeps the walk's chart points with a kept phase,
+once per grid: the rate search and the direct scan both read it.
+``select_alpha`` caches only the closed-form factors it reduces to.
+``spiral_jacobian_scan`` computes the determinants directly, without the
+closed form: it takes the phase-free part of each Jacobian once per chart
+point, assembles the rest entry by entry over a (phase, chart) grid of
+pairs, with the entries of ``kernels.spiral_jac_batch``, screens every
+determinant with a Laplace expansion and its rounding bound, and calls
+LAPACK only on the pairs the screen keeps as candidates for the minimum.
 """
 
 from __future__ import annotations
@@ -297,12 +298,14 @@ def _spiral_shell(w, r, K, beta, frame, out=None):
     w (m, n) of m points, |w| = r.
 
     The one spiral formula behind ``spiral_stretch`` and the realizer's
-    spiral shells; beta is the rotation angle at each point.  The images are
+    spiral shells; beta is the rotation angle at each point.  w is
+    overwritten: lambda is taken first, then the (1,2) pair is rotated in
+    place, so callers pass a temporary of their own.  The images are
     written to `out` when it is given.
     """
     lam = _stretch_factor((w[:, 0] / r) ** 2, K)
-    v = kernels._rotate_12(w, np.cos(beta), np.sin(beta))
-    return _scale_rows(lam, v @ frame.T, out)
+    w[:, 0], w[:, 1] = kernels._rotate_pair(w[:, 0], w[:, 1], np.cos(beta), np.sin(beta))
+    return _scale_rows(lam, w @ frame.T, out)
 
 
 # =====================================================================
@@ -348,10 +351,14 @@ def interp_shift_batch(xb, xn, spec):
 # itself removes.
 GRID_BAND = 1e-3
 _ALPHA_CACHE: dict = {}
-# Grid walks work in blocks of about this many elements: chart points per
-# block of lead rows (``_kept_blocks``), and (chart, phase) pairs per
-# Jacobian assembly in ``spiral_jacobian_scan``.
-_BLOCK = 2 ** 12
+# Grid reductions work in blocks of this many elements: chart points per
+# block of ``_certified_grid`` and of the scan's chart terms, and at most this
+# many (phase, chart) pairs per Jacobian assembly of ``spiral_jacobian_scan``.
+# The warm scan at K = 2 and its certified rate with 2^11 / 2^12 / 2^13 /
+# 2^14 pairs (2-vCPU Xeon, medians of 7, three rounds): 50-63 / 46-47 /
+# 37-40 / 39-43 ms at n = 3, res 65 and 128-131 / 94-101 / 85-98 / 94-102 ms
+# at n = 4, res 25.
+_BLOCK = 2 ** 13
 
 
 def jacobian_floor(n):
@@ -449,75 +456,114 @@ def _closed_form_det(power, h, ssq, K, alpha):
     return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
 
 
-def _kept_blocks(n, res):
-    """``_grid_rows`` reduced to chart points with a kept phase, joined over
-    consecutive lead rows into blocks of about _BLOCK chart points.
+@dataclass(frozen=True)
+class _KeptGrid:
+    """The chart points of a certification grid that have a kept phase.
 
-    Yields (chart, phases, keep, m, dmax) per block, with dmax the max of d
-    over each chart point's kept phases.  A kept point has d >= GRID_BAND; a
-    chart point with no kept phase, such as the origin of an odd res where
-    m = d = 0, is dropped, which keeps 0/0 out of the per-chart-point terms.
+    `phases` holds the res rotation phases of the grid; `coords` the kept
+    chart points as (n-1, N) coordinate rows; `keep` the (res, N)
+    phase-major keep-mask of ``_grid_rows``; `m` the max-norm of each chart
+    point and `dmax` the max of d over its kept phases.  Every array is
+    read-only.
     """
-    parts, size = [], 0
-    for lead, (chart, phases, keep, m, d) in enumerate(_grid_rows(n, res)):
-        dmax = np.where(keep, d, 0.0).max(axis=1)
+
+    phases: np.ndarray
+    coords: np.ndarray
+    keep: np.ndarray
+    m: np.ndarray
+    dmax: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def _kept_grid(n, res):
+    """The _KeptGrid of resolution res: one walk of ``_grid_rows``, shared by
+    the rate search (``_certified_grid``) and the direct scan
+    (``spiral_jacobian_scan``).
+
+    A kept point has d >= GRID_BAND; a chart point with no kept phase, such
+    as the origin of an odd res where m = d = 0, is dropped, which keeps 0/0
+    out of the per-chart-point terms.  The cache holds the two grids walked
+    last, a certification's coarse grid and its refinement, until a third
+    grid is walked or the process exits: n + 1 floats and res flags per
+    chart point of the grid, about 29 MB at n = 5 and res 25 and under 1 MB
+    at the n = 3 and 4 grids.  Readers cut the arrays into blocks of
+    ``_BLOCK`` when they read them, so the blocks follow the current
+    ``_BLOCK``.
+    """
+    size = res ** (n - 1)
+    coords = np.empty((n - 1, size))
+    keep = np.empty((res, size), dtype=bool)
+    m_all, dmax_all = np.empty(size), np.empty(size)
+    kept = 0
+    for chart, phases, keep_row, m, d in _grid_rows(n, res):
+        dmax = np.where(keep_row, d, 0.0).max(axis=1)
         has = dmax > 0.0
-        parts.append((chart[has], keep[has], m[has], dmax[has]))
-        size += int(has.sum())
-        if size >= _BLOCK or lead == res - 1:
-            chart, keep, m, dmax = (np.concatenate(a) for a in zip(*parts))
-            yield chart, phases, keep, m, dmax
-            parts, size = [], 0
+        hi = kept + int(has.sum())
+        coords[:, kept:hi] = chart[has].T
+        keep[:, kept:hi] = keep_row[has].T
+        m_all[kept:hi] = m[has]
+        dmax_all[kept:hi] = dmax[has]
+        kept = hi
+    grid = _KeptGrid(
+        phases, coords[:, :kept], keep[:, :kept], m_all[:kept], dmax_all[:kept]
+    )
+    for a in vars(grid).values():
+        a.setflags(write=False)
+    return grid
 
 
 @functools.cache
 def _certified_grid(n, res):
-    """The _CertGrid of resolution res, reduced from ``_grid_rows``.
+    """The _CertGrid of resolution res, reduced from ``_kept_grid``.
 
     Cached per (n, res): the factors depend on neither K nor alpha, so every
-    trial rate and stretch factor reuses them.  A cold build holds one block
-    of ``_kept_blocks`` at a time and keeps three floats per chart point.
+    trial rate and stretch factor reuses them.  The phase-free terms are
+    formed over blocks of ``_BLOCK`` chart points; the grid keeps three
+    floats per chart point.
     """
-    power, h, ssq = [], [], []
-    for chart, _, _, m, dmax in _kept_blocks(n, res):
-        # the division and the power are monotone, so the min over kept
-        # phases of (m/d)^{n-1} is (m / max d)^{n-1}
-        power.append((m / dmax) ** (n - 1))
-        hh, ss = _phase_free_terms(chart)
-        h.append(hh)
-        ssq.append(ss)
-    power = np.concatenate(power)
-    if power.size == 0:
+    grid = _kept_grid(n, res)
+    if grid.m.size == 0:
         raise InvalidInputError("certification grid is empty")
-    return _CertGrid(power, np.concatenate(h), np.concatenate(ssq))
+    # the division and the power are monotone, so the min over kept phases
+    # of (m/d)^{n-1} is (m / max d)^{n-1}
+    power = (grid.m / grid.dmax) ** (n - 1)
+    h, ssq = np.empty_like(power), np.empty_like(power)
+    for lo in range(0, power.size, _BLOCK):
+        hi = lo + _BLOCK
+        h[lo:hi], ssq[lo:hi] = _phase_free_terms(grid.coords[:, lo:hi].T)
+    return _CertGrid(power, h, ssq)
 
 
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
     Direct LAPACK determinants of fully assembled Jacobians at the kept
-    points of ``_grid_rows``, independent of the closed form ``select_alpha``
-    certifies with and of its cache.  Per block of ``_kept_blocks``, the
-    phase-free terms of ``kernels._spiral_chart_terms`` are computed once per
-    chart point and gathered to the kept (chart, phase) pairs, about _BLOCK
-    pairs at a time, which ``kernels._spiral_jac_assemble`` turns into the
-    entries ``kernels.spiral_jac_batch`` gives.
+    points of ``_kept_grid``, independent of the closed form
+    ``select_alpha`` certifies with and of its cache.  Per block of
+    ``_BLOCK`` chart points, the phase-free terms of
+    ``kernels._spiral_chart_terms`` are computed once per chart point.  A
+    sub-block of about ``_BLOCK`` (chart, phase) pairs is laid out phase-major
+    as (phase, chart): the chart terms enter as (1, k) rows and cos and sin
+    as (P, 1) columns, and ``kernels._spiral_jac_assemble`` broadcasts them
+    to the (n, n, P, k) entries ``kernels.spiral_jac_batch`` gives, so no
+    term is copied out to the pairs.
 
     ``kernels._laplace_det`` screens every pair with a determinant S and a
-    bound b on |S - LAPACK's det|.  In a sub-block, every pair where LAPACK
+    bound b on |S - LAPACK's det|; an unkept pair gets S = +inf and does not
+    count toward max(b).  In a sub-block, every kept pair where LAPACK
     attains its minimum has S within 2 max(b) of the least S, and a pair can
     beat the running worst only if its S is within 2 max(b) of it.  So
     LAPACK runs only on the pairs with S <= min(least S, running worst) +
-    2 max(b), in row order, and a sub-block with none makes no LAPACK call.
-    Ties of LAPACK's dets (every pair at alpha = 0, whole regions at K = 1)
-    all stay candidates, so the result is the one LAPACK over every pair
-    gives.
+    2 max(b), and a sub-block with none makes no LAPACK call.  Ties of
+    LAPACK's dets (a few pairs at K = 1) all stay candidates and go to the
+    first in row order, chart point by chart point, so the result is the one
+    LAPACK over every pair gives.
 
     The grid defaults to ``certification_grid(n)``.  Returns (min_det,
     worst_point), the first minimum in row order, with the worst point's last
     coordinate converted back from phase to x_n.  At alpha = 0 the Jacobian
-    does not depend on x_n, so each chart point is evaluated once, at x_n = 0
-    with its first kept phase: its other kept phases give the same entries.
+    does not depend on x_n, so each chart point is evaluated once, at the
+    single phase 0 and x_n = 0: its kept phases all give the same entries.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -527,36 +573,40 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     if grid is None:
         grid = certification_grid(n)
     K, alpha = float(K), float(alpha)
+    kept = _kept_grid(n, grid)
+    if alpha == 0:
+        # every chart point of the grid has a kept phase
+        xn, keep = np.zeros(1), np.ones((1, kept.m.size), dtype=bool)
+    else:
+        xn, keep = kept.phases / alpha, kept.keep
+    phase = alpha * xn
+    cos, sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
+    nph = len(xn)
+    step = max(1, _BLOCK // nph)
     worst = np.inf
     worst_pt = None
-    for chart, phases, keep, _, _ in _kept_blocks(n, grid):
-        if alpha == 0:
-            keep = keep & (np.cumsum(keep, axis=1) == 1)
-            xn = np.zeros_like(phases)
-        else:
-            xn = phases / alpha
-        phase = alpha * xn
-        cos, sin = np.cos(phase), np.sin(phase)
-        coords = np.ascontiguousarray(chart.T)
+    for lo in range(0, kept.m.size, _BLOCK):
+        coords = kept.coords[:, lo:lo + _BLOCK]
         terms = kernels._spiral_chart_terms(coords, K)
-        step = max(1, _BLOCK // len(phases))
-        for lo in range(0, len(chart), step):
-            # chart point by chart point, the kept phases of each consecutive
-            i, j = np.nonzero(keep[lo:lo + step])
-            i += lo
+        for a in range(0, coords.shape[1], step):
+            b = min(a + step, coords.shape[1])
             jac = kernels._spiral_jac_assemble(
-                coords[:, i], cos[j], sin[j], alpha, *(t[..., i] for t in terms)
+                coords[:, None, a:b], cos, sin, alpha, *(t[..., None, a:b] for t in terms)
             )
             screen, bound = kernels._laplace_det(jac)
-            cut = min(screen.min(), worst) + 2.0 * bound.max()
+            mask = keep[:, lo + a:lo + b]
+            screen[~mask] = np.inf
+            cut = min(screen.min(), worst) + 2.0 * bound.max(where=mask, initial=0.0)
             cand = np.flatnonzero(screen <= cut)
             if not len(cand):
                 continue
-            dets = np.linalg.det(jac[:, :, cand].transpose(2, 0, 1))
-            k = int(np.argmin(dets))
+            dets = np.linalg.det(jac.reshape(n, n, -1)[:, :, cand].transpose(2, 0, 1))
+            # a pair's place in row order: chart point, then phase
+            ph, ch = np.divmod(cand, screen.shape[1])
+            k = np.lexsort((ch * nph + ph, dets))[0]
             if dets[k] < worst:
                 worst = float(dets[k])
-                worst_pt = np.append(chart[i[cand[k]]], xn[j[cand[k]]])
+                worst_pt = np.append(coords[:, a + ch[k]], xn[ph[k]])
     return worst, worst_pt
 
 

@@ -301,13 +301,6 @@ def _rotate_pair(a, b, c, s):
     return a * c - b * s, a * s + b * c
 
 
-def _rotate_12(v, c, s):
-    """Copy of v with its first two coordinates rotated by (c, s)."""
-    w = v.copy()
-    w[..., 0], w[..., 1] = _rotate_pair(v[..., 0], v[..., 1], c, s)
-    return w
-
-
 def _rotated_cols(xb, c, s):
     """The chart columns xb with the first two rotated by (c, s)."""
     return [*_rotate_pair(xb[0], xb[1], c, s), *xb[2:]]
@@ -488,21 +481,29 @@ def _spiral_chart_terms(xb, K):
 
 
 def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last, out=None):
-    """Spiral Jacobians as an (n, n, m) array: entry (i, j) of every point is
-    one contiguous vector, so ``jac.transpose(2, 0, 1)`` is the (m, n, n) stack.
-    The entries are written to `out`, (n, n, m), when it is given.
+    """Spiral Jacobians as an (n, n, *shape) array: entry (i, j) of every
+    point is one contiguous array, so for a flat shape (m,)
+    ``jac.transpose(2, 0, 1)`` is the (m, n, n) stack.  The entries are
+    written to `out` when it is given.
 
-    xb is the chart block as (n-1, m) coordinate vectors, c and s the cos and
-    sin of each point's phase alpha * x_n, and (p, xp, sign_p, last) its
-    ``_spiral_chart_terms``.  With w the (1,2)-rotated chart block,
-    d = w_q its max-norm coordinate and dw = dw/dx the rotation's derivative
-    (dd its row q), chart row i is ((x_p dw_i) / d - u_i dd + w_i / d e_p)
-    times sign(x_p) sign(d), u_i = (x_p w_i / d) / d.  Only the structural
-    nonzeros of dw are formed: its first two rows, (c, -s, 0.., -alpha w_2)
-    and (s, c, 0.., alpha w_1), and the unit rows e_k beyond them.
+    The operands broadcast against each other, and `shape` is their
+    ``np.broadcast_shapes``: xb is the chart block as n-1 coordinate arrays,
+    c and s the cos and sin of each point's phase alpha * x_n, and
+    (p, xp, sign_p, last) its ``_spiral_chart_terms``, with `last` as n
+    arrays.  So chart terms of shape (1, k) and phases of shape (P, 1) give
+    the (P, k) grid of their pairs without copying a term to every pair.
+    With w the (1,2)-rotated chart block, d = w_q its max-norm coordinate
+    and dw = dw/dx the rotation's derivative (dd its row q), chart row i is
+    ((x_p dw_i) / d - u_i dd + w_i / d e_p) times sign(x_p) sign(d),
+    u_i = (x_p w_i / d) / d.  Only the structural nonzeros of dw are formed:
+    its first two rows, (c, -s, 0.., -alpha w_2) and (s, c, 0.., alpha w_1),
+    and the unit rows e_k beyond them.
     """
-    nb, m = xb.shape
-    w = np.array(_rotated_cols(xb, c, s))
+    nb = len(xb)
+    shape = np.broadcast_shapes(np.shape(xb[0]), np.shape(c), np.shape(s), np.shape(xp))
+    w = np.empty((nb, *shape))
+    w[0], w[1] = _rotate_pair(xb[0], xb[1], c, s)
+    w[2:] = xb[2:]
     q = _argmax_abs(w)
     dval = _pick(w, q)
     sign = sign_p * np.sign(dval)
@@ -511,13 +512,13 @@ def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last, out=None):
 
     # dw's first two rows on their nonzero columns 0, 1 and n-1
     rot = ((c, -s, -alpha * w[1]), (s, c, alpha * w[0]))
-    dd = np.zeros((nb + 1, m))
+    dd = np.zeros((nb + 1, *shape))
     for j, a, b in zip((0, 1, nb), *rot):
         dd[j] = _pick((a, b, *[0.0] * (nb - 2)), q)
     for k in range(2, nb):
         dd[k] = q == k
 
-    jac = np.empty((nb + 1, nb + 1, m)) if out is None else out
+    jac = np.empty((nb + 1, nb + 1, *shape)) if out is None else out
     top = jac[:nb]
     np.multiply(-u[:, None], dd, out=top)
     for i, row in enumerate(rot):
@@ -537,13 +538,14 @@ _LAPLACE_C = 8.0
 
 
 def _laplace_det(jac):
-    """Determinants of an (n, n, m) entry array with a bound on their rounding.
+    """Determinants of an (n, n, *shape) entry array with a bound on their
+    rounding, both of the given shape.
 
     Laplace expansion from the bottom row up: every k x k minor of the last
     k rows is formed from the (k-1)-minors of the rows below, along its top
-    row, so the table takes n 2^{n-1} products of contiguous length-m
-    vectors and holds at most C(n, n/2) minors per level; no matrix is
-    transposed, copied or passed to LAPACK.
+    row, so the table takes n 2^{n-1} products of contiguous entry arrays
+    and holds at most C(n, n/2) minors per level; no matrix is transposed,
+    copied or passed to LAPACK.
 
     Returns (det, bound).  bound = c n eps prod_i |row_i|_1, c = _LAPLACE_C:
     the product of the row 1-norms is at least the permanent of |J|, which
@@ -552,9 +554,9 @@ def _laplace_det(jac):
     c = 8 leaves room for LAPACK's own rounding as well, so that the bound
     also covers the difference to ``np.linalg.det``.
     """
-    n, m = jac.shape[0], jac.shape[2]
+    n = jac.shape[0]
     minors = {(j,): jac[n - 1, j] for j in range(n)}
-    term = np.empty(m)
+    term = np.empty(jac.shape[2:])
     for row in range(n - 2, -1, -1):
         top = jac[row]
         level = {}

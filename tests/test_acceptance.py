@@ -348,9 +348,10 @@ def test_criterion_10_continuity_injectivity_sense(quarter_circle_map):
         dirs = rng.standard_normal((1000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         x = p.r_in * dirs
-        above = realizer._apply_piece(p, x, np.full(1000, p.r_in))
+        # a spiral piece overwrites the points it is given
+        above = realizer._apply_piece(p, x.copy(), np.full(1000, p.r_in))
         if i + 1 < len(rm.pieces):
-            below = realizer._apply_piece(rm.pieces[i + 1], x, np.full(1000, p.r_in))
+            below = realizer._apply_piece(rm.pieces[i + 1], x.copy(), np.full(1000, p.r_in))
         else:
             below = realizer._apply_boundary_stretch(
                 x, np.full(1000, p.r_in), rm.inner_K, rm.inner_frame

@@ -504,6 +504,7 @@ class TestSelectAlpha:
             worst, where = spiral_jacobian_scan(K, n, alpha, res)
             assert worst == dets[i]
             assert np.array_equal(where, np.concatenate(pts)[i])
+        return np.count_nonzero(dets == dets[i])
 
     @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
@@ -515,8 +516,25 @@ class TestSelectAlpha:
     def test_scan_blocks_match_per_row_reference(self, monkeypatch, n, res, alpha):
         # blocks of about 100 chart points and pairs: the first minimum and
         # its point must survive block boundaries within and across lead rows
+        cm._kept_grid(n, res)  # a cached walk must not fix the blocks
         monkeypatch.setattr(cm, "_BLOCK", 100)
+        sizes, screen = [], kernels._laplace_det
+        monkeypatch.setattr(
+            kernels, "_laplace_det", lambda jac: sizes.append(jac[0, 0].size) or screen(jac))
         self._check_scan(n, res, alpha)
+        assert 0 < max(sizes) <= 100 and len(sizes) > 3
+
+    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
+    def test_scan_tie_break_across_sub_blocks(self, monkeypatch, n, res):
+        # K = 1 at its certified rate: LAPACK's minimum is tied at several
+        # pairs, which sub-blocks of about 100 pairs put in different
+        # sub-blocks, each laid out phase by phase; the scan must return the
+        # first of them chart point by chart point, as LAPACK over every pair
+        # in row order does.  Ties inside one sub-block are met at the
+        # default size (test_scan_matches_reference_on_cli_grids, res 65).
+        monkeypatch.setattr(cm, "_BLOCK", 100)
+        ties = self._check_scan(n, res, select_alpha(1.0, n), factors=(1.0,))
+        assert ties > 1
 
     @pytest.mark.parametrize("K", [1.0, 2.0, 12.0])
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
@@ -535,7 +553,7 @@ class TestSelectAlpha:
         self._check_scan(n, res, 0.0)
         # the phases of a chart point all give one Jacobian, so LAPACK
         # factors at most one pair per chart point
-        charts = sum(len(chart) for chart, *_ in cm._kept_blocks(n, res))
+        charts = cm._kept_grid(n, res).m.size
         calls, det = [], np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
         for K in (1.0, 2.0, 12.0):
@@ -548,7 +566,8 @@ class TestSelectAlpha:
         # with a screen equal to LAPACK's dets and a zero bound, the
         # candidates are exactly the minimizers, and the first of them is kept
         def exact(jac):
-            return np.linalg.det(jac.transpose(2, 0, 1)), np.zeros(jac.shape[2])
+            mats = np.moveaxis(jac, (0, 1), (-2, -1))
+            return np.linalg.det(mats), np.zeros(jac.shape[2:])
 
         monkeypatch.setattr(kernels, "_laplace_det", exact)
         monkeypatch.setattr(cm, "_BLOCK", 100)
@@ -560,7 +579,7 @@ class TestSelectAlpha:
         screens, calls = [], []
         screen, det = kernels._laplace_det, np.linalg.det
         monkeypatch.setattr(
-            kernels, "_laplace_det", lambda jac: screens.append(jac.shape[2]) or screen(jac))
+            kernels, "_laplace_det", lambda jac: screens.append(jac[0, 0].size) or screen(jac))
         monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
         monkeypatch.setattr(cm, "_BLOCK", 100)
         spiral_jacobian_scan(2.0, 3, 0.25, 17)
@@ -575,7 +594,7 @@ class TestSelectAlpha:
             if not len(i):
                 continue
             xb, phase = chart[i], phases[j]
-            w = kernels._rotate_12(xb, np.cos(phase), np.sin(phase))
+            w = np.stack(kernels._rotated_cols(xb.T, np.cos(phase), np.sin(phase)), axis=1)
             power = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
             h, ssq = cm._phase_free_terms(xb)
             for K, alpha in ((1.0, -0.5), (3.0, 0.25), (12.0, -0.03125)):
@@ -594,7 +613,8 @@ class TestSelectAlpha:
         power, h, ssq = [], [], []
         for pts, (_, _, keep, m, d) in zip(_grid_points(n, res), rows):
             xb = pts[:, :-1]
-            w = kernels._rotate_12(xb, np.cos(pts[:, -1]), np.sin(pts[:, -1]))
+            w = np.stack(
+                kernels._rotated_cols(xb.T, np.cos(pts[:, -1]), np.sin(pts[:, -1])), axis=1)
             assert np.array_equal(m, np.abs(xb[::res]).max(axis=1))
             assert np.array_equal(d.ravel(), np.abs(w).max(axis=1))
             _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
@@ -609,10 +629,16 @@ class TestSelectAlpha:
             h.append(hh)
             ssq.append(ss)
         assert len(rows) == res
-        # one block of lead rows, then blocks of about 100 chart points
+        # one block, then blocks of 100 chart points, cut from the cached walk
+        cm._kept_grid(n, res)
+        terms = cm._phase_free_terms
         for block in (cm._BLOCK, 100):
             monkeypatch.setattr(cm, "_BLOCK", block)
+            sizes = []
+            monkeypatch.setattr(
+                cm, "_phase_free_terms", lambda xb: sizes.append(len(xb)) or terms(xb))
             cert = cm._certified_grid.__wrapped__(n, res)
+            assert max(sizes) == min(block, len(cert.power))
             assert np.array_equal(cert.power, np.concatenate(power))
             assert np.array_equal(cert.h, np.concatenate(h))
             assert np.array_equal(cert.ssq, np.concatenate(ssq))

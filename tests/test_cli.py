@@ -371,6 +371,26 @@ def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):
     assert set(built) == {13, 25}
 
 
+@pytest.mark.parametrize("dim, grid", [(3, 33), (4, 13)])
+def test_verify_spiral_walks_each_grid_once(tmp_path, monkeypatch, dim, grid):
+    # the cold rate search and the LAPACK scan read one cached walk per grid
+    monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+    cm._certified_grid.cache_clear()
+    cm._kept_grid.cache_clear()
+    walked = []
+    rows = cm._grid_rows
+
+    def recording(n, res):
+        walked.append((n, res))
+        return rows(n, res)
+
+    monkeypatch.setattr(cm, "_grid_rows", recording)
+    code = main(["verify", "spiral", "--dim", str(dim), "--samples", "100",
+                 "--out", str(tmp_path / "spiral.json")])
+    assert code == 0
+    assert sorted(walked) == [(dim, grid), (dim, 2 * grid - 1)]
+
+
 def test_probe_stretch_t_independent(tmp_path):
     prefix = tmp_path / "ps"
     code = main(

@@ -161,7 +161,7 @@ def _dense_spiral_jac(x, K, alpha):
     xb = x[:, :nb]
     c = np.cos(alpha * x[:, nb])
     s = np.sin(alpha * x[:, nb])
-    w = kernels._rotate_12(xb, c, s)
+    w = np.stack(kernels._rotated_cols(xb.T, c, s), axis=1)
     p = np.argmax(np.abs(xb), axis=1)
     d = np.argmax(np.abs(w), axis=1)
     rows = np.arange(mpts)

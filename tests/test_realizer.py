@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,9 +164,10 @@ class TestBuildMap:
             dirs = rng.standard_normal((100, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             x = p.r_in * dirs
-            above = rz._apply_piece(p, x, np.full(100, p.r_in))
+            # a spiral piece overwrites the points it is given
+            above = rz._apply_piece(p, x.copy(), np.full(100, p.r_in))
             if i + 1 < len(rm.pieces):
-                below = rz._apply_piece(rm.pieces[i + 1], x, np.full(100, p.r_in))
+                below = rz._apply_piece(rm.pieces[i + 1], x.copy(), np.full(100, p.r_in))
             else:
                 below = rz._apply_boundary_stretch(
                     x, np.full(100, p.r_in), rm.inner_K, rm.inner_frame
@@ -465,6 +468,28 @@ class TestRegionDispatch:
         rm = mixed_map
         r = np.array([p.r_out for p in rm.pieces] + [rm.r_end])
         self.assert_matches_masked(rm, np.concatenate([r, r[::-1]]))
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    def test_locate_matches_searchsorted(self, pieces):
+        # radii on every shell sphere and one ulp either side, against the
+        # np.searchsorted form the branchless search replaced; piece counts
+        # on both sides of powers of two exercise the -inf padding
+        r_out = np.geomspace(4.0, 0.5, pieces)
+        stack = SimpleNamespace(pieces=[
+            SimpleNamespace(r_out=r, r_in=r * 0.9) for r in r_out
+        ])
+        inner = r_out[-1] * 0.9
+        spheres = np.append(r_out, inner)
+        r = np.concatenate([
+            spheres, np.nextafter(spheres, np.inf), np.nextafter(spheres, 0.0),
+            [8.0, np.inf, 1e-300],
+        ])
+        k = np.searchsorted(-r_out, -r, side="left") - 1
+        want = np.where((k == pieces - 1) & (r < inner), pieces, k)
+        got = rz._locate(stack, r)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert set(got.tolist()) == set(range(-1, pieces + 1))
 
     def test_codes_beyond_int16(self):
         order, runs = rz._region_runs(np.array([40000, -1, 40000, 5, -1]))
