@@ -24,18 +24,19 @@ max-norm, which candidate attains the min) and is verified against finite
 differences in the tests.  Its determinant has the closed form
 (m/d)^{n-1} (1 - alpha coef(K) h), where m and d are the chart block's
 max-norms before and after the spiral rotation and h and coef(K) do not
-depend on the phase (derived in ``select_alpha``).  ``select_alpha`` certifies the floor 2^{-(n+1)/2} on sampling grids from
-that form; since d <= sqrt(2) m, its alpha-free part (m/d)^{n-1} is at least
-2^{-(n-1)/2}.  One generator, ``_grid_rows``, walks each grid and filters
-it, and ``_kept_grid`` keeps the walk's chart points with a kept phase,
-once per grid: the rate search and the direct scan both read it.
-``select_alpha`` caches only the closed-form factors it reduces to.
-``spiral_jacobian_scan`` computes the determinants directly, without the
-closed form: it takes the phase-free part of each Jacobian once per chart
-point, assembles the rest entry by entry over a (phase, chart) grid of
-pairs, with the entries of ``kernels.spiral_jac_batch``, screens every
-determinant with a Laplace expansion and its rounding bound, and calls
-LAPACK only on the pairs the screen keeps as candidates for the minimum.
+depend on the phase (derived in ``select_alpha``).  ``select_alpha``
+certifies the floor 2^{-(n+1)/2} from that form on the two grids of
+``certification_grids``; since d <= sqrt(2) m, its alpha-free part
+(m/d)^{n-1} is at least 2^{-(n-1)/2}.  Each grid is one read-only
+``_SpiralGrid``, built by one walk and cached for the two grids built last:
+its phases, its chart points with a kept phase, their phase-major
+keep-mask and the closed-form factors.  ``spiral_jacobian_scan`` reads the
+same grid but computes the determinants directly, without the closed form:
+it takes the phase-free part of each Jacobian once per chart point,
+assembles the rest entry by entry over a (phase, chart) grid of pairs, with
+the entries of ``kernels.spiral_jac_batch``, screens every determinant with
+a Laplace expansion and its rounding bound, and calls LAPACK only on the
+pairs the screen keeps as candidates for the minimum.
 """
 
 from __future__ import annotations
@@ -144,16 +145,6 @@ class SpiralSpec(_FramedSpec):
 def _stretch_factor(cos2, K):
     """K / sqrt(K^2 + (1 - K^2) c) for c = cos^2 of the angle from the axis."""
     return K / np.sqrt(K * K + (1.0 - K * K) * cos2)
-
-
-def stretch_factor(cos2, K):
-    """``_stretch_factor``, the stretch profile, under its public name.
-
-    The strip bodies of the y-space maps call the private name: they may run
-    on helper threads, and wrappers installed on public functions, such as
-    a tracer's, must only ever run on the calling thread.
-    """
-    return _stretch_factor(cos2, K)
 
 
 def _norms(y):
@@ -325,7 +316,7 @@ def chart_cos2(xb):
 
 def stretch_shift_batch(xb, K):
     """Vertical shift V = ln of the stretch profile at the chart colatitude."""
-    return np.log(stretch_factor(chart_cos2(xb), K))
+    return np.log(_stretch_factor(chart_cos2(xb), K))
 
 
 def interp_shift_batch(xb, xn, spec):
@@ -351,9 +342,10 @@ def interp_shift_batch(xb, xn, spec):
 # itself removes.
 GRID_BAND = 1e-3
 _ALPHA_CACHE: dict = {}
-# Grid reductions work in blocks of this many elements: chart points per
-# block of ``_certified_grid`` and of the scan's chart terms, and at most this
-# many (phase, chart) pairs per Jacobian assembly of ``spiral_jacobian_scan``.
+# Grid reductions work in blocks of this many elements: about this many
+# (phase, chart) pairs per block of the ``_spiral_grid`` walk, chart points
+# per block of its phase-free terms and of the scan's chart terms, and at
+# most this many pairs per Jacobian assembly of ``spiral_jacobian_scan``.
 # The warm scan at K = 2 and its certified rate with 2^11 / 2^12 / 2^13 /
 # 2^14 pairs (2-vCPU Xeon, medians of 7, three rounds): 50-63 / 46-47 /
 # 37-40 / 39-43 ms at n = 3, res 65 and 128-131 / 94-101 / 85-98 / 94-102 ms
@@ -366,70 +358,19 @@ def jacobian_floor(n):
     return 2.0 ** (-(n + 1) / 2.0)
 
 
-def certification_grid(n, grid=None):
-    """Coarse certification grid resolution for dimension n.
+def certification_grids(n, grid=None):
+    """The (coarse, refined) certification grid resolutions for dimension n.
 
-    33 at n = 3 and 13 above: a grid of resolution res has res^n points,
-    and 13^4 stays below 33^3.  A requested `grid` (the CLI --grid) is used
-    as given at n = 3 and capped at 13 above.  The halving search
-    re-verifies on the refinement of ``grid_and_refinement``.
+    The coarse grid is 33 at n = 3 and 13 above: a grid of resolution res
+    has res^n points, and 13^4 stays below 33^3.  A requested `grid` (the
+    CLI --grid) is used as given at n = 3 and capped at 13 above.  The
+    refined grid, 2 res - 1, holds every coarse grid point; a certified rate
+    passes both.
     """
     res = 33 if grid is None else grid
-    return res if n == 3 else min(res, 13)
-
-
-def grid_and_refinement(grid):
-    """The coarse grid and its 2x refinement; a certified rate passes both."""
-    return grid, 2 * grid - 1
-
-
-@dataclass(frozen=True)
-class _CertGrid:
-    """The closed-form determinant factors of a filtered certification grid.
-
-    One value per chart point with a kept phase: `power` is the min over its
-    kept phases of (m/d)^{n-1}, and `h` and `ssq` are the phase-free terms of
-    ``_closed_form_det``.
-    """
-
-    power: np.ndarray
-    h: np.ndarray
-    ssq: np.ndarray
-
-
-def _grid_rows(n, res):
-    """Walk a certification grid of resolution res, one lead row at a time.
-
-    Yields (chart, phases, keep, m, d): the row's chart points, a new
-    (res^{n-2}, n-1) array whose first coordinate is the lead row's value;
-    the res rotation phases alpha * x_n, so the same grid serves every trial
-    rate; the (chart, phase) keep-mask, true where both the pyramid and the
-    switch margin are at least GRID_BAND; and the max-norms m per chart point
-    and d per (chart, phase) pair, before and after the (1,2) rotation.
-
-    The walk is phase-separable: m and the pyramid margin are computed once
-    per chart point and cos and sin once per phase.  Only the (1,2) pair is
-    rotated, once per (chart, phase) pair, and that rotation gives both d and
-    the switch margin; the other chart coordinates do not move.
-    """
-    if res < 8:
-        raise InvalidInputError("grid resolution must be at least 8")
-    axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
-    phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
-    c, s = np.cos(phases), np.sin(phases)
-    tail = np.stack([g.ravel() for g in np.meshgrid(*[axis] * (n - 2), indexing="ij")], axis=1)
-    for lead in axis:
-        chart = np.empty((len(tail), n - 1))
-        chart[:, 0] = lead
-        chart[:, 1:] = tail
-        x1, x2 = chart[:, :1], chart[:, 1:2]
-        absx = np.abs(chart)
-        m, pyr = kernels._max_and_gap(absx.T)
-        rest = [col[:, None] for col in absx[:, 2:].T]
-        d, switch = kernels._max_and_gap(
-            rest + [np.abs(r) for r in kernels._rotate_pair(x1, x2, c, s)])
-        keep = (pyr >= GRID_BAND)[:, None] & (switch >= GRID_BAND)
-        yield chart, phases, keep, m, d
+    if n != 3:
+        res = min(res, 13)
+    return res, 2 * res - 1
 
 
 def _phase_free_terms(xb):
@@ -457,88 +398,96 @@ def _closed_form_det(power, h, ssq, K, alpha):
 
 
 @dataclass(frozen=True)
-class _KeptGrid:
+class _SpiralGrid:
     """The chart points of a certification grid that have a kept phase.
 
-    `phases` holds the res rotation phases of the grid; `coords` the kept
-    chart points as (n-1, N) coordinate rows; `keep` the (res, N)
-    phase-major keep-mask of ``_grid_rows``; `m` the max-norm of each chart
-    point and `dmax` the max of d over its kept phases.  Every array is
-    read-only.
+    `phases` holds the res rotation phases alpha * x_n of the grid, so one
+    grid serves every trial rate; `coords` the kept chart points as (n-1, N)
+    coordinate rows, in row order; `keep` the (res, N) phase-major mask of
+    the (phase, chart) pairs whose pyramid and switch margins are both at
+    least GRID_BAND.  Per chart point, the factors of ``_closed_form_det``:
+    `power` the min over its kept phases of (m/d)^{n-1}, and `h` and `ssq`
+    the phase-free terms.  Every array is read-only.
     """
 
     phases: np.ndarray
     coords: np.ndarray
     keep: np.ndarray
-    m: np.ndarray
-    dmax: np.ndarray
+    power: np.ndarray
+    h: np.ndarray
+    ssq: np.ndarray
 
 
 @functools.lru_cache(maxsize=2)
-def _kept_grid(n, res):
-    """The _KeptGrid of resolution res: one walk of ``_grid_rows``, shared by
-    the rate search (``_certified_grid``) and the direct scan
-    (``spiral_jacobian_scan``).
+def _spiral_grid(n, res):
+    """The _SpiralGrid of resolution res: one walk, shared by the rate
+    search (``select_alpha``) and the direct scan (``spiral_jacobian_scan``).
 
-    A kept point has d >= GRID_BAND; a chart point with no kept phase, such
+    The walk takes the res^{n-1} chart points in row order, in blocks of
+    about ``_BLOCK`` (phase, chart) pairs, and each block forms its chart
+    coordinates from their flat indices, so no temporary spans the grid.  It
+    is phase-separable: m, the max-norm, and the pyramid margin are computed
+    once per chart point, and cos and sin once per phase.  Only the (1,2)
+    pair is rotated, once per pair, and that rotation gives both d, the
+    max-norm after the rotation, and the switch margin; the other chart
+    coordinates do not move.  The phase-free terms h and s^2 follow over
+    blocks of ``_BLOCK`` kept chart points.
+
+    A kept pair has d >= GRID_BAND; a chart point with no kept phase, such
     as the origin of an odd res where m = d = 0, is dropped, which keeps 0/0
-    out of the per-chart-point terms.  The cache holds the two grids walked
-    last, a certification's coarse grid and its refinement, until a third
-    grid is walked or the process exits: n + 1 floats and res flags per
-    chart point of the grid, about 29 MB at n = 5 and res 25 and under 1 MB
-    at the n = 3 and 4 grids.  Readers cut the arrays into blocks of
-    ``_BLOCK`` when they read them, so the blocks follow the current
-    ``_BLOCK``.
+    out of the factors.  The cache holds the two grids built last, a
+    certification's coarse grid and its refinement, until a third grid is
+    built or the process exits: n + 2 floats and res flags per chart point
+    of the grid, about 32 MB at n = 5 and res 25 and under 1 MB at the n = 3
+    and 4 grids.  The scan cuts the arrays into blocks of ``_BLOCK`` when it
+    reads them, so its blocks follow the current ``_BLOCK``.
     """
+    if res < 8:
+        raise InvalidInputError("grid resolution must be at least 8")
+    axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
+    phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
+    c, s = np.cos(phases)[:, None], np.sin(phases)[:, None]
     size = res ** (n - 1)
     coords = np.empty((n - 1, size))
     keep = np.empty((res, size), dtype=bool)
-    m_all, dmax_all = np.empty(size), np.empty(size)
+    power, h, ssq = np.empty(size), np.empty(size), np.empty(size)
     kept = 0
-    for chart, phases, keep_row, m, d in _grid_rows(n, res):
-        dmax = np.where(keep_row, d, 0.0).max(axis=1)
+    step = max(1, _BLOCK // res)
+    for lo in range(0, size, step):
+        flat = np.arange(lo, min(lo + step, size))
+        chart = axis[np.array(np.unravel_index(flat, (res,) * (n - 1)))]
+        absx = np.abs(chart)
+        m, pyr = kernels._max_and_gap(absx)
+        x1, x2 = kernels._rotate_pair(chart[:1], chart[1:2], c, s)
+        d, switch = kernels._max_and_gap([*absx[2:], np.abs(x1), np.abs(x2)])
+        keep_blk = (pyr >= GRID_BAND) & (switch >= GRID_BAND)
+        dmax = np.where(keep_blk, d, 0.0).max(axis=0)
         has = dmax > 0.0
-        hi = kept + int(has.sum())
-        coords[:, kept:hi] = chart[has].T
-        keep[:, kept:hi] = keep_row[has].T
-        m_all[kept:hi] = m[has]
-        dmax_all[kept:hi] = dmax[has]
+        hi = kept + np.count_nonzero(has)
+        coords[:, kept:hi] = chart[:, has]
+        keep[:, kept:hi] = keep_blk[:, has]
+        # the division and the power are monotone, so the min over kept
+        # phases of (m/d)^{n-1} is (m / max d)^{n-1}
+        power[kept:hi] = (m[has] / dmax[has]) ** (n - 1)
         kept = hi
-    grid = _KeptGrid(
-        phases, coords[:, :kept], keep[:, :kept], m_all[:kept], dmax_all[:kept]
+    if not kept:
+        raise InvalidInputError("certification grid is empty")
+    for lo in range(0, kept, _BLOCK):
+        hi = min(lo + _BLOCK, kept)
+        h[lo:hi], ssq[lo:hi] = _phase_free_terms(coords[:, lo:hi].T)
+    grid = _SpiralGrid(
+        phases, coords[:, :kept], keep[:, :kept], power[:kept], h[:kept], ssq[:kept]
     )
     for a in vars(grid).values():
         a.setflags(write=False)
     return grid
 
 
-@functools.cache
-def _certified_grid(n, res):
-    """The _CertGrid of resolution res, reduced from ``_kept_grid``.
-
-    Cached per (n, res): the factors depend on neither K nor alpha, so every
-    trial rate and stretch factor reuses them.  The phase-free terms are
-    formed over blocks of ``_BLOCK`` chart points; the grid keeps three
-    floats per chart point.
-    """
-    grid = _kept_grid(n, res)
-    if grid.m.size == 0:
-        raise InvalidInputError("certification grid is empty")
-    # the division and the power are monotone, so the min over kept phases
-    # of (m/d)^{n-1} is (m / max d)^{n-1}
-    power = (grid.m / grid.dmax) ** (n - 1)
-    h, ssq = np.empty_like(power), np.empty_like(power)
-    for lo in range(0, power.size, _BLOCK):
-        hi = lo + _BLOCK
-        h[lo:hi], ssq[lo:hi] = _phase_free_terms(grid.coords[:, lo:hi].T)
-    return _CertGrid(power, h, ssq)
-
-
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
     Direct LAPACK determinants of fully assembled Jacobians at the kept
-    points of ``_kept_grid``, independent of the closed form
+    points of ``_spiral_grid``, independent of the closed-form factors
     ``select_alpha`` certifies with and of its cache.  Per block of
     ``_BLOCK`` chart points, the phase-free terms of
     ``kernels._spiral_chart_terms`` are computed once per chart point.  A
@@ -559,11 +508,12 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     first in row order, chart point by chart point, so the result is the one
     LAPACK over every pair gives.
 
-    The grid defaults to ``certification_grid(n)``.  Returns (min_det,
-    worst_point), the first minimum in row order, with the worst point's last
-    coordinate converted back from phase to x_n.  At alpha = 0 the Jacobian
-    does not depend on x_n, so each chart point is evaluated once, at the
-    single phase 0 and x_n = 0: its kept phases all give the same entries.
+    The grid defaults to the coarse one of ``certification_grids(n)``.
+    Returns (min_det, worst_point), the first minimum in row order, with the
+    worst point's last coordinate converted back from phase to x_n.  At
+    alpha = 0 the Jacobian does not depend on x_n, so each chart point is
+    evaluated once, at the single phase 0 and x_n = 0: its kept phases all
+    give the same entries.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -571,22 +521,22 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     if not np.isfinite(alpha):
         raise InvalidInputError("spiral rate must be finite")
     if grid is None:
-        grid = certification_grid(n)
+        grid = certification_grids(n)[0]
     K, alpha = float(K), float(alpha)
-    kept = _kept_grid(n, grid)
+    sg = _spiral_grid(n, grid)
     if alpha == 0:
         # every chart point of the grid has a kept phase
-        xn, keep = np.zeros(1), np.ones((1, kept.m.size), dtype=bool)
+        xn, keep = np.zeros(1), np.ones((1, sg.power.size), dtype=bool)
     else:
-        xn, keep = kept.phases / alpha, kept.keep
+        xn, keep = sg.phases / alpha, sg.keep
     phase = alpha * xn
     cos, sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
     nph = len(xn)
     step = max(1, _BLOCK // nph)
     worst = np.inf
     worst_pt = None
-    for lo in range(0, kept.m.size, _BLOCK):
-        coords = kept.coords[:, lo:lo + _BLOCK]
+    for lo in range(0, sg.power.size, _BLOCK):
+        coords = sg.coords[:, lo:lo + _BLOCK]
         terms = kernels._spiral_chart_terms(coords, K)
         for a in range(0, coords.shape[1], step):
             b = min(a + step, coords.shape[1])
@@ -614,9 +564,11 @@ def select_alpha(K, n, orientation=1, grid=None):
     """Largest spiral rate from a halving search with a certified Jacobian.
 
     Halves |alpha| from 1/2 until the analytic Jacobian determinant exceeds
-    2^{-(n+1)/2} at every interior point of the grid (by default
-    ``certification_grid(n)``) and of its 2x refinement.  The sign of the
-    result is `orientation`.
+    2^{-(n+1)/2} at every interior point of both grids of
+    ``certification_grids(n, grid)``, the coarse grid and its 2x refinement.
+    The sign of the result is `orientation`.  Rates are cached by
+    (K, n, orientation, grid) with `grid` as given, so a cached rate is
+    returned before any grid is resolved or built.
 
     The determinant has a closed form.  At a chart point x_b with phase
     phi = alpha * x_n, let m = max|x_i| (attained at index p) and d the
@@ -629,9 +581,9 @@ def select_alpha(K, n, orientation=1, grid=None):
         det J = (m/d)^{n-1} (1 - alpha coef(K) h),   h = grad(s^2) . y,
 
     with coef(K) = (K^2 - 1) / (2 g) and g = K^2 + (1 - K^2) s^2.  Only
-    (m/d) depends on the phase, so each grid caches per chart point the min
-    over its kept phases of (m/d)^{n-1} plus h and s^2, and a trial rate
-    passes iff the min over chart points of that min times
+    (m/d) depends on the phase, so each ``_spiral_grid`` holds per chart
+    point the min over its kept phases of (m/d)^{n-1} plus h and s^2, and a
+    trial rate passes iff the min over chart points of that min times
     (1 - alpha coef(K) h) exceeds the floor (the floor is positive, so a
     chart point with a non-positive second factor fails either way).  Since
     d <= sqrt(2) m, the alpha-free part (m/d)^{n-1} is at least
@@ -644,19 +596,17 @@ def select_alpha(K, n, orientation=1, grid=None):
         raise InvalidInputError("dimension must be at least 3")
     if orientation not in (-1, 1):
         raise InvalidInputError("orientation must be +1 or -1")
-    if grid is None:
-        grid = certification_grid(n)
     key = (round(float(K), 12), n, orientation, grid)
     if key in _ALPHA_CACHE:
         return _ALPHA_CACHE[key]
     floor = jacobian_floor(n)
-    certs = [_certified_grid(n, res) for res in grid_and_refinement(grid)]
+    grids = [_spiral_grid(n, res) for res in certification_grids(n, grid)]
     a = 0.5
     while a >= 1e-12:
         alpha = orientation * a
         if all(
-            np.min(_closed_form_det(c.power, c.h, c.ssq, K, alpha)) > floor
-            for c in certs
+            np.min(_closed_form_det(g.power, g.h, g.ssq, K, alpha)) > floor
+            for g in grids
         ):
             _ALPHA_CACHE[key] = alpha
             return alpha

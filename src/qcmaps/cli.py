@@ -253,14 +253,13 @@ def _spiral_samples(rng, m, n, alpha, margin=1e-3):
 
 def _suite_spiral(cfg):
     n, k = cfg.dimension, cfg.K
-    grid = cm.certification_grid(n, cfg.grid)
+    grids = cm.certification_grids(n, cfg.grid)
     if cfg.alpha == "auto":
-        alpha = cm.select_alpha(k, n, grid=grid)
+        alpha = cm.select_alpha(k, n, grid=cfg.grid)
     else:
         alpha = float(cfg.alpha)
     checks = []
 
-    grids = cm.grid_and_refinement(grid)
     dets, where = zip(*(cm.spiral_jacobian_scan(k, n, alpha, g) for g in grids))
     bound = cfg.bound if cfg.bound is not None else cm.jacobian_floor(n)
     checks.append(_check("jacobian-floor", bound, dets, where, sense="min"))
@@ -374,7 +373,7 @@ def load_target(path):
     if not isinstance(payload, dict) or "waypoints" not in payload:
         raise QcmapsError("target file must be a JSON object with 'waypoints'")
     return realizer.TargetSet(
-        waypoints=np.asarray(payload["waypoints"], dtype=float),
+        waypoints=payload["waypoints"],
         closed=payload.get("closed", False),
         annulus_bound=payload.get("C"),
     )

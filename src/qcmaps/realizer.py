@@ -63,7 +63,11 @@ class TargetSet:
     annulus_bound: Optional[float] = None
 
     def __post_init__(self):
-        w = np.asarray(self.waypoints, dtype=float)
+        try:
+            w = np.asarray(self.waypoints, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"waypoints must be an (m, n>=3) array of numbers: {exc}") from exc
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 3:
             raise InvalidInputError("waypoints must be an (m, n>=3) array")
         if not np.all(np.isfinite(w)):
@@ -212,14 +216,8 @@ def plan_paths(target, k_max):
     if len(w) == 1:
         return [[] for _ in range(k_max)]
     forward = _decompose(w, target.closed)
-    if target.closed:
-        plans = [list(forward) for _ in range(k_max)]
-    else:
-        backward = _decompose(w[::-1], False)
-        plans = [
-            list(forward) if k % 2 == 1 else list(backward)
-            for k in range(1, k_max + 1)
-        ]
+    # the gap is checked before the k_max plans are built, so a k_max far
+    # too deep for the waypoints is refused without allocating its plans
     trace = np.concatenate([_segment_trace(s) for s in forward], axis=0)
     poly = _polyline_samples(w, target.closed)
     gap = hausdorff_distance(trace, poly)
@@ -228,7 +226,13 @@ def plan_paths(target, k_max):
             f"plan trace is {gap:.3g} from the polyline; need <= {0.5 / k_max:.3g}. "
             "Add waypoints or lower k_max"
         )
-    return plans
+    if target.closed:
+        return [list(forward) for _ in range(k_max)]
+    backward = _decompose(w[::-1], False)
+    return [
+        list(forward) if k % 2 == 1 else list(backward)
+        for k in range(1, k_max + 1)
+    ]
 
 
 # =====================================================================

@@ -297,7 +297,7 @@ def test_criterion_8_mean_radius_lemma():
 
 def test_criterion_9_end_to_end_realization():
     cm._ALPHA_CACHE.clear()  # time a cold, self-contained run
-    cm._certified_grid.cache_clear()
+    cm._spiral_grid.cache_clear()
     t0 = time.perf_counter()
     target = realizer.TargetSet(waypoints=circle_waypoints())
     plans = realizer.plan_paths(target, 5)

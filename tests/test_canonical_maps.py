@@ -15,7 +15,6 @@ from qcmaps.canonical_maps import (
     select_alpha,
     spiral_jacobian_scan,
     spiral_stretch,
-    stretch_factor,
 )
 from qcmaps.distortion import finite_diff_jacobian
 from qcmaps.errors import InvalidInputError, OriginError, OutsideShellError
@@ -131,7 +130,7 @@ class TestOrientedStretch:
         rng = np.random.default_rng(0)
         y = rng.standard_normal((500, 3))
         r = np.linalg.norm(y, axis=1)
-        axis = stretch_factor((y[:, -1] / r) ** 2, 2.0)[:, None] * y
+        axis = cm._stretch_factor((y[:, -1] / r) ** 2, 2.0)[:, None] * y
         assert np.abs(oriented_stretch(y, spec) - axis).max() <= 1e-12
 
     @pytest.mark.parametrize("K", [1.0, 2.0, 7.3])
@@ -144,7 +143,7 @@ class TestOrientedStretch:
         y[:500, 0] = 0.0
         y[500:1000, 0] = -0.0
         r = cm._norms(y)
-        axis1 = stretch_factor((y[:, 0] / r) ** 2, K)[:, None] * y
+        axis1 = cm._stretch_factor((y[:, 0] / r) ** 2, K)[:, None] * y
         got = oriented_stretch(y, StretchSpec(K=K, frame=np.eye(n)))
         assert got.tobytes() == axis1.tobytes()
 
@@ -392,7 +391,7 @@ class TestSpiralJacobian:
 
 def _grid_points(n, res):
     """The (chart, phase) points of a certification grid, one lead row at a
-    time, built independently of ``cm._grid_rows``: chart point by chart
+    time, built independently of ``cm._spiral_grid``: chart point by chart
     point, the res phases of each consecutive, the phase in the last
     coordinate."""
     axis = np.linspace(-HALF_PI + cm.GRID_BAND, HALF_PI - cm.GRID_BAND, res)
@@ -437,32 +436,45 @@ class TestSelectAlpha:
         # K = 8 halves alpha three times: four coarse and one fine check, on
         # grids each built once
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-        cm._certified_grid.cache_clear()
+        cm._spiral_grid.cache_clear()
         assert select_alpha(8.0, n, grid=grid) == 0.125
-        info = cm._certified_grid.cache_info()
+        info = cm._spiral_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
         select_alpha(3.0, n, grid=grid)
         for res in (grid, 2 * grid - 1):
-            cm._certified_grid(n, res)
-        info = cm._certified_grid.cache_info()
+            cm._spiral_grid(n, res)
+        info = cm._spiral_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
-    def test_certification_grid(self):
-        assert [cm.certification_grid(n) for n in (3, 4, 5)] == [33, 13, 13]
-        assert cm.certification_grid(3, 17) == 17
-        assert cm.certification_grid(4, 33) == 13
-        assert cm.certification_grid(4, 9) == 9
+    def test_certification_grids(self):
+        assert [cm.certification_grids(n) for n in (3, 4, 5)] == [
+            (33, 65), (13, 25), (13, 25)]
+        assert cm.certification_grids(3, 17) == (17, 33)
+        assert cm.certification_grids(4, 33) == (13, 25)
+        assert cm.certification_grids(4, 9) == (9, 17)
 
     @pytest.mark.parametrize("n, grid", [(3, 33), (4, 13)])
     def test_default_grid_per_dimension(self, monkeypatch, n, grid):
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-        cm._certified_grid.cache_clear()
+        cm._spiral_grid.cache_clear()
         default = select_alpha(2.0, n)
-        assert cm._certified_grid.cache_info().currsize == 2
+        assert cm._spiral_grid.cache_info().currsize == 2
         monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
         assert select_alpha(2.0, n, grid=grid) == default
-        info = cm._certified_grid.cache_info()
+        info = cm._spiral_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+    def test_cached_rate_resolves_no_grid(self, monkeypatch):
+        # a cached rate is returned before any public call, so a traced
+        # select_alpha that makes no child call is a cache hit
+        monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+        calls, grids = [], cm.certification_grids
+        monkeypatch.setattr(
+            cm, "certification_grids", lambda *a: calls.append(a) or grids(*a))
+        first = select_alpha(2.0, 3)
+        assert calls == [(3, None)]
+        assert select_alpha(2.0, 3) == first
+        assert calls == [(3, None)]
 
     def test_small_grid_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -515,8 +527,8 @@ class TestSelectAlpha:
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
     def test_scan_blocks_match_per_row_reference(self, monkeypatch, n, res, alpha):
         # blocks of about 100 chart points and pairs: the first minimum and
-        # its point must survive block boundaries within and across lead rows
-        cm._kept_grid(n, res)  # a cached walk must not fix the blocks
+        # its point must survive block boundaries
+        cm._spiral_grid(n, res)  # a cached grid must not fix the blocks
         monkeypatch.setattr(cm, "_BLOCK", 100)
         sizes, screen = [], kernels._laplace_det
         monkeypatch.setattr(
@@ -553,7 +565,7 @@ class TestSelectAlpha:
         self._check_scan(n, res, 0.0)
         # the phases of a chart point all give one Jacobian, so LAPACK
         # factors at most one pair per chart point
-        charts = cm._kept_grid(n, res).m.size
+        charts = cm._spiral_grid(n, res).power.size
         calls, det = [], np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
         for K in (1.0, 2.0, 12.0):
@@ -588,65 +600,76 @@ class TestSelectAlpha:
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):
-        # the cached factors give LAPACK's det at every kept grid point
-        for chart, phases, keep, _, _ in cm._grid_rows(n, res):
-            i, j = np.nonzero(keep)
-            if not len(i):
-                continue
-            xb, phase = chart[i], phases[j]
+        # the grid's phase-free factors give LAPACK's det at every kept pair,
+        # with (m/d)^{n-1} taken at the pair's own phase
+        grid = cm._spiral_grid(n, res)
+        ph, ch = np.nonzero(grid.keep)
+        for lo in range(0, len(ch), 2 ** 14):
+            i, j = ch[lo:lo + 2 ** 14], ph[lo:lo + 2 ** 14]
+            xb, phase = grid.coords[:, i].T, grid.phases[j]
             w = np.stack(kernels._rotated_cols(xb.T, np.cos(phase), np.sin(phase)), axis=1)
             power = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
-            h, ssq = cm._phase_free_terms(xb)
             for K, alpha in ((1.0, -0.5), (3.0, 0.25), (12.0, -0.03125)):
                 x = np.empty((len(i), n))
                 x[:, :-1] = xb
                 x[:, -1] = phase / alpha
                 direct = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha))
-                closed = cm._closed_form_det(power, h, ssq, K, alpha)
+                closed = cm._closed_form_det(power, grid.h[i], grid.ssq[i], K, alpha)
                 np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
     def test_phase_separable_build_matches_per_row(self, monkeypatch, n, res):
         # reference: classify every (chart, phase) row, rotate the kept rows
-        # a second time for (m/d)^{n-1}, then reduce over each chart point's phases
-        rows = list(cm._grid_rows(n, res))
-        power, h, ssq = [], [], []
-        for pts, (_, _, keep, m, d) in zip(_grid_points(n, res), rows):
+        # for (m/d)^{n-1}, then reduce over each chart point's phases
+        coords, keep, power, h, ssq = [], [], [], [], []
+        for pts in _grid_points(n, res):
             xb = pts[:, :-1]
             w = np.stack(
                 kernels._rotated_cols(xb.T, np.cos(pts[:, -1]), np.sin(pts[:, -1])), axis=1)
-            assert np.array_equal(m, np.abs(xb[::res]).max(axis=1))
-            assert np.array_equal(d.ravel(), np.abs(w).max(axis=1))
             _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
             ref = (pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)
-            assert np.array_equal(keep.ravel(), ref)
             low = np.full(len(pts), np.inf)
             low[ref] = (np.abs(xb[ref]).max(axis=1) / np.abs(w[ref]).max(axis=1)) ** (n - 1)
             low = low.reshape(-1, res).min(axis=1)
             has = np.isfinite(low)
             hh, ss = cm._phase_free_terms(xb[::res][has])
+            coords.append(xb[::res][has])
+            keep.append(ref.reshape(-1, res)[has])
             power.append(low[has])
             h.append(hh)
             ssq.append(ss)
-        assert len(rows) == res
-        # one block, then blocks of 100 chart points, cut from the cached walk
-        cm._kept_grid(n, res)
-        terms = cm._phase_free_terms
+        expected = dict(
+            phases=np.linspace(0.0, 2.0 * np.pi, res, endpoint=False),
+            coords=np.concatenate(coords).T,
+            keep=np.concatenate(keep).T,
+            power=np.concatenate(power),
+            h=np.concatenate(h),
+            ssq=np.concatenate(ssq),
+        )
+        # one build at the default blocks, one at blocks of about 100 pairs
+        # and 100 chart points: both give the reference, so each other, bit
+        # for bit
+        rotate, terms = kernels._rotate_pair, cm._phase_free_terms
         for block in (cm._BLOCK, 100):
             monkeypatch.setattr(cm, "_BLOCK", block)
-            sizes = []
+            pairs, charts = [], []
+            monkeypatch.setattr(kernels, "_rotate_pair", lambda a, b, c, s: pairs.append(
+                a.size * c.size) or rotate(a, b, c, s))
             monkeypatch.setattr(
-                cm, "_phase_free_terms", lambda xb: sizes.append(len(xb)) or terms(xb))
-            cert = cm._certified_grid.__wrapped__(n, res)
-            assert max(sizes) == min(block, len(cert.power))
-            assert np.array_equal(cert.power, np.concatenate(power))
-            assert np.array_equal(cert.h, np.concatenate(h))
-            assert np.array_equal(cert.ssq, np.concatenate(ssq))
+                cm, "_phase_free_terms", lambda xb: charts.append(len(xb)) or terms(xb))
+            grid = cm._spiral_grid.__wrapped__(n, res)
+            assert max(pairs) <= max(block, res)
+            assert max(charts) == min(block, grid.power.size)
+            for name, want in expected.items():
+                got = getattr(grid, name)
+                assert not got.flags.writeable
+                assert np.array_equal(got, want), name
+        assert len(pairs) > 3 and len(charts) > 1
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
     def test_alpha_free_floor(self, n, res):
         # d <= sqrt(2) m, so (m/d)^{n-1} >= 2^{-(n-1)/2} on every grid
-        assert cm._certified_grid(n, res).power.min() >= 2.0 ** (-(n - 1) / 2.0)
+        assert cm._spiral_grid(n, res).power.min() >= 2.0 ** (-(n - 1) / 2.0)
 
     @pytest.mark.parametrize(
         "n, grid, factors",

@@ -358,13 +358,13 @@ def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):
     # n = 4 certifies on grid 13 and its refinement 25, not the n = 3 grid
     monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
     built = []
-    certified = cm._certified_grid
+    grid = cm._spiral_grid
 
     def recording(*args):
         built.append(args[1])
-        return certified(*args)
+        return grid(*args)
 
-    monkeypatch.setattr(cm, "_certified_grid", recording)
+    monkeypatch.setattr(cm, "_spiral_grid", recording)
     code = main(["probe", "--map", "spiral", "--dim", "4", "--t", "1,0.1",
                  "--out", str(tmp_path / "p")])
     assert code == 0
@@ -373,22 +373,34 @@ def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("dim, grid", [(3, 33), (4, 13)])
 def test_verify_spiral_walks_each_grid_once(tmp_path, monkeypatch, dim, grid):
-    # the cold rate search and the LAPACK scan read one cached walk per grid
+    # the cold rate search and the LAPACK scan read one cached build per grid
     monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
-    cm._certified_grid.cache_clear()
-    cm._kept_grid.cache_clear()
-    walked = []
-    rows = cm._grid_rows
-
-    def recording(n, res):
-        walked.append((n, res))
-        return rows(n, res)
-
-    monkeypatch.setattr(cm, "_grid_rows", recording)
+    cm._spiral_grid.cache_clear()
     code = main(["verify", "spiral", "--dim", str(dim), "--samples", "100",
                  "--out", str(tmp_path / "spiral.json")])
     assert code == 0
-    assert sorted(walked) == [(dim, grid), (dim, 2 * grid - 1)]
+    assert cm._spiral_grid.cache_info().misses == 2
+    # the two grids built are the coarse grid and its refinement
+    for res in (grid, 2 * grid - 1):
+        cm._spiral_grid(dim, res)
+    assert cm._spiral_grid.cache_info().misses == 2
+
+
+@pytest.mark.parametrize(
+    "waypoints",
+    [[["a", 1, 2], [0, 2, 0]], [[2, 0, 0], [0, 2]]],
+    ids=["non-numeric", "ragged"],
+)
+def test_realize_rejects_malformed_waypoints(tmp_path, capsys, waypoints):
+    # numpy's conversion error becomes a message naming the waypoints
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps({"waypoints": waypoints}))
+    code = main(["realize", str(target), "--out", str(tmp_path / "x")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: waypoints must be an (m, n>=3) array of numbers")
+    assert out == ""
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_probe_stretch_t_independent(tmp_path):

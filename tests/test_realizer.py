@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +48,15 @@ class TestTargetSet:
     def test_annulus_violation_rejected(self):
         with pytest.raises(InvalidInputError):
             rz.TargetSet(waypoints=np.array([[3.0, 0, 0], [1.0, 0, 0]]), annulus_bound=2.0)
+
+    @pytest.mark.parametrize(
+        "waypoints",
+        [[["a", 1, 2], [0, 2, 0]], [[2, 0, 0], [0, 2]]],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_malformed_waypoints_rejected(self, waypoints):
+        with pytest.raises(InvalidInputError, match="waypoints must be"):
+            rz.TargetSet(waypoints=waypoints)
 
 
 class TestPlanPaths:
@@ -99,6 +109,17 @@ class TestPlanPaths:
         rz.plan_paths(t, 1)
         with pytest.raises(PlanningError):
             rz.plan_paths(t, 30)
+
+    def test_deep_k_max_rejected_before_planning(self):
+        # the trace gap is checked before the k_max plan lists are built,
+        # which at this depth would take tens of GB
+        th = np.linspace(0.0, np.pi / 2, 12)
+        r = 2.0 + 0.3 * np.sin(2.0 * th)
+        t = rz.TargetSet(waypoints=np.stack([r * np.cos(th), r * np.sin(th), 0.0 * th], axis=1))
+        start = time.perf_counter()
+        with pytest.raises(PlanningError):
+            rz.plan_paths(t, 10 ** 9)
+        assert time.perf_counter() - start < 1.0
 
     def test_plans_chain_end_to_start(self):
         t = rz.TargetSet(waypoints=circle_waypoints(count=5))
