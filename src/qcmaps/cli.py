@@ -45,6 +45,20 @@ LINEAR_DISTORTION_BOUND = 8.0 * CHART_BILIP**2
 # Tolerance of the zorich suite's roundtrip and radius-identity checks.
 DEFAULT_TOL = 1e-12
 
+# Caps on the size flags, checked before anything is allocated, so that an
+# oversized value ends in a QcmapsError, not a MemoryError.  Each keeps its
+# command's largest array well under 1 GB; README gives the peak RSS at each.
+# Close waypoints on one sphere plan about a shell per waypoint and sweep, so
+# the realized orbit, shells x --samples, is capped once the map is built.
+MAX_GRID = 256  # verify: the n = 3 spiral refinement has (2 grid - 1)^3 pairs
+MAX_SAMPLES = 10**6  # verify
+MAX_SHELL_SAMPLES = 10**4  # realize
+MAX_ORBIT_SAMPLES = 10**6  # realize, shells x --samples
+MAX_DIRECTIONS = 10**5  # probe --grid
+# realize and probe: each sweep with a radial move takes an interpolation
+# shell of log-depth >= 1, and radii stop at e^-354, so 354 sweeps at most
+MAX_KMAX = 1000
+
 
 def _alpha_value(alpha, name):
     """'auto', or the finite float that `alpha` spells; a QcmapsError naming
@@ -83,6 +97,8 @@ class RunConfig:
         _alpha_value(self.alpha, "alpha")
         if self.samples < 1:
             raise QcmapsError("samples must be at least 1")
+        if self.samples > MAX_SAMPLES:
+            raise QcmapsError(f"samples must be at most {MAX_SAMPLES}")
         if self.seed < 0:
             raise QcmapsError("seed must be non-negative")
         if self.dimension < 3:
@@ -91,6 +107,8 @@ class RunConfig:
             raise QcmapsError("tolerance must be positive")
         if self.grid < 8:
             raise QcmapsError("grid resolution must be at least 8")
+        if self.grid > MAX_GRID:
+            raise QcmapsError(f"grid resolution must be at most {MAX_GRID}")
         if self.K < 1.0 or self.L < 1.0:
             raise QcmapsError("suite stretch factors require K, L >= 1")
 
@@ -393,8 +411,15 @@ def run_realize(target, k_max, samples):
     """Plan, build, and sample the orbit; returns (table, summary, rm)."""
     if samples < 1:
         raise QcmapsError("--samples must be at least 1")
+    if samples > MAX_SHELL_SAMPLES:
+        raise QcmapsError(f"--samples must be at most {MAX_SHELL_SAMPLES}")
+    if k_max > MAX_KMAX:
+        raise QcmapsError(f"--kmax must be at most {MAX_KMAX}")
     plans = realizer.plan_paths(target, k_max)
     rm = realizer.build_map(plans, n=target.n)
+    if len(rm.pieces) * samples > MAX_ORBIT_SAMPLES:
+        raise QcmapsError(f"{len(rm.pieces)} shells at --samples {samples} exceed "
+                          f"{MAX_ORBIT_SAMPLES} orbit samples; lower --samples or --kmax")
     ts = realizer.default_orbit_times(rm, per_piece=samples)
     table = realizer.orbit_table(rm, ts)
     gamma = table["gamma"]
@@ -491,6 +516,10 @@ def run_probe(args):
         raise QcmapsError("--theta must be finite")
     if not (np.isfinite(args.K) and args.K >= 1.0):
         raise QcmapsError("--K must be a finite number >= 1")
+    if args.grid > MAX_DIRECTIONS:
+        raise QcmapsError(f"--grid must be at most {MAX_DIRECTIONS}")
+    if args.kmax > MAX_KMAX:
+        raise QcmapsError(f"--kmax must be at most {MAX_KMAX}")
     fn, rho = _probe_map(args)
     dirs = sphere_directions(args.dim, max(args.grid, 2 * args.dim), args.seed)
     slices = []

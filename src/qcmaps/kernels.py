@@ -47,37 +47,38 @@ exact to the bit.  16384 rows keep a strip's column temporaries, some 40 of
 128 KiB, near a 2 MiB L2; a batch of at most 16384 rows, or a single point,
 is one strip and is not copied.
 
-The same strip runner serves the L1 maps whose bodies do make BLAS calls:
-the y-space maps of ``canonical_maps`` form one matrix product per strip,
-and ``realizer.mean_radius_batch`` one per quadrature block
-(``_each_job``).  A product's bits can depend on its row count, so the
-strips and blocks are cut by one rule, ``_row_cuts``: consecutive runs of
-the given size, with a lone last row joined to the run before it.  numpy
-computes a one-row product as a dot product, which can round differently
-from the same row inside a matrix product: on 20 seeded batches of
-2 x 16384 + 1 rows, a one-row last strip changed 7, 32, 48 and 110 entries
-of the spiral stretch at n = 3, 4, 5 and 8, and 3 of the oriented stretch at
-n = 3, while last strips of 2, 5 and 9 rows changed none.  A strip's
-product has at most 16385 rows, and a quadrature block about 2^15 entries.
-Up to n = 5 that stays below the sizes from which OpenBLAS 0.3.31 runs a
-product on threads of its own (on a 2-vCPU Xeon: an (m, n) x (n, n) product
-from m = 32768 at n = 4 and 5, 65536 at n = 3; a matrix-vector product from
-about 460800 entries).  Its workers then spin on the other CPUs for about
-0.13 s after each such call, taking them from the strips.
+The same strip runner serves the y-space maps of ``canonical_maps``, one
+matrix product per strip; ``realizer.mean_radius_batch`` makes one
+matrix-vector product per quadrature block, inline.  A product's bits can
+depend on its row count, so strips and blocks are cut by one rule,
+``_row_cuts``: consecutive runs of the given size, with a lone last row
+joined to the run before it.  numpy computes a one-row product as a dot
+product, which can round differently from the same row inside a matrix
+product: on 20 seeded batches of 2 x 16384 + 1 rows, a one-row last strip
+changed 7, 32, 48 and 110 entries of the spiral stretch at n = 3, 4, 5 and
+8, and 3 of the oriented stretch at n = 3, while last strips of 2, 5 and 9
+rows changed none.  A strip's product has at most 16385 rows, and a
+quadrature block about 2^15 entries.  Up to n = 5 that stays below the
+sizes from which OpenBLAS 0.3.31 runs a product on threads of its own (on a
+2-vCPU Xeon: an (m, n) x (n, n) product from m = 32768 at n = 4 and 5, 65536
+at n = 3; a matrix-vector product from about 460800 entries).  Its workers
+then spin on the other CPUs for about 0.13 s after each such call, taking
+them from the strips.
 
-The strips of one call may run on several threads (``_each_strip``): the
-calling thread and one helper per further usable CPU and further full strip,
-started for the call and joined before it returns or raises.  numpy releases
-the GIL inside its ufunc loops and BLAS calls, so the strips compute side by
-side.  The bits still cannot change: each strip writes only its own rows,
-and a row's arithmetic is the same on any thread and in any order.  The
-helpers run under the caller's numpy error state (``np.errstate`` is per
-thread), so ignored floating-point errors stay silent and raised ones raise,
-from any strip.  A body calls no public function of qcmaps, so wrappers
-installed on public functions (a tracer's spans, say) only ever run on the
-calling thread.  There is no knob: the thread count is the number of CPUs
-the process may run on, read once at import, and a batch of fewer than two
-full strips, or a single CPU, runs inline, starting no thread.
+The strips of one call may run on several threads (``_each_strip``, the
+only code of qcmaps that starts a thread): the calling thread and one
+helper per further usable CPU and further full strip, started for the call
+and joined before it returns or raises.  numpy releases the GIL inside its
+ufunc loops and BLAS calls, so the strips compute side by side.  The bits
+still cannot change: each strip writes only its own rows, and a row's
+arithmetic is the same on any thread and in any order.  The helpers run
+under the caller's numpy error state (``np.errstate`` is per thread), so
+ignored floating-point errors stay silent and raised ones raise, from any
+strip.  A body calls no public function of qcmaps, so wrappers installed on
+public functions (a tracer's spans, say) only ever run on the calling
+thread.  There is no knob: the thread count is the number of CPUs the
+process may run on, read once at import, and a batch of fewer than two full
+strips, or a single CPU, runs inline, starting no thread.
 """
 
 from __future__ import annotations
@@ -138,48 +139,35 @@ def _each_strip(m, body):
     """Call body(s) for the row slice s of every strip of an m-row batch.
 
     The strips are the blocks of ``_row_cuts(m, _STRIP)``.  A batch of fewer
-    than two full strips, or one usable CPU, runs inline on the calling
-    thread: a thread pays for its start and its share of the GIL only with a
-    full strip of its own.  Otherwise the strips run as the jobs of
-    ``_each_job``, on at most one thread per full strip.
+    than two full strips, or one usable CPU, runs them inline, in order: a
+    thread pays for its start and its share of the GIL only with a full strip
+    of its own.  Otherwise the calling thread and its helpers take strips in
+    order until none is left, so a slow thread takes fewer.  A strip that
+    raises stops the hand-out; the call joins every helper, then re-raises
+    the exception of the lowest strip that raised, as a serial loop would.
     """
     cuts = _row_cuts(m, _STRIP)
-    _each_job([slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])], body, m // _STRIP)
-
-
-def _each_job(jobs, body, threads):
-    """Call body(job) for every job of the list `jobs`, on at most `threads`
-    threads and never more than ``_WORKERS``.
-
-    With one thread the jobs run inline, in order.  Otherwise the calling
-    thread and helper threads started for this call take jobs in order from
-    the list until it is empty, so a slow thread takes fewer.  Helpers run
-    under the caller's numpy error state, which is per thread.  The call
-    joins every helper before it returns or raises; a job that raises stops
-    the hand-out, and the call re-raises the exception of the lowest job
-    that raised, which is the one a serial loop would raise.
-    """
-    workers = min(_WORKERS, threads)
+    strips = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    workers = min(_WORKERS, m // _STRIP)
     if workers <= 1:
-        for job in jobs:
-            body(job)
+        for s in strips:
+            body(s)
         return
-    todo = iter(enumerate(jobs))
+    todo = iter(strips)
     lock = threading.Lock()
     failed = []
 
     def work():
         while True:
             with lock:
-                item = None if failed else next(todo, None)
-            if item is None:
+                s = None if failed else next(todo, None)
+            if s is None:
                 return
-            k, job = item
             try:
-                body(job)
+                body(s)
             except BaseException as exc:
                 with lock:
-                    failed.append((k, exc))
+                    failed.append((s.start, exc))
                 return
 
     err, call = np.geterr(), np.geterrcall()

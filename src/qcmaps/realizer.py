@@ -54,6 +54,12 @@ _LOG_RADIUS_FLOOR = 0.5 * np.log(np.finfo(float).tiny)
 # Targets and path segments
 # =====================================================================
 
+def _is_real(v):
+    """Whether v is a real number: a ``numbers.Real`` that is not a bool, so
+    that a JSON string or true is not read as a coordinate or a bound."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class TargetSet:
     """Waypoint polyline inside the annulus 1/C <= |y| <= C."""
@@ -70,6 +76,14 @@ class TargetSet:
                 f"waypoints must be an (m, n>=3) array of numbers: {exc}") from exc
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 3:
             raise InvalidInputError("waypoints must be an (m, n>=3) array")
+        raw = self.waypoints
+        if isinstance(raw, np.ndarray):
+            bad = [] if raw.dtype.kind in "iuf" else [f"dtype {raw.dtype}"]
+        else:
+            bad = [repr(v) for row in raw for v in row if not _is_real(v)]
+        if bad:
+            raise InvalidInputError(
+                f"waypoints must be an (m, n>=3) array of numbers, got {bad[0]}")
         if not np.all(np.isfinite(w)):
             raise InvalidInputError("waypoints have non-finite coordinates")
         radii = np.linalg.norm(w, axis=1)
@@ -87,7 +101,7 @@ class TargetSet:
         if c is None:
             c = max(radii.max(), 1.0 / radii.min()) * (1.0 + 1e-12)
         else:
-            if isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real):
+            if not _is_real(c):
                 raise InvalidInputError(f"annulus bound C must be a number, got {c!r}")
             # NaN fails both comparisons, and an integer beyond the float
             # range fails the first as an infinite bound does
@@ -577,44 +591,22 @@ def _sphere_rule(n):
     return u2, weights
 
 
-def _mean_pow_jobs(piece, nu, n, out):
-    """The row blocks of one interpolation shell's mean-radius quadrature.
-
-    The mean over the unit sphere of the shell's profile to the n-th power,
-    at the radii with interpolation parameters `nu`, goes to `out`, one
-    block of rows per job of ``_mean_pow_block``.  The profile depends only
-    on the first direction cosine, so ln lambda_K and ln lambda_L are taken
-    once at the rule's nodes, here on the calling thread.  The blocks are
-    about ``_BLOCK`` elements each, the same cache-sized blocks as the
-    Hausdorff scan, with a lone last row joined to the block before it
-    (``kernels._row_cuts``).
-    """
+def _mean_pow(piece, nu, n):
+    """The mean over the unit sphere of one interpolation shell's profile to
+    the n-th power at the parameters `nu`: ln lambda_K and ln lambda_L are
+    taken once at the rule's nodes, then blocks of about ``_BLOCK`` elements,
+    cut by ``kernels._row_cuts``, mix, scale by n, exponentiate and weigh."""
     u2, weights = _sphere_rule(n)
     log_k = np.log(_stretch_factor(u2, piece.K))
     log_l = np.log(_stretch_factor(u2, piece.L))
     cuts = kernels._row_cuts(nu.size, max(1, _BLOCK // u2.size))
-    return [
-        (nu[lo:hi], log_k, log_l, n, weights, out[lo:hi])
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
-
-
-def _mean_pow_block(job):
-    """One job of ``_mean_pow_jobs``: mix the rows' log profiles, scale by
-    n, exponentiate and weight them, in one (rows, nodes) array."""
-    nu, log_k, log_l, n, weights, out = job
-    blk = _interp_log_mix(nu[:, None], log_k, log_l)
-    blk *= n
-    np.exp(blk, out=blk)
-    out[:] = blk @ weights
-
-
-# Quadrature blocks per thread of ``mean_radius_batch``: a helper thread is
-# started only with this many blocks of its own.  A block takes 60-100 us and
-# starting and joining a thread about 0.12 ms (2-vCPU Xeon); one n = 3 shell
-# of 128 radii, 16 blocks, ran 1.3 ms inline and 1.6 ms on two threads, and
-# one of 256 radii 3.6 ms against 3.0 ms.
-_MEAN_BLOCKS_PER_THREAD = 16
+    out = np.empty(nu.size)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        blk = _interp_log_mix(nu[lo:hi, None], log_k, log_l)
+        blk *= n
+        np.exp(blk, out=blk)
+        out[lo:hi] = blk @ weights
+    return out
 
 
 def mean_radius_batch(rm, radii):
@@ -626,12 +618,8 @@ def mean_radius_batch(rm, radii):
     lattice at n = 3 and 256-node Gauss-Legendre above (FIBONACCI_POINTS,
     GAUSS_NODES).  Radii are dispatched as in ``eval_map_batch``: one stable
     sort of the region codes, one contiguous slice per region, one scatter
-    back.  The rule is applied in row blocks of about ``_BLOCK`` elements
-    (``_mean_pow_jobs``), and the blocks of every interpolation shell of the
-    batch are handed to the usable CPUs together (``kernels._each_job``).
-    Each block is its own matrix-vector product, with the rows it has when
-    its shell is integrated alone, so the result does not depend on the
-    thread count.
+    back.  Each shell's rule runs inline in the blocks of ``_mean_pow``, each
+    a matrix-vector product below the size OpenBLAS runs on threads.
     """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.size == 0 or not np.all(np.isfinite(r)):
@@ -642,7 +630,6 @@ def mean_radius_batch(rm, radii):
     n = rm.n
     r_s = r[order]
     out_s = np.empty_like(r_s)
-    jobs, means = [], []
     for code, lo, hi in runs:
         rs = r_s[lo:hi]
         if code == -1:
@@ -662,12 +649,7 @@ def mean_radius_batch(rm, radii):
                 mid = ~(at_out | at_in)
                 if np.any(mid):
                     nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
-                    mean = np.empty(nu.size)
-                    jobs += _mean_pow_jobs(p, nu, n, mean)
-                    means.append((res, mid, rs, mean))
-    kernels._each_job(jobs, _mean_pow_block, len(jobs) // _MEAN_BLOCKS_PER_THREAD)
-    for res, mid, rs, mean in means:
-        res[mid] = mean ** (1.0 / n) * rs[mid]
+                    res[mid] = _mean_pow(p, nu, n) ** (1.0 / n) * rs[mid]
     out = np.empty_like(r_s)
     out[order] = out_s
     return out

@@ -11,7 +11,7 @@ import pytest
 import qcmaps
 from conftest import circle_waypoints
 from qcmaps import canonical_maps as cm
-from qcmaps import realizer
+from qcmaps import cli, realizer
 from qcmaps.cli import (
     DEFAULT_TOL,
     RunConfig,
@@ -20,6 +20,7 @@ from qcmaps.cli import (
     main,
     run_realize,
 )
+from qcmaps.errors import QcmapsError
 
 
 @pytest.fixture()
@@ -97,6 +98,15 @@ _FINITE_ALPHA = "alpha must be 'auto' or a finite number"
     + [
         pytest.param(s, "seed", "-1", "seed must be non-negative", id=f"-1-seed-{s}")
         for s in ("zorich", "spiral", "stretch")
+    ]
+    # sizes that used to end in a MemoryError traceback
+    + [
+        pytest.param(s, f, v, f"{m} must be at most", id=f"{v}-{f}-{s}")
+        for s, f, v, m in (
+            ("bilipschitz", "grid", "100000", "grid resolution"),
+            ("spiral", "grid", "5000", "grid resolution"),
+            ("zorich", "samples", "2000000000", "samples"),
+        )
     ],
 )
 def test_verify_rejects_nonfinite_parameters(
@@ -322,6 +332,17 @@ def test_realize_rejects_bad_target_key(tmp_path, capsys, entry, message):
                      "--samples must be at least 1", id="0-samples"),
         pytest.param(["realize", "TARGET", "--samples", "-3"],
                      "--samples must be at least 1", id="-3-samples"),
+        pytest.param(["realize", "TARGET", "--samples", "1000000000"],
+                     "--samples must be at most", id="1e9-samples"),
+        pytest.param(["realize", "TARGET", "--kmax", "1000000"],
+                     "--kmax must be at most", id="1e6-kmax"),
+        # 300 shells of 10^4 samples each
+        pytest.param(["realize", "TARGET", "--kmax", "20", "--samples", "10000"],
+                     "orbit samples; lower --samples or --kmax", id="orbit-size"),
+        pytest.param(["probe", "--map", "stretch", "--t", "1", "--grid", "2000000000"],
+                     "--grid must be at most", id="2e9-grid"),
+        pytest.param(["probe", "--map", "realized", "--target", "TARGET", "--kmax", "1001",
+                      "--t", "1"], "--kmax must be at most", id="1001-kmax"),
     ],
 )
 def test_probe_and_realize_reject_bad_input(
@@ -334,6 +355,29 @@ def test_probe_and_realize_reject_bad_input(
     assert code == 1
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("x.*"))
+
+
+def test_size_caps_are_inclusive(tmp_path):
+    # the largest value of each size flag is taken; one more is refused
+    RunConfig(grid=cli.MAX_GRID, samples=cli.MAX_SAMPLES)
+    for field, cap in (("grid", cli.MAX_GRID), ("samples", cli.MAX_SAMPLES)):
+        with pytest.raises(QcmapsError, match=f"{field}.* must be at most"):
+            RunConfig(**{field: cap + 1})
+    # a one-waypoint target plans no shell at any depth
+    one = realizer.TargetSet(waypoints=[[2.0, 0.0, 0.0]])
+    _, summary, _ = run_realize(one, cli.MAX_KMAX, cli.MAX_SHELL_SAMPLES)
+    assert summary["k_max"] == cli.MAX_KMAX
+    for k_max, samples in ((cli.MAX_KMAX + 1, 1), (1, cli.MAX_SHELL_SAMPLES + 1)):
+        with pytest.raises(QcmapsError, match="must be at most"):
+            run_realize(one, k_max, samples)
+    target = tmp_path / "one.json"
+    target.write_text(json.dumps({"waypoints": [[2, 0, 0]]}))
+    argv = ["probe", "--map", "realized", "--target", str(target), "--t", "1",
+            "--kmax", str(cli.MAX_KMAX), "--out", str(tmp_path / "p")]
+    assert main(argv) == 0
+    argv = ["probe", "--map", "stretch", "--t", "1", "--grid", str(cli.MAX_DIRECTIONS + 1),
+            "--out", str(tmp_path / "q")]
+    assert main(argv) == 1
 
 
 def test_write_csv_matches_csv_module(tmp_path):
@@ -388,11 +432,12 @@ def test_verify_spiral_walks_each_grid_once(tmp_path, monkeypatch, dim, grid):
 
 @pytest.mark.parametrize(
     "waypoints",
-    [[["a", 1, 2], [0, 2, 0]], [[2, 0, 0], [0, 2]]],
-    ids=["non-numeric", "ragged"],
+    [[["a", 1, 2], [0, 2, 0]], [[2, 0, 0], [0, 2]], [["2", "0", "0"], [0, "2", True]]],
+    ids=["non-numeric", "ragged", "strings-and-boolean"],
 )
 def test_realize_rejects_malformed_waypoints(tmp_path, capsys, waypoints):
-    # numpy's conversion error becomes a message naming the waypoints
+    # numpy's conversion error, or a coordinate that is not a JSON number,
+    # becomes a message naming the waypoints
     target = tmp_path / "bad.json"
     target.write_text(json.dumps({"waypoints": waypoints}))
     code = main(["realize", str(target), "--out", str(tmp_path / "x")])

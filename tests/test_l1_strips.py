@@ -1,6 +1,9 @@
 """The L1 maps on the strip runner of ``kernels``: every result equals the
 one-pass result to the bit, at any thread count, and a bad batch raises the
-error the whole-batch checks raise first."""
+error the whole-batch checks raise first.  The mean-radius quadrature runs
+inline."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -104,19 +107,23 @@ def _wavy_map():
     return rz.build_map(rz.plan_paths(rz.TargetSet(waypoints=w), 3), n=3)
 
 
-def test_mean_radius_blocks_match_one_pass(monkeypatch):
-    # each shell integrated alone on the calling thread, block after block
+def test_mean_radius_starts_no_thread(monkeypatch):
+    # the orbit's 6000 interpolation radii make 750 quadrature blocks, which
+    # run inline on the calling thread even with CPUs to spare, and give
+    # each shell's result integrated alone
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("mean_radius_batch started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
     rm = _wavy_map()
     t = rz.default_orbit_times(rm)
     idx = rz._locate(rm, t)
     ref = np.empty_like(t)
     for code in np.unique(idx).tolist():
         sel = idx == code
-        monkeypatch.setattr(kernels, "_WORKERS", 1)
         ref[sel] = rz.mean_radius_batch(rm, t[sel])
-    # the interpolation shells make enough 8-row blocks for every helper
     interp = [k for k, p in enumerate(rm.pieces) if p.kind == "interp"]
-    assert np.isin(idx, interp).sum() // 8 >= 3 * rz._MEAN_BLOCKS_PER_THREAD
-    for workers in WORKERS:
-        monkeypatch.setattr(kernels, "_WORKERS", workers)
-        assert np.array_equal(rz.mean_radius_batch(rm, t), ref)
+    assert np.isin(idx, interp).sum() == 6000
+    assert np.array_equal(rz.mean_radius_batch(rm, t), ref)

@@ -23,15 +23,6 @@ from qcmaps.vecgeom import fibonacci_sphere
 E1 = np.array([1.0, 0.0, 0.0])
 
 
-def _shell_mean_pow(piece, nu, n):
-    """One interpolation shell's blocked quadrature at the parameters nu,
-    its blocks run in order on the calling thread."""
-    out = np.empty(nu.size)
-    for job in rz._mean_pow_jobs(piece, nu, n, out):
-        rz._mean_pow_block(job)
-    return out
-
-
 class TestTargetSet:
     def test_annulus_bound_inferred(self):
         t = rz.TargetSet(waypoints=np.array([[2.0, 0, 0], [0.0, 0.5, 0]]))
@@ -51,8 +42,18 @@ class TestTargetSet:
 
     @pytest.mark.parametrize(
         "waypoints",
-        [[["a", 1, 2], [0, 2, 0]], [[2, 0, 0], [0, 2]]],
-        ids=["non-numeric", "ragged"],
+        [
+            [["a", 1, 2], [0, 2, 0]],
+            [[2, 0, 0], [0, 2]],
+            # numpy would read these as 2.0 and 1.0
+            [["2", "0", "0"], [0, 2, 0]],
+            [[2, 0, 0], [0, 2, True]],
+            [np.array([2, 0, 0]), np.array([0, 2, 1], dtype=bool)],
+            np.array([["2", "0", "0"], ["0", "2", "0"]]),
+            np.array([[2, 0, 0], [0, 2, 0]], dtype=object),
+        ],
+        ids=["non-numeric", "ragged", "numeric-strings", "boolean", "boolean-row",
+             "string-array", "object-array"],
     )
     def test_malformed_waypoints_rejected(self, waypoints):
         with pytest.raises(InvalidInputError, match="waypoints must be"):
@@ -453,7 +454,7 @@ class TestRegionDispatch:
                     mid = ~(at_out | at_in)
                     if np.any(mid):
                         nu = (np.log(rs[mid]) - np.log(p.r_in)) / (p.t - p.s)
-                        mean = _shell_mean_pow(p, nu, n)
+                        mean = rz._mean_pow(p, nu, n)
                         res[mid] = mean ** (1.0 / n) * rs[mid]
                     out[sel] = res
         return out
@@ -573,7 +574,7 @@ class TestMeanRadius:
         nu[0] = 1.0  # the outer sphere
         if rows > 1:
             nu[-1] = 0.0  # the inner sphere
-        assert np.array_equal(_shell_mean_pow(piece, nu, n), unblocked_mean_pow(piece, nu))
+        assert np.array_equal(rz._mean_pow(piece, nu, n), unblocked_mean_pow(piece, nu))
 
     def test_quadrature_vs_monte_carlo(self):
         seg = rz.RadialSegment(1.0, 2.0, E1)
