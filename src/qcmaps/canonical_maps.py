@@ -225,10 +225,27 @@ def oriented_stretch(y, spec):
 
 def _interp_log_mix(nu, log_k, log_l, out=None):
     """nu ln(lambda_K) + (1 - nu) ln(lambda_L), the one home of the
-    interpolation formula; `out`, if given, receives the result."""
+    interpolation formula; `out`, if given, receives the result.
+
+    The mean-radius quadrature (``realizer._mean_pow``) evaluates the same
+    profile to the n-th power, mu^n = lambda_L^n (lambda_K / lambda_L)^{n nu},
+    as exp(a + nu b) on the node tables a = n ln lambda_L and
+    b = n (ln lambda_K - ln lambda_L) of ``_interp_pow_tables``.  There
+    every radius meets every node, so the mix's two products and its
+    temporary, about half of a quadrature block's time, become one
+    multiply-add per entry.  The two forms differ by rounding only.
+    """
     out = np.multiply(nu, log_k, out=out)
     out += (1.0 - nu) * log_l
     return out
+
+
+def _interp_pow_tables(cos2, K, L, n):
+    """The node tables (n ln lambda_L, n (ln lambda_K - ln lambda_L)) at the
+    squared direction cosines `cos2`, so that the interpolation profile's
+    n-th power at nu is exp(a + nu b) (see ``_interp_log_mix``)."""
+    log_l = np.log(_stretch_factor(cos2, L))
+    return n * log_l, n * (np.log(_stretch_factor(cos2, K)) - log_l)
 
 
 def _interp_log_weight(cos2, nu, K, L):
@@ -341,6 +358,10 @@ def interp_shift_batch(xb, xn, spec):
 # candidate switch, mirroring the sigma-finite singular set the analysis
 # itself removes.
 GRID_BAND = 1e-3
+# The largest dimension whose spiral rate is certified: the grids hold
+# 13^(n-1) and 25^(n-1) chart points above n = 3, 390625 at n = 5, and the
+# refinement scan takes 25 phases of each; n = 6 would take 25^6 pairs.
+MAX_SPIRAL_DIM = 5
 _ALPHA_CACHE: dict = {}
 # Grid reductions work in blocks of this many elements: about this many
 # (phase, chart) pairs per block of the ``_spiral_grid`` walk, chart points
@@ -365,8 +386,13 @@ def certification_grids(n, grid=None):
     has res^n points, and 13^4 stays below 33^3.  A requested `grid` (the
     CLI --grid) is used as given at n = 3 and capped at 13 above.  The
     refined grid, 2 res - 1, holds every coarse grid point; a certified rate
-    passes both.
+    passes both.  Above ``MAX_SPIRAL_DIM`` it raises ``InvalidInputError``
+    before any grid is built.
     """
+    if n > MAX_SPIRAL_DIM:
+        raise InvalidInputError(
+            f"spiral certification is capped at dimension {MAX_SPIRAL_DIM}, "
+            f"got dimension {n}")
     res = 33 if grid is None else grid
     if n != 3:
         res = min(res, 13)

@@ -55,6 +55,12 @@ MAX_SAMPLES = 10**6  # verify
 MAX_SHELL_SAMPLES = 10**4  # realize
 MAX_ORBIT_SAMPLES = 10**6  # realize, shells x --samples
 MAX_DIRECTIONS = 10**5  # probe --grid
+# verify and probe --dim: the quotient metric of verify zorich tries 3^(n-1)
+# representatives of every sample, and verify --samples is capped for n <= 8
+MAX_DIM = 8
+# verify stretch and interp: points of the pyramid grid, res (res // 2)^(n-2)
+# per height with res = min(--grid, 21), so at most n = 5 at the default grid
+MAX_PYRAMID_POINTS = 10**5
 # realize and probe: each sweep with a radial move takes an interpolation
 # shell of log-depth >= 1, and radii stop at e^-354, so 354 sweeps at most
 MAX_KMAX = 1000
@@ -103,6 +109,8 @@ class RunConfig:
             raise QcmapsError("seed must be non-negative")
         if self.dimension < 3:
             raise QcmapsError("dimension must be at least 3")
+        if self.dimension > MAX_DIM:
+            raise QcmapsError(f"--dim must be at most {MAX_DIM}")
         if self.tol <= 0:
             raise QcmapsError("tolerance must be positive")
         if self.grid < 8:
@@ -139,6 +147,11 @@ def _pyramid_grid(n, res, margin=1e-3, heights=(0.0,)):
     Points satisfy margin <= x_1 <= pi/2 - margin and |x_i| <= x_1 - margin,
     with the requested last-coordinate values appended.
     """
+    count = res * max(3, res // 2) ** (n - 2) * len(heights)
+    if count > MAX_PYRAMID_POINTS:
+        raise QcmapsError(
+            f"the pyramid grid at --dim {n} and resolution {res} has {count} points, "
+            f"above {MAX_PYRAMID_POINTS}; lower --dim or --grid")
     x1 = np.linspace(margin, HALF_PI - margin, res)
     fracs = np.linspace(-1.0, 1.0, max(3, res // 2))
     grids = np.meshgrid(x1, *([fracs] * (n - 2)), indexing="ij")
@@ -397,14 +410,22 @@ def load_target(path):
     )
 
 
+# Rows per chunk of ``_write_csv``: a chunk's Python floats, not the whole
+# table's, are alive at once.
+_CSV_ROWS = 1024
+
+
 def _write_csv(path, header, columns, row_format):
     """Write equal-length columns under a header, each row as
-    `row_format` % row, with the CRLF line ends of ``csv.writer``."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    `row_format` % row, with the CRLF line ends of ``csv.writer``, formatting
+    and writing ``_CSV_ROWS`` rows at a time."""
+    columns = [np.asarray(c) for c in columns]
     line = row_format + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % row for row in rows)
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            rows = zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns))
+            fh.writelines(line % row for row in rows)
 
 
 def run_realize(target, k_max, samples):
@@ -510,6 +531,8 @@ def run_probe(args):
     t_values = _scales(args.t)
     if args.dim < 3:
         raise QcmapsError("--dim must be at least 3")
+    if args.dim > MAX_DIM:
+        raise QcmapsError(f"--dim must be at most {MAX_DIM}")
     if args.seed < 0:
         raise QcmapsError("--seed must be non-negative")
     if not np.isfinite(args.theta):

@@ -48,22 +48,21 @@ exact to the bit.  16384 rows keep a strip's column temporaries, some 40 of
 is one strip and is not copied.
 
 The same strip runner serves the y-space maps of ``canonical_maps``, one
-matrix product per strip; ``realizer.mean_radius_batch`` makes one
-matrix-vector product per quadrature block, inline.  A product's bits can
-depend on its row count, so strips and blocks are cut by one rule,
-``_row_cuts``: consecutive runs of the given size, with a lone last row
-joined to the run before it.  numpy computes a one-row product as a dot
-product, which can round differently from the same row inside a matrix
-product: on 20 seeded batches of 2 x 16384 + 1 rows, a one-row last strip
-changed 7, 32, 48 and 110 entries of the spiral stretch at n = 3, 4, 5 and
-8, and 3 of the oriented stretch at n = 3, while last strips of 2, 5 and 9
-rows changed none.  A strip's product has at most 16385 rows, and a
-quadrature block about 2^15 entries.  Up to n = 5 that stays below the
-sizes from which OpenBLAS 0.3.31 runs a product on threads of its own (on a
-2-vCPU Xeon: an (m, n) x (n, n) product from m = 32768 at n = 4 and 5, 65536
-at n = 3; a matrix-vector product from about 460800 entries).  Its workers
-then spin on the other CPUs for about 0.13 s after each such call, taking
-them from the strips.
+matrix product per strip.  A product's bits can depend on its row count, so
+the strips are cut by ``_row_cuts``: consecutive runs of the given size,
+with a lone last row joined to the run before it.  numpy computes a one-row
+product as a dot product, which can round differently from the same row
+inside a matrix product: on 20 seeded batches of 2 x 16384 + 1 rows, a
+one-row last strip changed 7, 32, 48 and 110 entries of the spiral stretch
+at n = 3, 4, 5 and 8, and 3 of the oriented stretch at n = 3, while last
+strips of 2, 5 and 9 rows changed none.  A strip's product has at most 16385
+rows.  Up to n = 5 that stays below the sizes from which OpenBLAS 0.3.31
+runs a product on threads of its own (on a 2-vCPU Xeon: an (m, n) x (n, n)
+product from m = 32768 at n = 4 and 5, 65536 at n = 3).  Its workers then
+spin on the other CPUs for about 0.13 s after each such call, taking them
+from the strips.  The mean-radius quadrature of ``realizer`` runs inline on
+blocks of its own and calls no BLAS: it sums each block row with
+``np.einsum``, so its results do not depend on a row's block.
 
 The strips of one call may run on several threads (``_each_strip``, the
 only code of qcmaps that starts a thread): the calling thread and one
@@ -128,7 +127,9 @@ def _row_cuts(m, size):
     """Cuts of m rows into consecutive blocks of `size` rows, as the list
     [0, size, 2 size, ..., m], with a lone last row joined to the block
     before it: a one-row matrix product is a dot product, whose bits can
-    differ from the same row's inside a larger product."""
+    differ from the same row's inside a larger product.  The strips of
+    ``_each_strip`` are its blocks, and the join serves the matrix products
+    of the y-space maps that run on them."""
     cuts = [*range(0, m, size), m]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
         del cuts[-2]

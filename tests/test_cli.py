@@ -101,11 +101,14 @@ _FINITE_ALPHA = "alpha must be 'auto' or a finite number"
     ]
     # sizes that used to end in a MemoryError traceback
     + [
-        pytest.param(s, f, v, f"{m} must be at most", id=f"{v}-{f}-{s}")
+        pytest.param(s, f, v, m, id=f"{v}-{f}-{s}")
         for s, f, v, m in (
-            ("bilipschitz", "grid", "100000", "grid resolution"),
-            ("spiral", "grid", "5000", "grid resolution"),
-            ("zorich", "samples", "2000000000", "samples"),
+            ("bilipschitz", "grid", "100000", "grid resolution must be at most"),
+            ("spiral", "grid", "5000", "grid resolution must be at most"),
+            ("zorich", "samples", "2000000000", "samples must be at most"),
+            ("zorich", "dim", "100000", "--dim must be at most 8"),
+            ("spiral", "dim", "6", "spiral certification is capped at dimension 5"),
+            ("interp", "dim", "8", "the pyramid grid at --dim 8"),
         )
     ],
 )
@@ -343,6 +346,10 @@ def test_realize_rejects_bad_target_key(tmp_path, capsys, entry, message):
                      "--grid must be at most", id="2e9-grid"),
         pytest.param(["probe", "--map", "realized", "--target", "TARGET", "--kmax", "1001",
                       "--t", "1"], "--kmax must be at most", id="1001-kmax"),
+        pytest.param(["probe", "--map", "stretch", "--dim", "100000", "--t", "1"],
+                     "--dim must be at most 8", id="1e5-dim"),
+        pytest.param(["probe", "--map", "spiral", "--dim", "6", "--t", "1"],
+                     "spiral certification is capped at dimension 5", id="6-dim-spiral"),
     ],
 )
 def test_probe_and_realize_reject_bad_input(
@@ -378,10 +385,36 @@ def test_size_caps_are_inclusive(tmp_path):
     argv = ["probe", "--map", "stretch", "--t", "1", "--grid", str(cli.MAX_DIRECTIONS + 1),
             "--out", str(tmp_path / "q")]
     assert main(argv) == 1
+    argv = ["probe", "--map", "stretch", "--t", "1", "--dim", str(cli.MAX_DIM),
+            "--out", str(tmp_path / "d")]
+    assert main(argv) == 0
+    RunConfig(dimension=cli.MAX_DIM)
+    with pytest.raises(QcmapsError, match="--dim must be at most"):
+        RunConfig(dimension=cli.MAX_DIM + 1)
+    assert cm.certification_grids(cm.MAX_SPIRAL_DIM) == (13, 25)
+    with pytest.raises(QcmapsError, match="capped at dimension"):
+        cm.certification_grids(cm.MAX_SPIRAL_DIM + 1)
+    # 10 x 5^4 x 16 heights is the pyramid cap exactly
+    heights = tuple(np.linspace(0.0, 1.0, 16))
+    assert len(cli._pyramid_grid(6, 10, heights=heights)) <= cli.MAX_PYRAMID_POINTS
+    with pytest.raises(QcmapsError, match="the pyramid grid"):
+        cli._pyramid_grid(6, 10, heights=heights + (1.5,))
 
 
-def test_write_csv_matches_csv_module(tmp_path):
-    # the %-format writer reproduces csv.writer over 17-digit f-strings
+def test_realize_above_spiral_dimension_cap(tmp_path, capsys):
+    # arcs in R^6 need a certified spiral rate, which is capped at n = 5
+    w = np.zeros((3, 6))
+    w[:, 0], w[:, 1] = 2.0 * np.cos([0.0, 0.4, 0.8]), 2.0 * np.sin([0.0, 0.4, 0.8])
+    target = tmp_path / "six.json"
+    target.write_text(json.dumps({"waypoints": w.tolist()}))
+    assert main(["realize", str(target), "--out", str(tmp_path / "x")]) == 1
+    assert "spiral certification is capped at dimension 5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_write_csv_matches_csv_module(tmp_path, monkeypatch):
+    # the %-format writer reproduces csv.writer over 17-digit f-strings, in
+    # one chunk of rows or in several with a short last one
     rng = np.random.default_rng(4)
     floats = np.concatenate(
         [rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
@@ -390,12 +423,17 @@ def test_write_csv_matches_csv_module(tmp_path):
     ints = np.arange(len(floats)) - 3
     _write_csv(tmp_path / "new.csv", ["a", "i", "b"], [floats, ints, -floats],
                "%.17g,%d,%.17g")
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    _write_csv(tmp_path / "chunks.csv", ["a", "i", "b"], [floats, ints, -floats],
+               "%.17g,%d,%.17g")
     with open(tmp_path / "old.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "i", "b"])
         for a, i in zip(floats.tolist(), ints.tolist()):
             writer.writerow([f"{a:.17g}", i, f"{-a:.17g}"])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    want = (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == want
+    assert (tmp_path / "chunks.csv").read_bytes() == want
 
 
 def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):

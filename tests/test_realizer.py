@@ -13,6 +13,7 @@ from qcmaps.canonical_maps import (
     SpiralSpec,
     StretchSpec,
     _interp_log_weight,
+    _interp_pow_tables,
     interp_stretch,
     oriented_stretch,
     spiral_stretch,
@@ -398,14 +399,9 @@ class TestRealizedMapProperties:
         else:
             scale = np.linalg.norm(want, axis=1)
             assert np.all(np.abs(got - want).max(axis=1) <= eps * scale)
-        # the interpolation-shell quadrature is a matrix-vector product whose
-        # rounding depends on a row's place in its block, so only those rows
-        # may move, and by no more than the single-point bound
+        # rho is row-local everywhere, the interpolation-shell quadrature too
         got, want = rz.mean_radius_batch(rm, r[perm]), rz.mean_radius_batch(rm, r)[perm]
-        kinds = np.array(["outer"] + [p.kind for p in rm.pieces] + ["inner"])
-        quad = kinds[codes[perm] + 1] == "interp"
-        assert np.array_equal(got[~quad], want[~quad])
-        assert np.all(np.abs(got - want) <= eps * want)
+        assert np.array_equal(got, want)
 
 
 class TestRegionDispatch:
@@ -540,41 +536,66 @@ class TestMeanRadius:
             with pytest.raises(InvalidInputError):
                 rz.orbit_table(rm, radii)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("count", ["one", "block-1", "block+1", "199"])
-    def test_blocked_quadrature_matches_unblocked(self, n, count):
-        def unblocked_mean_pow(piece, nu):
-            # the whole (rows x nodes) matrix at once
-            if n == 3:
-                u = fibonacci_sphere(rz.FIBONACCI_POINTS)[:, 0]
-                weights = np.full(u.size, 1.0 / u.size)
-            else:
-                u, gl_w = np.polynomial.legendre.leggauss(rz.GAUSS_NODES)
-                w = gl_w * (1.0 - u * u) ** ((n - 3) / 2.0)
-                weights = w / w.sum()
-            logmu = _interp_log_weight((u * u)[None, :], nu[:, None], piece.K, piece.L)
-            powers = np.exp(n * logmu)
-            # OpenBLAS (0.3.31) threads a matrix-vector product of 460800
-            # elements or more, and a thread split inside a group of four
-            # rows changes last bits with the core count: 100-row pieces stay
-            # single-threaded, group their rows as one product does and, for
-            # the row counts here, leave no one-row piece (a dot product)
-            return np.concatenate(
-                [powers[i : i + 100] @ weights for i in range(0, len(nu), 100)]
-            )
-
-        nodes = rz.FIBONACCI_POINTS if n == 3 else rz.GAUSS_NODES
-        block = rz._BLOCK // nodes
-        rows = {"one": 1, "block-1": block - 1, "block+1": block + 1, "199": 199}[count]
-        piece = rz.ShellPiece(
+    @staticmethod
+    def _interp_piece(n):
+        return rz.ShellPiece(
             r_out=1.0, r_in=float(np.exp(-3.0)), kind="interp", frame=np.eye(n),
             K=1.7, L=5.3, s=-3.0, t=0.0,
         )
+
+    @staticmethod
+    def _shell_nu(rows):
         nu = np.random.default_rng(rows).uniform(0.0, 1.0, rows)
         nu[0] = 1.0  # the outer sphere
         if rows > 1:
             nu[-1] = 0.0  # the inner sphere
+        return nu
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("count", ["one", "block-1", "block+1", "199"])
+    def test_blocked_quadrature_matches_unblocked(self, n, count):
+        def unblocked_mean_pow(piece, nu):
+            # the whole (rows x distinct nodes) matrix at once
+            u2, weights = rz._sphere_rule(n)
+            a, b = _interp_pow_tables(u2, piece.K, piece.L, n)
+            return np.einsum("ij,j->i", np.exp(nu[:, None] * b + a), weights)
+
+        block = rz._BLOCK // rz._sphere_rule(n)[0].size
+        rows = {"one": 1, "block-1": block - 1, "block+1": block + 1, "199": 199}[count]
+        piece, nu = self._interp_piece(n), self._shell_nu(rows)
         assert np.array_equal(rz._mean_pow(piece, nu, n), unblocked_mean_pow(piece, nu))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_distinct_nodes_match_full_rule(self, n):
+        # the full rule, every node with its own weight, summed by BLAS: the
+        # distinct-node quadrature differs from it by rounding only
+        if n == 3:
+            u = fibonacci_sphere(rz.FIBONACCI_POINTS)[:, 0]
+            weights = np.full(u.size, 1.0 / u.size)
+        else:
+            u, gl_w = np.polynomial.legendre.leggauss(rz.GAUSS_NODES)
+            w = gl_w * (1.0 - u * u) ** ((n - 3) / 2.0)
+            weights = w / w.sum()
+        piece, nu = self._interp_piece(n), self._shell_nu(199)
+        logmu = _interp_log_weight((u * u)[None, :], nu[:, None], piece.K, piece.L)
+        want = np.exp(n * logmu) @ weights
+        got = rz._mean_pow(piece, nu, n)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("n, nodes", [(3, 2048), (4, 128), (5, 128)])
+    def test_sphere_rule_distinct_nodes(self, n, nodes):
+        u2, weights = rz._sphere_rule(n)
+        assert u2.size == weights.size == nodes
+        assert np.all(np.diff(u2) > 0.0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_one_radius_alone_matches_batch(self, mixed_map):
+        rm = mixed_map
+        r = _stack_radii(rm, np.linspace(0.0, 1.0, 301))
+        kinds = np.array(["outer"] + [p.kind for p in rm.pieces] + ["inner"])
+        assert np.sum(kinds[rz._locate(rm, r) + 1] == "interp") > 50
+        alone = np.array([rz.mean_radius_batch(rm, x)[0] for x in r])
+        assert np.array_equal(alone, rz.mean_radius_batch(rm, r))
 
     def test_quadrature_vs_monte_carlo(self):
         seg = rz.RadialSegment(1.0, 2.0, E1)
@@ -814,6 +835,22 @@ class TestHausdorffBySuffix:
         a, b = _suffix_cases(3)["random"]
         assert rz.hausdorff_by_suffix(a, b, [0]) == [rz.hausdorff_distance(a, b)]
         assert rz.hausdorff_distance(a, b) == _hausdorff_reference(a, b)
+
+    @pytest.mark.parametrize("case", ["receding", "spread", "random"])
+    def test_larger_set_scanned_as_a(self, case, monkeypatch):
+        a, b = _suffix_cases(3)[case]
+        b = b[: len(a) // 3]
+        want = rz.hausdorff_distance(a, b)
+        calls = []
+        scan = rz.hausdorff_by_suffix
+
+        def recorded(x, y, starts):
+            calls.append((len(x), len(y)))
+            return scan(x, y, starts)
+
+        monkeypatch.setattr(rz, "hausdorff_by_suffix", recorded)
+        assert rz.hausdorff_distance(b, a) == want
+        assert calls == [(len(a), len(b))]
 
     @pytest.mark.parametrize(
         "rows_a, rows_b, starts",
