@@ -42,7 +42,7 @@ pairs the screen keeps as candidates for the minimum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -63,53 +63,55 @@ def _require_stretch_factor(K):
         raise InvalidInputError("stretch factor must satisfy K >= 1")
 
 
+def _read_only(a):
+    """A read-only float copy of the array `a`."""
+    f = np.array(a, dtype=float)
+    f.setflags(write=False)
+    return f
+
+
+def _read_only_frame(frame):
+    """The validated frame as a read-only float copy."""
+    return _read_only(check_frame(frame))
+
+
 class _FramedSpec:
     """What every spec shares: a validated, read-only frame and its dimension."""
 
-    def _freeze_frame(self):
-        f = np.array(check_frame(self.frame), dtype=float)
-        f.setflags(write=False)
-        object.__setattr__(self, "frame", f)
+    __slots__ = ()
 
     @property
     def n(self):
         return self.frame.shape[0]
 
 
-@dataclass(frozen=True)
-class StretchSpec(_FramedSpec):
+class StretchSpec(_FramedSpec, namedtuple("StretchSpec", "K frame")):
     """Stretch by K >= 1 along the frame's first column."""
 
-    K: float
-    frame: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_stretch_factor(self.K)
-        self._freeze_frame()
+    def __new__(cls, K, frame):
+        _require_stretch_factor(K)
+        return super().__new__(cls, K, _read_only_frame(frame))
 
 
-@dataclass(frozen=True)
-class InterpSpec(_FramedSpec):
+class InterpSpec(_FramedSpec, namedtuple("InterpSpec", "K L s t frame")):
     """Interpolate between a K-stretch at log-radius t and an L-stretch at s.
 
     Requires |ln(K/L)| < (t - s) / 2 so the interpolated shells never cross.
     """
 
-    K: float
-    L: float
-    s: float
-    t: float
-    frame: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, v in (("K", self.K), ("L", self.L)):
+    def __new__(cls, K, L, s, t, frame):
+        for name, v in (("K", K), ("L", L)):
             if not np.isfinite(v) or v < 1.0:
                 raise InvalidInputError(f"{name} must satisfy {name} >= 1")
-        if not (np.isfinite(self.s) and np.isfinite(self.t)) or self.s >= self.t:
+        if not (np.isfinite(s) and np.isfinite(t)) or s >= t:
             raise InvalidInputError("need s < t")
-        if abs(np.log(self.K / self.L)) >= (self.t - self.s) / 2.0:
+        if abs(np.log(K / L)) >= (t - s) / 2.0:
             raise InvalidInputError("need |ln(K/L)| < (t - s)/2")
-        self._freeze_frame()
+        return super().__new__(cls, K, L, s, t, _read_only_frame(frame))
 
 
 def interp_inner_s(K, L):
@@ -118,8 +120,7 @@ def interp_inner_s(K, L):
     return -(2.0 * abs(np.log(K / L)) + 1.0)
 
 
-@dataclass(frozen=True)
-class SpiralSpec(_FramedSpec):
+class SpiralSpec(_FramedSpec, namedtuple("SpiralSpec", "K alpha frame")):
     """Stretch by K along the frame's first column while rotating the
     frame's (1,2)-plane by alpha per unit log-radius.
 
@@ -127,15 +128,13 @@ class SpiralSpec(_FramedSpec):
     ``select_alpha``; construction does not re-run the certification.
     """
 
-    K: float
-    alpha: float
-    frame: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_stretch_factor(self.K)
-        if not np.isfinite(self.alpha):
+    def __new__(cls, K, alpha, frame):
+        _require_stretch_factor(K)
+        if not np.isfinite(alpha):
             raise InvalidInputError("spiral rate must be finite")
-        self._freeze_frame()
+        return super().__new__(cls, K, alpha, _read_only_frame(frame))
 
 
 # =====================================================================
@@ -423,8 +422,7 @@ def _closed_form_det(power, h, ssq, K, alpha):
     return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
 
 
-@dataclass(frozen=True)
-class _SpiralGrid:
+class _SpiralGrid(namedtuple("_SpiralGrid", "phases coords keep power h ssq")):
     """The chart points of a certification grid that have a kept phase.
 
     `phases` holds the res rotation phases alpha * x_n of the grid, so one
@@ -436,12 +434,7 @@ class _SpiralGrid:
     the phase-free terms.  Every array is read-only.
     """
 
-    phases: np.ndarray
-    coords: np.ndarray
-    keep: np.ndarray
-    power: np.ndarray
-    h: np.ndarray
-    ssq: np.ndarray
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=2)
@@ -504,7 +497,7 @@ def _spiral_grid(n, res):
     grid = _SpiralGrid(
         phases, coords[:, :kept], keep[:, :kept], power[:kept], h[:kept], ssq[:kept]
     )
-    for a in vars(grid).values():
+    for a in grid:
         a.setflags(write=False)
     return grid
 

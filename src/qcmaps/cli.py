@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,8 @@ MAX_SAMPLES = 10**6  # verify
 MAX_SHELL_SAMPLES = 10**4  # realize
 MAX_ORBIT_SAMPLES = 10**6  # realize, shells x --samples
 MAX_DIRECTIONS = 10**5  # probe --grid
-# verify and probe --dim: the quotient metric of verify zorich tries 3^(n-1)
-# representatives of every sample, and verify --samples is capped for n <= 8
+# verify and probe --dim: the peaks behind the verify --samples and probe
+# --grid caps were measured up to n = 8 (README), not above
 MAX_DIM = 8
 # verify stretch and interp: points of the pyramid grid, res (res // 2)^(n-2)
 # per height with res = min(--grid, 21), so at most n = 5 at the default grid
@@ -80,45 +80,43 @@ def _alpha_value(alpha, name):
     return value
 
 
-@dataclass
-class RunConfig:
-    """Knobs shared by the verification suites."""
+class RunConfig(namedtuple(
+    "RunConfig", "dimension K L alpha grid tol seed samples bound"
+)):
+    """Knobs shared by the verification suites; `bound` overrides the suite
+    bound (negative controls)."""
 
-    dimension: int = 3
-    K: float = 2.0
-    L: float = 3.0
-    alpha: str | float = "auto"
-    grid: int = 33
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    samples: int = 1000
-    bound: float | None = None  # overrides the suite bound (negative controls)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("K", "L", "tol"):
-            if not np.isfinite(getattr(self, name)):
+    def __new__(cls, dimension=3, K=2.0, L=3.0, alpha="auto", grid=33,
+                tol=DEFAULT_TOL, seed=0, samples=1000, bound=None):
+        for name, v in (("K", K), ("L", L), ("tol", tol)):
+            if not np.isfinite(v):
                 raise QcmapsError(f"{name} must be finite")
-        if self.bound is not None and not np.isfinite(self.bound):
+        if bound is not None and not np.isfinite(bound):
             raise QcmapsError("bound must be finite")
-        _alpha_value(self.alpha, "alpha")
-        if self.samples < 1:
+        _alpha_value(alpha, "alpha")
+        if samples < 1:
             raise QcmapsError("samples must be at least 1")
-        if self.samples > MAX_SAMPLES:
+        if samples > MAX_SAMPLES:
             raise QcmapsError(f"samples must be at most {MAX_SAMPLES}")
-        if self.seed < 0:
+        if seed < 0:
             raise QcmapsError("seed must be non-negative")
-        if self.dimension < 3:
+        if dimension < 3:
             raise QcmapsError("dimension must be at least 3")
-        if self.dimension > MAX_DIM:
+        if dimension > MAX_DIM:
             raise QcmapsError(f"--dim must be at most {MAX_DIM}")
-        if self.tol <= 0:
+        if tol <= 0:
             raise QcmapsError("tolerance must be positive")
-        if self.grid < 8:
+        if grid < 8:
             raise QcmapsError("grid resolution must be at least 8")
-        if self.grid > MAX_GRID:
+        if grid > MAX_GRID:
             raise QcmapsError(f"grid resolution must be at most {MAX_GRID}")
-        if self.K < 1.0 or self.L < 1.0:
+        if K < 1.0 or L < 1.0:
             raise QcmapsError("suite stretch factors require K, L >= 1")
+        return super().__new__(
+            cls, dimension, K, L, alpha, grid, tol, seed, samples, bound
+        )
 
 
 def _check(name, bound, values, points=None, sense="max"):
@@ -224,18 +222,30 @@ def _lift(shift):
 
 
 def _norm_checks(pts, lift, h1, h2, bound_v1, v1_name, cfg, extra_vn=None):
-    """Shared derivative sweep: V-slope bound plus both norm ceilings."""
-    jac = dist.finite_diff_jacobian(lift, pts, 1e-6)
-    sv = np.linalg.svd(jac, compute_uv=False)
+    """Shared derivative sweep: V-slope bound plus both norm ceilings.
+
+    The Jacobians and their singular values are formed over blocks of at
+    most ``kernels._STRIP`` points, so memory does not grow with the grid.
+    The lifts are row-local and the step explicit, so a point's values do
+    not depend on its block.
+    """
+    # per point: the V-slope entry, the largest and least singular values
+    # and the last diagonal entry
+    vals = np.empty((4, len(pts)))
+    for lo in range(0, len(pts), kernels._STRIP):
+        jac = dist.finite_diff_jacobian(lift, pts[lo:lo + kernels._STRIP], 1e-6)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        vals[:, lo:lo + len(jac)] = jac[:, -1, 0], sv[:, 0], sv[:, -1], jac[:, -1, -1]
+    slope, top, least, vn = vals
     h1 = cfg.bound if cfg.bound is not None else h1
     slack = 1e-9  # finite-difference noise allowance at the K = 1 equality
     checks = [
-        _check(v1_name, bound_v1 + slack, np.abs(jac[:, -1, 0]), pts),
-        _check("transform-norm", h1 + slack, sv[:, 0], pts),
-        _check("inverse-transform-norm", h2 + slack, 1.0 / sv[:, -1], pts),
+        _check(v1_name, bound_v1 + slack, np.abs(slope), pts),
+        _check("transform-norm", h1 + slack, top, pts),
+        _check("inverse-transform-norm", h2 + slack, 1.0 / least, pts),
     ]
     if extra_vn is not None:
-        checks.append(_check(extra_vn, 0.5, np.abs(jac[:, -1, -1] - 1.0), pts))
+        checks.append(_check(extra_vn, 0.5, np.abs(vn - 1.0), pts))
     return checks
 
 

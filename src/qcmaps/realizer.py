@@ -24,8 +24,7 @@ from __future__ import annotations
 import functools
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from . import kernels
 from .canonical_maps import (
     _interp_log_weight,
     _interp_pow_tables,
+    _read_only,
     _scale_rows,
     _spiral_shell,
     _stretch_factor,
@@ -60,27 +60,23 @@ def _is_real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
-@dataclass(frozen=True)
-class TargetSet:
+class TargetSet(namedtuple("TargetSet", "waypoints closed annulus_bound")):
     """Waypoint polyline inside the annulus 1/C <= |y| <= C."""
 
-    waypoints: np.ndarray
-    closed: bool = False
-    annulus_bound: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, waypoints, closed=False, annulus_bound=None):
         try:
-            w = np.asarray(self.waypoints, dtype=float)
+            w = np.asarray(waypoints, dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"waypoints must be an (m, n>=3) array of numbers: {exc}") from exc
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 3:
             raise InvalidInputError("waypoints must be an (m, n>=3) array")
-        raw = self.waypoints
-        if isinstance(raw, np.ndarray):
-            bad = [] if raw.dtype.kind in "iuf" else [f"dtype {raw.dtype}"]
+        if isinstance(waypoints, np.ndarray):
+            bad = [] if waypoints.dtype.kind in "iuf" else [f"dtype {waypoints.dtype}"]
         else:
-            bad = [repr(v) for row in raw for v in row if not _is_real(v)]
+            bad = [repr(v) for row in waypoints for v in row if not _is_real(v)]
         if bad:
             raise InvalidInputError(
                 f"waypoints must be an (m, n>=3) array of numbers, got {bad[0]}")
@@ -93,11 +89,11 @@ class TargetSet:
         for i, (a, b) in enumerate(pairs):
             if np.linalg.norm(a - b) <= 1e-12:
                 raise InvalidInputError(f"waypoints {i} and {i + 1} coincide")
-        if not isinstance(self.closed, (bool, np.bool_)):
-            raise InvalidInputError(f"closed must be true or false, got {self.closed!r}")
-        if self.closed and len(w) > 1 and np.linalg.norm(w[-1] - w[0]) <= 1e-12:
+        if not isinstance(closed, (bool, np.bool_)):
+            raise InvalidInputError(f"closed must be true or false, got {closed!r}")
+        if closed and len(w) > 1 and np.linalg.norm(w[-1] - w[0]) <= 1e-12:
             raise InvalidInputError("closed polylines must not repeat the start")
-        c = self.annulus_bound
+        c = annulus_bound
         if c is None:
             c = max(radii.max(), 1.0 / radii.min()) * (1.0 + 1e-12)
         else:
@@ -109,49 +105,39 @@ class TargetSet:
                 raise InvalidInputError(f"annulus bound C must be finite and >= 1, got {c!r}")
             if radii.max() > c * (1 + 1e-9) or radii.min() < (1 - 1e-9) / c:
                 raise InvalidInputError("waypoints leave the declared annulus")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "waypoints", w)
-        object.__setattr__(self, "annulus_bound", float(c))
+        return super().__new__(cls, _read_only(w), closed, float(c))
 
     @property
     def n(self):
         return self.waypoints.shape[1]
 
 
-@dataclass(frozen=True)
-class RadialSegment:
+class RadialSegment(namedtuple("RadialSegment", "u1 u2 sigma")):
     """Move along the ray through sigma from radius u1 to u2."""
 
-    u1: float
-    u2: float
-    sigma: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u1 <= 0 or self.u2 <= 0:
+    def __new__(cls, u1, u2, sigma):
+        if u1 <= 0 or u2 <= 0:
             raise InvalidInputError("radii must be positive")
-        object.__setattr__(self, "sigma", unit(self.sigma, "sigma"))
+        return super().__new__(cls, u1, u2, unit(sigma, "sigma"))
 
 
-@dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(namedtuple("ArcSegment", "u sigma1 sigma2")):
     """Great-circle arc at radius u from sigma1 to sigma2 (minor arc)."""
 
-    u: float
-    sigma1: np.ndarray
-    sigma2: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u <= 0:
+    def __new__(cls, u, sigma1, sigma2):
+        if u <= 0:
             raise InvalidInputError("radius must be positive")
-        s1 = unit(self.sigma1, "sigma1")
-        s2 = unit(self.sigma2, "sigma2")
+        s1 = unit(sigma1, "sigma1")
+        s2 = unit(sigma2, "sigma2")
         if np.linalg.norm(s1 + s2) <= 1e-10:
             raise PlanningError("antipodal arc endpoints: insert a waypoint")
         if np.linalg.norm(s1 - s2) <= 1e-12:
             raise InvalidInputError("arc endpoints coincide")
-        object.__setattr__(self, "sigma1", s1)
-        object.__setattr__(self, "sigma2", s2)
+        return super().__new__(cls, u, s1, s2)
 
 
 def _slerp(s1, s2, taus):
@@ -253,8 +239,9 @@ def plan_paths(target, k_max):
 # Shell assembly
 # =====================================================================
 
-@dataclass(frozen=True)
-class ShellPiece:
+class ShellPiece(namedtuple(
+    "ShellPiece", "r_out r_in kind frame K L s t alpha theta sweep"
+)):
     """One annular shell with its active map formula.
 
     Spiral shells carry (K, alpha, theta); interpolation shells carry
@@ -263,26 +250,17 @@ class ShellPiece:
     plane.  `sweep` is the 1-based plan index that produced the piece.
     """
 
-    r_out: float
-    r_in: float
-    kind: str
-    frame: np.ndarray
-    K: float
-    L: Optional[float] = None
-    s: Optional[float] = None
-    t: Optional[float] = None
-    alpha: Optional[float] = None
-    theta: Optional[float] = None
-    sweep: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.r_in < self.r_out):
+    def __new__(cls, r_out, r_in, kind, frame, K, L=None, s=None, t=None,
+                alpha=None, theta=None, sweep=1):
+        if not (0 < r_in < r_out):
             raise InvalidInputError("need 0 < r_in < r_out")
-        if self.kind not in ("spiral", "interp"):
+        if kind not in ("spiral", "interp"):
             raise InvalidInputError("kind must be 'spiral' or 'interp'")
-        f = np.array(self.frame, dtype=float)
-        f.setflags(write=False)
-        object.__setattr__(self, "frame", f)
+        return super().__new__(
+            cls, r_out, r_in, kind, _read_only(frame), K, L, s, t, alpha, theta, sweep
+        )
 
     @property
     def exit_frame(self):
@@ -296,8 +274,9 @@ class ShellPiece:
         return self.K if self.kind == "spiral" else self.L
 
 
-@dataclass(frozen=True)
-class RealizedMap:
+class RealizedMap(namedtuple(
+    "RealizedMap", "pieces outer_K outer_frame n checkpoints"
+)):
     """Piecewise shell map, total on R^n with f(0) = 0.
 
     Outside the first shell the map is the entry boundary stretch; below the
@@ -306,23 +285,18 @@ class RealizedMap:
     map is continuous and (for certified spiral rates) injective.
     """
 
-    pieces: tuple
-    outer_K: float
-    outer_frame: np.ndarray
-    n: int
-    checkpoints: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = np.array(self.outer_frame, dtype=float)
-        f.setflags(write=False)
-        object.__setattr__(self, "outer_frame", f)
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        radii = [p.r_out for p in self.pieces] + [p.r_in for p in self.pieces[-1:]]
+    def __new__(cls, pieces, outer_K, outer_frame, n, checkpoints=()):
+        outer_frame = _read_only(outer_frame)
+        pieces = tuple(pieces)
+        radii = [p.r_out for p in pieces] + [p.r_in for p in pieces[-1:]]
         if any(b >= a for a, b in zip(radii, radii[1:])) or any(
             abs(p.r_in - q.r_out) > 1e-12 * p.r_in
-            for p, q in zip(self.pieces, self.pieces[1:])
+            for p, q in zip(pieces, pieces[1:])
         ):
             raise InvalidInputError("shells must tile with decreasing radii")
+        return super().__new__(cls, pieces, outer_K, outer_frame, n, checkpoints)
 
     @property
     def r_start(self):

@@ -25,8 +25,6 @@ of ``canonical_maps`` rest on.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from . import kernels
@@ -35,30 +33,20 @@ from .kernels import HALF_PI, TWO_PI
 
 
 def _rep_options(coords):
-    """Per-coordinate orbit candidates adjacent to the fundamental set.
+    """Per coordinate, its orbit candidates adjacent to the fundamental set,
+    as a list of (values, parity) pairs, one coordinate at a time.
 
-    Each option carries its face-reflection parity: 2*pi translations are two
+    The parity is that of the face reflections: 2*pi translations are two
     reflections (parity 0), single-face reflections parity 1.  Only products
     with even total parity leave the map invariant (odd products flip the
-    image hemisphere), so distance candidates are parity-filtered.
+    image hemisphere), so distances are taken over even products only.
     """
-    x0 = coords[..., 0]
-    opts = [
-        (
-            np.stack(
-                [x0, x0 + TWO_PI, x0 - TWO_PI, np.pi - x0, -np.pi - x0, 3 * np.pi - x0],
-                axis=-1,
-            ),
-            (0, 0, 0, 1, 1, 1),
-        )
-    ]
-    n = coords.shape[-1]
-    for i in range(1, n - 1):
-        xi = coords[..., i]
-        opts.append(
-            (np.stack([xi, np.pi - xi, -np.pi - xi], axis=-1), (0, 1, 1))
-        )
-    return opts
+    x0 = coords[:, 0]
+    yield [(x0, 0), (x0 + TWO_PI, 0), (x0 - TWO_PI, 0),
+           (np.pi - x0, 1), (-np.pi - x0, 1), (3 * np.pi - x0, 1)]
+    for i in range(1, coords.shape[1] - 1):
+        xi = coords[:, i]
+        yield [(xi, 0), (np.pi - xi, 1), (-np.pi - xi, 1)]
 
 
 def quotient_distance_batch(a, b):
@@ -67,22 +55,25 @@ def quotient_distance_batch(a, b):
     Minimum Euclidean distance from each a-row to the equivalent (even
     reflection parity) representatives of the matching b-row; the free last
     coordinate carries no group action.
+
+    The minimum separates per coordinate: a two-state recursion keeps, for
+    each parity, the least squared sum of the coordinates so far, added left
+    to right, and the even one is the answer.  Rounded addition is monotone,
+    so min over s of fl(s + t) is fl(min s + t), and the result is the one an
+    explicit minimum over every even-parity combination of representatives
+    gives, to the bit, in n - 1 passes instead of 3^(n-1).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    n = a.shape[1]
-    opts = _rep_options(b)
-    best = np.full(a.shape[0], np.inf)
-    ranges = [range(len(par)) for _, par in opts]
-    for combo in product(*ranges):
-        parity = sum(opts[i][1][c] for i, c in enumerate(combo))
-        if parity % 2 == 1:
-            continue
-        d2 = np.zeros(a.shape[0])
-        for i, c in enumerate(combo):
-            d2 = d2 + (a[:, i] - opts[i][0][:, c]) ** 2
-        best = np.minimum(best, d2)
-    return np.sqrt(best + (a[:, -1] - b[:, -1]) ** 2)
+    least = [np.zeros(len(a)), np.full(len(a), np.inf)]  # even, odd
+    for i, reps in enumerate(_rep_options(b)):
+        nxt = [np.full(len(a), np.inf), np.full(len(a), np.inf)]
+        for rep, par in reps:
+            d2 = (a[:, i] - rep) ** 2
+            for q in (0, 1):
+                np.minimum(nxt[q ^ par], least[q] + d2, out=nxt[q ^ par])
+        least = nxt
+    return np.sqrt(least[0] + (a[:, -1] - b[:, -1]) ** 2)
 
 
 def sample_fundamental(rng, m, n, height_range=(-1.5, 1.5), second_box=True):

@@ -11,7 +11,7 @@ import pytest
 import qcmaps
 from conftest import circle_waypoints
 from qcmaps import canonical_maps as cm
-from qcmaps import cli, realizer
+from qcmaps import cli, kernels, realizer
 from qcmaps.cli import (
     DEFAULT_TOL,
     RunConfig,
@@ -161,6 +161,23 @@ def test_verify_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["stretch", "interp"])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_norm_checks_blocks_match_one_block(monkeypatch, suite, dim):
+    # the default grids fit one block of kernels._STRIP points; blocks of
+    # 100 points must give the same report, bit for bit
+    cfg = RunConfig(dimension=dim)
+    whole = cli.run_verify(suite, cfg)
+    calls = []
+    jacobian = cli.dist.finite_diff_jacobian
+    monkeypatch.setattr(cli.dist, "finite_diff_jacobian",
+                        lambda f, x, h: calls.append(len(x)) or jacobian(f, x, h))
+    monkeypatch.setattr(kernels, "_STRIP", 100)
+    blocked = cli.run_verify(suite, cfg)
+    assert len(calls) > 2 and max(calls) == 100
+    assert blocked == whole
+
+
 def test_realize_quarter_circle(tmp_path, quarter_target):
     prefix = tmp_path / "run"
     code = main(
@@ -266,6 +283,54 @@ def test_realize_leaves_numpy_ma_unimported(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_import_leaves_dataclasses_unimported():
+    # the parameter records are named tuples, which build no methods at import
+    src = str(Path(qcmaps.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcmaps.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.split() == ["False"]
+
+
+def _records(rm, target):
+    """One record of every kind, with the fields that hold read-only arrays."""
+    frame = np.eye(3)
+    grid = cm._spiral_grid.__wrapped__(3, 9)
+    return [
+        (cm.StretchSpec(K=2.0, frame=frame), ["frame"]),
+        (cm.InterpSpec(K=2.0, L=3.0, s=-2.0, t=0.0, frame=frame), ["frame"]),
+        (cm.SpiralSpec(K=2.0, alpha=0.25, frame=frame), ["frame"]),
+        (grid, list(grid._fields)),
+        (target, ["waypoints"]),
+        (realizer.RadialSegment(1.0, 2.0, [1.0, 0.0, 0.0]), []),
+        (realizer.ArcSegment(2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), []),
+        (rm.pieces[0], ["frame"]),
+        (rm, ["outer_frame"]),
+        (RunConfig(), []),
+    ]
+
+
+def test_records_refuse_assignment(quarter_circle_map):
+    rm, target, _ = quarter_circle_map
+    records = _records(rm, target)
+    assert len({type(r) for r, _ in records}) == 10
+    for record, arrays in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        for field in arrays:
+            a = getattr(record, field)
+            assert not a.flags.writeable, (type(record).__name__, field)
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
 
 
 def test_realize_antipodal_hop_reports_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,31 @@ class TestQuotientMetric:
         a = kernels.canonicalize_batch([3 * HALF_PI - 1e-4, 0.3, 0.0])
         b = kernels.canonicalize_batch([-HALF_PI + 1e-4, 0.3, 0.0])
         assert self._distance(a, b) == pytest.approx(2e-4, rel=1e-6)
+
+    @staticmethod
+    def _brute_force(a, b):
+        """The least distance over every even-parity combination of the
+        representatives, squared terms added left to right."""
+        best = np.full(a.shape[0], np.inf)
+        for combo in product(*zorich._rep_options(b)):
+            if sum(par for _, par in combo) % 2:
+                continue
+            d2 = np.zeros(a.shape[0])
+            for i, (rep, _) in enumerate(combo):
+                d2 = d2 + (a[:, i] - rep) ** 2
+            best = np.minimum(best, d2)
+        return np.sqrt(best + (a[:, -1] - b[:, -1]) ** 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        a = zorich.sample_fundamental(rng, 2000, n)
+        b = zorich.sample_fundamental(rng, 2000, n)
+        # near pairs, whose nearest representative is often a reflected one
+        near = kernels.canonicalize_batch(a + 0.05 * rng.standard_normal(a.shape))
+        for x, y in ((a, b), (a, near), (near, a)):
+            assert np.array_equal(
+                zorich.quotient_distance_batch(x, y), self._brute_force(x, y))
 
 
 class TestCompositionResidual:
