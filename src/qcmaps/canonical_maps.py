@@ -75,6 +75,15 @@ def _read_only_frame(frame):
     return _read_only(check_frame(frame))
 
 
+def _record(typename, field_names):
+    """A namedtuple base for a record whose ``__new__`` checks and normalizes
+    its fields.  Its ``_make``, and so its ``_replace``, builds the record
+    through that ``__new__``, not around it."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
 class _FramedSpec:
     """What every spec shares: a validated, read-only frame and its dimension."""
 
@@ -85,7 +94,7 @@ class _FramedSpec:
         return self.frame.shape[0]
 
 
-class StretchSpec(_FramedSpec, namedtuple("StretchSpec", "K frame")):
+class StretchSpec(_FramedSpec, _record("StretchSpec", "K frame")):
     """Stretch by K >= 1 along the frame's first column."""
 
     __slots__ = ()
@@ -95,7 +104,7 @@ class StretchSpec(_FramedSpec, namedtuple("StretchSpec", "K frame")):
         return super().__new__(cls, K, _read_only_frame(frame))
 
 
-class InterpSpec(_FramedSpec, namedtuple("InterpSpec", "K L s t frame")):
+class InterpSpec(_FramedSpec, _record("InterpSpec", "K L s t frame")):
     """Interpolate between a K-stretch at log-radius t and an L-stretch at s.
 
     Requires |ln(K/L)| < (t - s) / 2 so the interpolated shells never cross.
@@ -120,7 +129,7 @@ def interp_inner_s(K, L):
     return -(2.0 * abs(np.log(K / L)) + 1.0)
 
 
-class SpiralSpec(_FramedSpec, namedtuple("SpiralSpec", "K alpha frame")):
+class SpiralSpec(_FramedSpec, _record("SpiralSpec", "K alpha frame")):
     """Stretch by K along the frame's first column while rotating the
     frame's (1,2)-plane by alpha per unit log-radius.
 
@@ -422,7 +431,7 @@ def _closed_form_det(power, h, ssq, K, alpha):
     return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
 
 
-class _SpiralGrid(namedtuple("_SpiralGrid", "phases coords keep power h ssq")):
+class _SpiralGrid(_record("_SpiralGrid", "phases coords keep power h ssq")):
     """The chart points of a certification grid that have a kept phase.
 
     `phases` holds the res rotation phases alpha * x_n of the grid, so one
@@ -431,10 +440,16 @@ class _SpiralGrid(namedtuple("_SpiralGrid", "phases coords keep power h ssq")):
     the (phase, chart) pairs whose pyramid and switch margins are both at
     least GRID_BAND.  Per chart point, the factors of ``_closed_form_det``:
     `power` the min over its kept phases of (m/d)^{n-1}, and `h` and `ssq`
-    the phase-free terms.  Every array is read-only.
+    the phase-free terms.  Every array is a read-only view.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *arrays):
+        views = [np.asarray(a).view() for a in arrays]
+        for a in views:
+            a.setflags(write=False)
+        return super().__new__(cls, *views)
 
 
 @functools.lru_cache(maxsize=2)
@@ -494,12 +509,9 @@ def _spiral_grid(n, res):
     for lo in range(0, kept, _BLOCK):
         hi = min(lo + _BLOCK, kept)
         h[lo:hi], ssq[lo:hi] = _phase_free_terms(coords[:, lo:hi].T)
-    grid = _SpiralGrid(
+    return _SpiralGrid(
         phases, coords[:, :kept], keep[:, :kept], power[:kept], h[:kept], ssq[:kept]
     )
-    for a in grid:
-        a.setflags(write=False)
-    return grid
 
 
 def spiral_jacobian_scan(K, n, alpha, grid=None):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,8 @@ DEFAULT_TOL = 1e-12
 
 # Caps on the size flags, checked before anything is allocated, so that an
 # oversized value ends in a QcmapsError, not a MemoryError.  Each keeps its
-# command's largest array well under 1 GB; README gives the peak RSS at each.
+# command's largest array well under 1 GB, and the pyramid cap also bounds
+# time; README gives the peak RSS at each.
 # Close waypoints on one sphere plan about a shell per waypoint and sweep, so
 # the realized orbit, shells x --samples, is capped once the map is built.
 MAX_GRID = 256  # verify: the n = 3 spiral refinement has (2 grid - 1)^3 pairs
@@ -59,7 +59,10 @@ MAX_DIRECTIONS = 10**5  # probe --grid
 # --grid caps were measured up to n = 8 (README), not above
 MAX_DIM = 8
 # verify stretch and interp: points of the pyramid grid, res (res // 2)^(n-2)
-# per height with res = min(--grid, 21), so at most n = 5 at the default grid
+# per height with res = min(--grid, 21), so at most n = 5 at the default grid.
+# The Jacobians are formed in blocks, so this cap bounds time, not memory:
+# raised, --dim 6 takes 1.4 s and 103 MB (stretch, 420000 points) and 2.7 s
+# and 136 MB (interp, 840000 points)
 MAX_PYRAMID_POINTS = 10**5
 # realize and probe: each sweep with a radial move takes an interpolation
 # shell of log-depth >= 1, and radii stop at e^-354, so 354 sweeps at most
@@ -80,7 +83,7 @@ def _alpha_value(alpha, name):
     return value
 
 
-class RunConfig(namedtuple(
+class RunConfig(cm._record(
     "RunConfig", "dimension K L alpha grid tol seed samples bound"
 )):
     """Knobs shared by the verification suites; `bound` overrides the suite
@@ -420,22 +423,66 @@ def load_target(path):
     )
 
 
-# Rows per chunk of ``_write_csv``: a chunk's Python floats, not the whole
-# table's, are alive at once.
-_CSV_ROWS = 1024
+# Rows per chunk of ``_write_csv``, measured (README): the write time is
+# flat from 384 to 896 rows, and at 768 rows a chunk's byte layout and
+# temporaries, about 1 kB a row of six columns, stay below the peak RSS
+# that the computation before the write sets.
+_CSV_ROWS = 768
+# A table of fewer rows is formatted by Python, which is faster there:
+# starting the numpy path (compiling ``_g17`` where bytecode is not cached,
+# and numpy's first runs of its loops) takes about 3 ms, and Python's '%'
+# about 0.5 us a field, so the two meet near 1500 rows of six columns
+# (fresh processes, 2-vCPU Xeon).
+_CSV_NUMPY_ROWS = 1536
 
 
 def _write_csv(path, header, columns, row_format):
     """Write equal-length columns under a header, each row as
-    `row_format` % row, with the CRLF line ends of ``csv.writer``, formatting
-    and writing ``_CSV_ROWS`` rows at a time."""
+    `row_format` % row with the CRLF line ends of ``csv.writer``.
+
+    `row_format` joins '%.17g' (float) and '%d' (integer) fields with
+    commas.  From ``_CSV_NUMPY_ROWS`` rows up, the bytes are made in numpy
+    ``_CSV_ROWS`` rows at a time by ``_g17.fields``: a '%d' column of
+    integers within 2^53 is exact as floats, whose '%.17g' is its '%d'
+    text.  Every field that path leaves undecided, and every integer beyond
+    2^53, is formatted by Python.  Each chunk's (position, field) bytes are
+    transposed to row order and their zeros dropped.
+    """
+    formats = row_format.split(",")
+    if len(formats) != len(columns) or set(formats) - {"%.17g", "%d"}:
+        raise ValueError(f"unsupported row format {row_format!r}")
     columns = [np.asarray(c) for c in columns]
-    line = row_format + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if len(columns[0]) < _CSV_NUMPY_ROWS:
+            line = row_format + "\r\n"
+            rows = zip(*(c.tolist() for c in columns))
+            fh.write("".join(line % row for row in rows).encode())
+            return
+        # imported here, not with this module, so that the commands that
+        # write no long table do not compile it
+        from . import _g17
+
+        sep = _g17.SEP
         for lo in range(0, len(columns[0]), _CSV_ROWS):
-            rows = zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns))
-            fh.writelines(line % row for row in rows)
+            chunk = [c[lo:lo + _CSV_ROWS] for c in columns]
+            x = np.array(chunk, dtype=float)
+            text = np.empty((_g17.WIDTH, *x.shape), np.uint8)
+            undecided = _g17.fields(x.reshape(-1), text[:sep].reshape(sep, -1))
+            undecided = undecided.reshape(x.shape)
+            for col, fmt in enumerate(formats):
+                if fmt == "%d":
+                    undecided[col] |= (chunk[col] > 2**53) | (chunk[col] < -(2**53))
+            for col, row in zip(*np.nonzero(undecided)):
+                field = (formats[col] % chunk[col][row]).encode()
+                text[:sep, col, row] = 0
+                text[:len(field), col, row] = np.frombuffer(field, np.uint8)
+            text[sep] = ord(",")
+            text[sep, -1] = ord("\r")
+            text[sep + 1] = 0
+            text[sep + 1, -1] = ord("\n")
+            rows = np.ascontiguousarray(text.transpose(2, 1, 0)).tobytes()
+            fh.write(rows.translate(None, b"\0"))
 
 
 def run_realize(target, k_max, samples):

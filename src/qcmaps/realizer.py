@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import numbers
 import sys
-from collections import namedtuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .canonical_maps import (
     _interp_log_weight,
     _interp_pow_tables,
     _read_only,
+    _record,
     _scale_rows,
     _spiral_shell,
     _stretch_factor,
@@ -60,7 +60,7 @@ def _is_real(v):
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
-class TargetSet(namedtuple("TargetSet", "waypoints closed annulus_bound")):
+class TargetSet(_record("TargetSet", "waypoints closed annulus_bound")):
     """Waypoint polyline inside the annulus 1/C <= |y| <= C."""
 
     __slots__ = ()
@@ -112,7 +112,7 @@ class TargetSet(namedtuple("TargetSet", "waypoints closed annulus_bound")):
         return self.waypoints.shape[1]
 
 
-class RadialSegment(namedtuple("RadialSegment", "u1 u2 sigma")):
+class RadialSegment(_record("RadialSegment", "u1 u2 sigma")):
     """Move along the ray through sigma from radius u1 to u2."""
 
     __slots__ = ()
@@ -123,7 +123,7 @@ class RadialSegment(namedtuple("RadialSegment", "u1 u2 sigma")):
         return super().__new__(cls, u1, u2, unit(sigma, "sigma"))
 
 
-class ArcSegment(namedtuple("ArcSegment", "u sigma1 sigma2")):
+class ArcSegment(_record("ArcSegment", "u sigma1 sigma2")):
     """Great-circle arc at radius u from sigma1 to sigma2 (minor arc)."""
 
     __slots__ = ()
@@ -239,7 +239,7 @@ def plan_paths(target, k_max):
 # Shell assembly
 # =====================================================================
 
-class ShellPiece(namedtuple(
+class ShellPiece(_record(
     "ShellPiece", "r_out r_in kind frame K L s t alpha theta sweep"
 )):
     """One annular shell with its active map formula.
@@ -274,7 +274,7 @@ class ShellPiece(namedtuple(
         return self.K if self.kind == "spiral" else self.L
 
 
-class RealizedMap(namedtuple(
+class RealizedMap(_record(
     "RealizedMap", "pieces outer_K outer_frame n checkpoints"
 )):
     """Piecewise shell map, total on R^n with f(0) = 0.

@@ -1,17 +1,22 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcmaps
 from conftest import circle_waypoints
 from qcmaps import canonical_maps as cm
-from qcmaps import cli, kernels, realizer
+from qcmaps import _g17, cli, kernels, realizer
 from qcmaps.cli import (
     DEFAULT_TOL,
     RunConfig,
@@ -333,6 +338,39 @@ def test_records_refuse_assignment(quarter_circle_map):
                 a.flat[0] = 0
 
 
+def test_records_make_and_replace_run_the_constructor(quarter_circle_map):
+    # _make and _replace build through __new__: a bad field raises the
+    # constructor's own error, and _make keeps no writable array
+    rm, target, _ = quarter_circle_map
+    bad = {
+        cm.StretchSpec: ("K", 0.5, "stretch factor must satisfy K >= 1"),
+        cm.InterpSpec: ("K", 0.5, "K must satisfy K >= 1"),
+        cm.SpiralSpec: ("alpha", np.nan, "spiral rate must be finite"),
+        realizer.TargetSet: ("closed", "yes", "closed must be true or false"),
+        realizer.RadialSegment: ("u1", -1.0, "radii must be positive"),
+        realizer.ArcSegment: ("u", 0.0, "radius must be positive"),
+        realizer.ShellPiece: ("kind", "cone", "kind must be 'spiral' or 'interp'"),
+        realizer.RealizedMap: ("pieces", rm.pieces[::-1], "shells must tile"),
+        RunConfig: ("samples", 0, "samples must be at least 1"),
+    }
+    records = _records(rm, target)
+    assert set(bad) == {type(r) for r, _ in records} - {cm._SpiralGrid}
+    for record, arrays in records:
+        cls = type(record)
+        fields = [np.array(v) if isinstance(v, np.ndarray) else v for v in record]
+        made = cls._make(fields)
+        assert type(made) is cls
+        for field in arrays:
+            assert not getattr(made, field).flags.writeable, (cls.__name__, field)
+        if cls in bad:
+            name, value, message = bad[cls]
+            with pytest.raises(QcmapsError, match=re.escape(message)):
+                record._replace(**{name: value})
+            fields[record._fields.index(name)] = value
+            with pytest.raises(QcmapsError, match=re.escape(message)):
+                cls._make(fields)
+
+
 def test_realize_antipodal_hop_reports_error(tmp_path, capsys):
     target = tmp_path / "anti.json"
     target.write_text(
@@ -477,28 +515,109 @@ def test_realize_above_spiral_dimension_cap(tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+def _edge_doubles():
+    """Doubles where '%.17g' changes layout, rounds across a decade or leaves
+    the fast path: every 10^k with its neighbours, the fixed/scientific
+    switches, zeros, subnormals, the largest double, the non-finite, and two
+    exact ties, which round to even (down, then up)."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    return np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf),
+        [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308,
+         np.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308,
+         np.nan, np.inf, -np.inf, 0.1, 123456789.0, np.pi,
+         2251799813685247.25, 2251799813685247.75],
+    ])
+
+
+def _csv_module_bytes(path, header, columns, formats):
+    """The reference: csv.writer over Python's own formatting of each value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            writer.writerow([f % v for f, v in zip(formats, row)])
+    return Path(path).read_bytes()
+
+
 def test_write_csv_matches_csv_module(tmp_path, monkeypatch):
-    # the %-format writer reproduces csv.writer over 17-digit f-strings, in
-    # one chunk of rows or in several with a short last one
+    # both writers reproduce csv.writer over '%.17g' and '%d': the numpy
+    # one in chunks of _CSV_ROWS or of 7 rows, with a short last one, and
+    # Python's '%' on a table shorter than _CSV_NUMPY_ROWS
     rng = np.random.default_rng(4)
     floats = np.concatenate(
         [rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
-         [0.0, -0.0, 0.1, 1e16, 123456789.0, np.pi]]
+         _edge_doubles()]
     )
+    floats = np.concatenate([floats, -floats])
     ints = np.arange(len(floats)) - 3
-    _write_csv(tmp_path / "new.csv", ["a", "i", "b"], [floats, ints, -floats],
-               "%.17g,%d,%.17g")
+    ints[:12] = [0, -1, 7, -(2**53), 2**53, 2**53 + 1, -(2**53) - 1, 10**16,
+                 10**17, -(10**17), -(2**63), 2**63 - 1]
+    columns = [floats, ints, -floats]
+    assert len(floats) > cli._CSV_NUMPY_ROWS
+    want = _csv_module_bytes(tmp_path / "old.csv", ["a", "i", "b"], columns,
+                             ["%.17g", "%d", "%.17g"])
+    _write_csv(tmp_path / "new.csv", ["a", "i", "b"], columns, "%.17g,%d,%.17g")
+    short = [c[:40] for c in columns]
+    _write_csv(tmp_path / "short.csv", ["a", "i", "b"], short, "%.17g,%d,%.17g")
     monkeypatch.setattr(cli, "_CSV_ROWS", 7)
-    _write_csv(tmp_path / "chunks.csv", ["a", "i", "b"], [floats, ints, -floats],
-               "%.17g,%d,%.17g")
-    with open(tmp_path / "old.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "i", "b"])
-        for a, i in zip(floats.tolist(), ints.tolist()):
-            writer.writerow([f"{a:.17g}", i, f"{-a:.17g}"])
-    want = (tmp_path / "old.csv").read_bytes()
+    _write_csv(tmp_path / "chunks.csv", ["a", "i", "b"], columns, "%.17g,%d,%.17g")
     assert (tmp_path / "new.csv").read_bytes() == want
     assert (tmp_path / "chunks.csv").read_bytes() == want
+    assert (tmp_path / "short.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "old_short.csv", ["a", "i", "b"], short, ["%.17g", "%d", "%.17g"])
+
+
+def test_write_csv_rounds_up_to_a_power_of_ten(tmp_path, monkeypatch):
+    # 14 doubles 10^k lie below 10^k yet round up to it at 17 digits, as
+    # the double 1e-305 prints as 1e-305; each other double below 10^k
+    # prints in the decade below, as 9.9999999999999997e-305 does
+    below = [float(f"1e{k}") for k in range(-323, 309)
+             if Fraction(float(f"1e{k}")) < Fraction(10) ** k]
+    up = [v for v in below if "%.17g" % v == f"1e{math.log10(v):+03.0f}"]
+    assert len(below) == 298 and len(up) == 14 and 1e-305 in up
+    monkeypatch.setattr(cli, "_CSV_NUMPY_ROWS", 0)
+    _write_csv(tmp_path / "tens.csv", ["x"], [below], "%.17g")
+    want = "x\r\n" + "".join("%.17g\r\n" % v for v in below)
+    assert (tmp_path / "tens.csv").read_bytes() == want.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_write_csv_matches_percent_format_on_bit_patterns(tmp_path_factory, bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    path = tmp_path_factory.mktemp("csv") / "bits.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CSV_NUMPY_ROWS", 0)
+        _write_csv(path, ["x", "y"], [x, x[::-1]], "%.17g,%.17g")
+    want = "x,y\r\n" + "".join(
+        "%.17g,%.17g\r\n" % r for r in zip(x.tolist(), x[::-1].tolist()))
+    assert path.read_bytes() == want.encode()
+
+
+def test_g17_fast_path_decides_almost_every_field():
+    # the Python fallback takes only near-ties and decades one off: none in
+    # a seeded sample over 600 decades, whose doubles near 10^13 hold 163
+    # exact ties, with non-finite values and zeros mixed in
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(200_000) * 10.0 ** rng.integers(-300, 300, 200_000)
+    x[:600] = np.repeat([np.nan, np.inf, -np.inf, -np.nan, 0.0, -0.0], 100)
+    out = np.empty((_g17.SEP, len(x)), np.uint8)
+    assert np.count_nonzero(_g17.fields(x, out)) <= 3
+
+
+def test_pow10_table_is_exact_to_2_pow_minus_105():
+    # lo = 0 marks the powers the table holds exactly, where ties round in
+    # the fast path
+    for k in range(-292, 341):
+        hi, hh, hl, lo, b = _g17.pow10(k)
+        assert 0.5 <= hi < 1.0 and hh + hl == hi
+        assert (lo == 0) == (0 <= k <= 22)
+        approx = (Fraction(hi) + Fraction(lo)) * Fraction(2) ** b
+        exact = Fraction(10) ** k
+        assert abs(approx - exact) < exact * Fraction(1, 2**105)
 
 
 def test_probe_spiral_certifies_on_its_dimension_grid(tmp_path, monkeypatch):
