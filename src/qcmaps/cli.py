@@ -432,7 +432,9 @@ _CSV_ROWS = 768
 # starting the numpy path (compiling ``_g17`` where bytecode is not cached,
 # and numpy's first runs of its loops) takes about 3 ms, and Python's '%'
 # about 0.5 us a field, so the two meet near 1500 rows of six columns
-# (fresh processes, 2-vCPU Xeon).
+# (fresh processes, 2-vCPU Xeon).  Each command is one process, so every
+# write pays that start: with the probes' 192 rows sent through numpy too,
+# `probe --map spiral` took 12.3 -> 15.2 ms (BENCH_25.json).
 _CSV_NUMPY_ROWS = 1536
 
 
