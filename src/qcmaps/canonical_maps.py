@@ -231,9 +231,9 @@ def oriented_stretch(y, spec):
     return _map_strips(a, body, r)
 
 
-def _interp_log_mix(nu, log_k, log_l, out=None):
-    """nu ln(lambda_K) + (1 - nu) ln(lambda_L), the one home of the
-    interpolation formula; `out`, if given, receives the result.
+def _interp_log_weight(cos2, nu, K, L):
+    """nu ln(lambda_K) + (1 - nu) ln(lambda_L) at the squared direction
+    cosines `cos2`, the one home of the interpolation formula.
 
     The mean-radius quadrature (``realizer._mean_pow``) evaluates the same
     profile to the n-th power, mu^n = lambda_L^n (lambda_K / lambda_L)^{n nu},
@@ -243,23 +243,17 @@ def _interp_log_mix(nu, log_k, log_l, out=None):
     temporary, about half of a quadrature block's time, become one
     multiply-add per entry.  The two forms differ by rounding only.
     """
-    out = np.multiply(nu, log_k, out=out)
-    out += (1.0 - nu) * log_l
+    out = np.multiply(nu, np.log(_stretch_factor(cos2, K)))
+    out += (1.0 - nu) * np.log(_stretch_factor(cos2, L))
     return out
 
 
 def _interp_pow_tables(cos2, K, L, n):
     """The node tables (n ln lambda_L, n (ln lambda_K - ln lambda_L)) at the
     squared direction cosines `cos2`, so that the interpolation profile's
-    n-th power at nu is exp(a + nu b) (see ``_interp_log_mix``)."""
+    n-th power at nu is exp(a + nu b) (see ``_interp_log_weight``)."""
     log_l = np.log(_stretch_factor(cos2, L))
     return n * log_l, n * (np.log(_stretch_factor(cos2, K)) - log_l)
-
-
-def _interp_log_weight(cos2, nu, K, L):
-    return _interp_log_mix(
-        nu, np.log(_stretch_factor(cos2, K)), np.log(_stretch_factor(cos2, L))
-    )
 
 
 def interp_stretch(y, spec):

@@ -55,8 +55,8 @@ MAX_SAMPLES = 10**6  # verify
 MAX_SHELL_SAMPLES = 10**4  # realize
 MAX_ORBIT_SAMPLES = 10**6  # realize, shells x --samples
 MAX_DIRECTIONS = 10**5  # probe --grid
-# verify and probe --dim: the peaks behind the verify --samples and probe
-# --grid caps were measured up to n = 8 (README), not above
+# verify and probe --dim, and the dimension of a target file: the peaks
+# behind the size caps were measured up to n = 8 (README), not above
 MAX_DIM = 8
 # verify stretch and interp: points of the pyramid grid, res (res // 2)^(n-2)
 # per height with res = min(--grid, 21), so at most n = 5 at the default grid.
@@ -409,18 +409,23 @@ def run_verify(suite, cfg):
 # =====================================================================
 
 def load_target(path):
-    """Parse a target JSON file: waypoints, closed flag, annulus bound C."""
+    """Parse a target JSON file: waypoints, closed flag, annulus bound C.
+    A target in more than ``MAX_DIM`` dimensions is refused."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise QcmapsError(f"cannot parse target file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "waypoints" not in payload:
         raise QcmapsError("target file must be a JSON object with 'waypoints'")
-    return realizer.TargetSet(
+    target = realizer.TargetSet(
         waypoints=payload["waypoints"],
         closed=payload.get("closed", False),
         annulus_bound=payload.get("C"),
     )
+    if target.n > MAX_DIM:
+        raise QcmapsError(
+            f"target dimension must be at most {MAX_DIM}, got {target.n}")
+    return target
 
 
 # Rows per chunk of ``_write_csv``, measured (README): the write time is

@@ -374,7 +374,6 @@ def build_map(plans, n=None):
             alpha = select_alpha(kfac, dim, orientation=-1 if theta > 0 else 1)
             depth = abs(theta) / abs(alpha)
             r_in = r * np.exp(-depth)
-            exit_frame = frame @ planar_rotation(theta, 0, 1, dim)
             piece = ShellPiece(
                 r_out=r,
                 r_in=r_in,
@@ -386,8 +385,8 @@ def build_map(plans, n=None):
                 sweep=sweep,
             )
             pieces.append(piece)
-            checks.append((r_in, seg.u, exit_frame[:, 0].copy()))
-            frame = exit_frame
+            frame = piece.exit_frame
+            checks.append((r_in, seg.u, frame[:, 0].copy()))
             r = r_in
         else:
             kfac = seg.u1**expo
@@ -429,29 +428,15 @@ def build_map(plans, n=None):
 def _locate(rm, radii):
     """Region code per radius: -1 outer, 0..N-1 shells, N inner closure.
 
-    The code is k - 1, with k the number of outer shell radii above the
-    radius, and the last shell's inner closure split off by its r_in.  k
-    comes from a branchless binary search: the decreasing radii are padded
-    with -inf to a power of two, 2^L >= N + 1, and L halving steps each add
-    their step where the probed radius is above.  Every step is one gather
-    and one compare over all radii, with no per-element branch; on 200k
-    radii against 63 shells it takes half the time of ``np.searchsorted``
-    (2-vCPU Xeon), with the same codes for every non-NaN radius.
+    The code is the number of the map's spheres strictly above the radius,
+    minus one, counted by one ``np.searchsorted`` over the sphere radii in
+    ascending order: the last shell's r_in, then each shell's r_out from
+    the innermost out.  A map with no shells has no spheres, so every
+    radius is outer.
     """
-    r = np.asarray(radii)
-    if not rm.pieces:
-        return np.full(len(r), -1, dtype=int)
-    last = len(rm.pieces) - 1
-    bounds = np.full(1 << (last + 1).bit_length(), -np.inf)
-    bounds[:last + 1] = [p.r_out for p in rm.pieces]
-    k = np.zeros(len(r), dtype=np.intp)
-    step = len(bounds) // 2
-    while step:
-        k += step * (bounds.take(k + (step - 1)) > r)
-        step //= 2
-    k -= 1
-    inner = (k == last) & (r < rm.pieces[last].r_in)
-    return np.where(inner, last + 1, k)
+    spheres = [p.r_out for p in rm.pieces] + [p.r_in for p in rm.pieces[-1:]]
+    bounds = np.array(spheres[::-1])
+    return len(bounds) - 1 - np.searchsorted(bounds, radii, side="right")
 
 
 def _apply_boundary_stretch(x, r, kfac, frame, out=None):
@@ -772,9 +757,8 @@ def _kept_rows(cols_a, cols_b, seg_lo):
     `a` (coordinate rows `cols_a`, d x m) is cut into chunks of ``_CHUNK``
     rows with a cut at each segment start in `seg_lo`, and `b` into chunks
     of ``_CHUNK`` rows; ``_chunk_keep`` says which chunk pairs to scan.
-    Yields (c0, c1, rows) per run b[c0:c1] of consecutive chunks that keep
-    the same rows of `a`: rows indexes those rows in increasing order, or is
-    ``slice(None)`` when all are kept.
+    Yields (c0, c1, rows) per chunk b[c0:c1], where rows indexes the rows
+    of the chunks of `a` it keeps, in increasing order.
     """
     n_rows = cols_a.shape[1]
     cuts_a = []
@@ -787,29 +771,13 @@ def _kept_rows(cols_a, cols_b, seg_lo):
     with np.errstate(over="ignore", invalid="ignore"):
         ca, ra = _chunk_balls(cols_a, cuts_a)
         cb, rb = _chunk_balls(cols_b, cuts_b)
-
-    def run(j, k, keep):
-        kept = np.flatnonzero(keep)
-        if len(kept) == len(sizes):
-            return int(cuts_b[j]), int(cuts_b[k]), slice(None)
-        n_kept = sizes[kept]
-        ends = np.cumsum(n_kept)
-        rows = np.arange(ends[-1]) + np.repeat(cuts_a[kept] - ends + n_kept, n_kept)
-        return int(cuts_b[j]), int(cuts_b[k]), rows
-
-    # a run may go on across the blocks of keep rows
-    lo, last = 0, None
     for j0, keep in _chunk_keep(ca, ra, seg_first, cb, rb):
-        new_run = np.ones(len(keep), dtype=bool)
-        new_run[1:] = (keep[1:] != keep[:-1]).any(axis=1)
-        if last is not None:
-            new_run[0] = (keep[0] != last).any()
-        for j in np.flatnonzero(new_run).tolist():
-            if last is not None:
-                yield run(lo, j0 + j, last)
-            lo, last = j0 + j, keep[j]
-        last = keep[-1]
-    yield run(lo, len(rb), last)
+        for j, row in enumerate(keep, j0):
+            kept = np.flatnonzero(row)
+            n_kept = sizes[kept]
+            ends = np.cumsum(n_kept)
+            rows = np.arange(ends[-1]) + np.repeat(cuts_a[kept] - ends + n_kept, n_kept)
+            yield int(cuts_b[j]), int(cuts_b[j + 1]), rows
 
 
 def hausdorff_by_suffix(a, b, starts):
@@ -828,13 +796,14 @@ def hausdorff_by_suffix(a, b, starts):
     (Taha and Hanbury's bound-and-prune idea for the exact Hausdorff
     distance).  Samples along curves, such as orbit and polyline samples,
     form small balls, so few pairs are kept; for unordered clouds nothing is
-    culled and the loop is a dense blocked scan.  Each run of chunks of `b`
-    that keep the same rows of `a` is walked against them in blocks of about
-    ``_BLOCK`` pairs, in two buffers allocated once per call (the same
-    cache-sized blocks as the mean-radius quadrature).  Block rows run along
-    the kept rows of `a`, and numpy broadcasts short rows more slowly, so
-    the scan is fastest with the larger set as `a`, as the orbit is in
-    ``realize`` and as ``hausdorff_distance`` orders its sets.
+    culled and the loop is a dense blocked scan.  Each chunk of `b` is
+    walked against the rows of `a` it keeps in blocks of up to ``_BLOCK``
+    pairs, ``_BLOCK // _CHUNK`` kept rows at a time, in two buffers
+    allocated once per call (the same cache-sized blocks as the mean-radius
+    quadrature).  Block rows run along the kept rows of `a`, and numpy
+    broadcasts short rows more slowly, so the scan is fastest with the
+    larger set as `a`, as the orbit is in ``realize`` and as
+    ``hausdorff_distance`` orders its sets.
 
     Squared distances are summed per coordinate from explicit differences,
     (dx*dx + dy*dy) + dz*dz in coordinate order, not from the expanded
@@ -865,38 +834,33 @@ def hausdorff_by_suffix(a, b, starts):
     seg_of_row = np.repeat(np.arange(len(segs)), np.diff([*seg_lo, n_rows]))
     row_min = np.full(n_rows, np.inf)
     col_min = np.full((len(segs), len(pb)), np.inf)
-    buf = np.empty(2 * _BLOCK)
+    # a block is one chunk of `b` against up to `step` of its kept rows of `a`
+    step = max(1, _BLOCK // _CHUNK)
+    buf = np.empty((2, _CHUNK * step))
     for c0, c1, rows in _kept_rows(cols_a, cols_b, seg_lo):
-        ka = cols_a[:, rows]
-        n_kept = ka.shape[1]
-        # block rows run along the kept rows of `a`, whole where they fit
-        r_step = min(n_kept, _BLOCK)
-        b_step = max(1, _BLOCK // r_step)
-        for r0 in range(0, n_kept, r_step):
-            r1 = min(n_kept, r0 + r_step)
-            idx = rows[r0:r1] if isinstance(rows, np.ndarray) else slice(r0, r1)
-            # the segments met in this run of rows, and where each begins
+        ka = np.take(cols_a, rows, axis=1)
+        for r0 in range(0, len(rows), step):
+            r1 = min(len(rows), r0 + step)
+            idx = rows[r0:r1]
+            # the segments met in this block's rows, and where each begins
             seg = seg_of_row[idx]
             first = np.ones(len(seg), dtype=bool)
             np.not_equal(seg[1:], seg[:-1], out=first[1:])
             at = np.flatnonzero(first).tolist()
-            parts = list(zip(seg[at].tolist(), at, [*at[1:], r1 - r0]))
-            for b0 in range(c0, c1, b_step):
-                b1 = min(c1, b0 + b_step)
-                size = (b1 - b0) * (r1 - r0)
-                d2 = buf[:size].reshape(b1 - b0, r1 - r0)
-                sq = buf[_BLOCK:_BLOCK + size].reshape(d2.shape)
-                # (b - a)^2 == (a - b)^2: negation is exact
-                np.subtract(cols_b[0, b0:b1, None], ka[0, r0:r1], out=d2)
-                np.square(d2, out=d2)
-                for c in range(1, pa.shape[1]):
-                    np.subtract(cols_b[c, b0:b1, None], ka[c, r0:r1], out=sq)
-                    np.square(sq, out=sq)
-                    d2 += sq
-                row_min[idx] = np.minimum(row_min[idx], d2.min(axis=0))
-                for g, lo, hi in parts:
-                    col = col_min[g, b0:b1]
-                    np.minimum(col, d2[:, lo:hi].min(axis=1), out=col)
+            parts = zip(seg[at].tolist(), at, [*at[1:], r1 - r0])
+            d2 = buf[0, :(c1 - c0) * (r1 - r0)].reshape(c1 - c0, r1 - r0)
+            sq = buf[1, :d2.size].reshape(d2.shape)
+            # (b - a)^2 == (a - b)^2: negation is exact
+            np.subtract(cols_b[0, c0:c1, None], ka[0, r0:r1], out=d2)
+            np.square(d2, out=d2)
+            for c in range(1, pa.shape[1]):
+                np.subtract(cols_b[c, c0:c1, None], ka[c, r0:r1], out=sq)
+                np.square(sq, out=sq)
+                d2 += sq
+            row_min[idx] = np.minimum(row_min[idx], d2.min(axis=0))
+            for g, lo, hi in parts:
+                col = col_min[g, c0:c1]
+                np.minimum(col, d2[:, lo:hi].min(axis=1), out=col)
     row_worst = np.maximum.accumulate(np.maximum.reduceat(row_min, seg_lo)[::-1])[::-1]
     col_worst = np.minimum.accumulate(col_min[::-1], axis=0)[::-1].max(axis=1)
     found = dict(zip(segs, np.sqrt(np.maximum(row_worst, col_worst)).tolist()))

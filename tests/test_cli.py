@@ -515,6 +515,49 @@ def test_realize_above_spiral_dimension_cap(tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+def _target_argv(command, target, out):
+    if command == "realize":
+        return ["realize", str(target), "--kmax", "1", "--out", str(out)]
+    return ["probe", "--map", "realized", "--target", str(target), "--kmax", "1",
+            "--t", "1,0.5", "--out", str(out)]
+
+
+def _radial_target(tmp_path, n):
+    # one radial hop: an interpolation shell only, so no spiral rate is
+    # certified and no spiral dimension cap applies
+    w = np.zeros((2, n))
+    w[:, 0] = [2.0, 1.0]
+    target = tmp_path / f"radial{n}.json"
+    target.write_text(json.dumps({"waypoints": w.tolist()}))
+    return target
+
+
+@pytest.mark.parametrize("command", ["realize", "probe"])
+def test_target_dimension_above_cap_is_refused(tmp_path, capsys, monkeypatch, command):
+    # the size caps were measured up to MAX_DIM, so a target above it is
+    # refused by name before anything is planned or written
+    def no_plan(*args):
+        raise AssertionError("planned a target above the dimension cap")
+
+    monkeypatch.setattr(realizer, "plan_paths", no_plan)
+    target = _radial_target(tmp_path, cli.MAX_DIM + 1)
+    assert main(_target_argv(command, target, tmp_path / "x")) == 1
+    out, err = capsys.readouterr()
+    assert f"target dimension must be at most {cli.MAX_DIM}" in err
+    assert out == ""
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("command", ["realize", "probe"])
+def test_target_dimension_at_cap_runs(tmp_path, command):
+    target = _radial_target(tmp_path, cli.MAX_DIM)
+    assert main(_target_argv(command, target, tmp_path / "x")) == 0
+    (csv_path,) = tmp_path.glob("x.*.csv")
+    header = csv_path.read_text().splitlines()[0].split(",")
+    assert f"y_{cli.MAX_DIM}" in header and f"y_{cli.MAX_DIM + 1}" not in header
+    assert (tmp_path / "x.summary.json").exists()
+
+
 def _edge_doubles():
     """Doubles where '%.17g' changes layout, rounds across a decade or leaves
     the fast path: every 10^k with its neighbours, the fixed/scientific

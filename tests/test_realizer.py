@@ -489,9 +489,9 @@ class TestRegionDispatch:
 
     @pytest.mark.parametrize("pieces", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65])
     def test_locate_matches_searchsorted(self, pieces):
-        # radii on every shell sphere and one ulp either side, against the
-        # np.searchsorted form the branchless search replaced; piece counts
-        # on both sides of powers of two exercise the -inf padding
+        # radii on every shell sphere and one ulp either side, against a
+        # two-step form: the shell by np.searchsorted over the negated outer
+        # radii, then the inner closure split off by the last r_in
         r_out = np.geomspace(4.0, 0.5, pieces)
         stack = SimpleNamespace(pieces=[
             SimpleNamespace(r_out=r, r_in=r * 0.9) for r in r_out
@@ -942,8 +942,8 @@ class TestHausdorffBySuffix:
     @pytest.mark.parametrize("case", ["staircase", "cloud"])
     def test_bounds_stream_in_blocks(self, monkeypatch, case):
         # the chunk bounds come in blocks of about _BLOCK entries, and the
-        # runs of equal keep rows do not depend on where the blocks end; in
-        # the cloud, one run spans every block
+        # kept rows of each chunk of b do not depend on where the blocks end;
+        # each chunk of b is its own run, and in the cloud it keeps every row
         if case == "staircase":
             a, b, starts = _staircase(3)
         else:
@@ -952,6 +952,10 @@ class TestHausdorffBySuffix:
         a, seg_lo = a[starts[0]:], [s - starts[0] for s in starts]
         cols_a, cols_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
         runs = list(rz._kept_rows(cols_a, cols_b, seg_lo))
+        chunks = [(c, min(c + rz._CHUNK, len(b))) for c in range(0, len(b), rz._CHUNK)]
+        assert [(c0, c1) for c0, c1, _ in runs] == chunks
+        if case == "cloud":
+            assert all(np.array_equal(rows, np.arange(len(a))) for _, _, rows in runs)
         blocks, chunk_keep = [], rz._chunk_keep
 
         def spy(*args):
