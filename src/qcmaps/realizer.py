@@ -21,6 +21,7 @@ circle; plans whose arcs leave that plane are rejected at build time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import numbers
 import sys
@@ -525,9 +526,34 @@ GAUSS_NODES = 256
 # about this many elements, 256 KiB per float64 block buffer, so that a block
 # and the operands read with it stay in a core's L2 cache: on a 2 MiB-L2
 # Xeon, 2^17- and 2^18-pair Hausdorff blocks ran a dense 15k x 960 scan 1.3x
-# and 1.7x slower.  A quadrature block is read with two node tables of its
-# shape, 768 KiB for the three.
+# and 1.7x slower.
 _BLOCK = 1 << 15
+# Elements of numpy's ufunc buffer while those blocks run (``_row_buffer``),
+# the quadrature's row length at n >= 4.  Sizes from 16 to 1024 ran the
+# realize quadratures and scans equally fast; 1024 ran the n = 4 quadrature
+# 10% slower.
+_ROW_BUFFER = 128
+
+
+@contextlib.contextmanager
+def _row_buffer():
+    """Run the body with numpy's ufunc buffer at ``_ROW_BUFFER`` elements.
+
+    A block broadcasts a column against rows of 16 to 2048 elements.  numpy
+    runs such a broadcast through its buffered loop, several times slower
+    per element, whenever a row is shorter than the ufunc buffer (8192
+    elements by default); with a buffer no longer than a row it runs each
+    row in place.  The buffer
+    changes only how an element-wise loop is cut, not what it computes, and
+    ``np.einsum`` keeps its own buffer, so every result keeps its bits.
+    The old size comes back in a ``finally``, since before numpy 2 no
+    ``np.errstate`` scopes the buffer size.
+    """
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 @functools.cache
@@ -562,30 +588,24 @@ def _mean_pow(piece, nu, n):
 
     The profile's n-th power at a node is exp(a + nu b), from the node
     tables of ``_interp_pow_tables``.  The radii run in blocks of about
-    ``_BLOCK`` entries: each block is filled with nu, multiplied by the
-    tiled table b, added to the tiled table a, exponentiated in place and
-    summed per row against the weights by ``np.einsum``, which calls no
-    BLAS.  Every operand has the block's shape, since numpy runs a
-    broadcast of short rows through its slower buffered loop.  A row's
-    arithmetic reads only its own radius, so each mean has the same bits in
-    any batch, block or order.
+    ``_BLOCK`` entries, one row per radius and one column per node, under
+    ``_row_buffer``: each block is nu times the table b, plus the table a,
+    exponentiated in place and summed per row against the weights by
+    ``np.einsum``, which calls no BLAS.  A row's arithmetic reads only its
+    own radius, so each mean has the same bits in any batch, block or order.
     """
     u2, weights = _sphere_rule(n)
     a, b = _interp_pow_tables(u2, piece.K, piece.L, n)
     rows = max(1, _BLOCK // u2.size)
-    reps = (min(rows, nu.size), 1)
-    a, b = np.tile(a, reps), np.tile(b, reps)
-    buf = np.empty_like(a)
+    buf = np.empty((min(rows, nu.size), u2.size))
     out = np.empty(nu.size)
-    for lo in range(0, nu.size, rows):
-        hi = min(lo + rows, nu.size)
-        k = hi - lo
-        blk = buf[:k]
-        blk[...] = nu[lo:hi, None]
-        blk *= b[:k]
-        blk += a[:k]
-        np.exp(blk, out=blk)
-        out[lo:hi] = np.einsum("ij,j->i", blk, weights)
+    with _row_buffer():
+        for lo in range(0, nu.size, rows):
+            hi = min(lo + rows, nu.size)
+            blk = np.multiply(nu[lo:hi, None], b, out=buf[:hi - lo])
+            blk += a
+            np.exp(blk, out=blk)
+            out[lo:hi] = np.einsum("ij,j->i", blk, weights)
     return out
 
 
@@ -600,8 +620,10 @@ def mean_radius_batch(rm, radii):
     (``_sphere_rule``).  Radii are dispatched as in ``eval_map_batch``: one
     stable sort of the region codes, one contiguous slice per region, one
     scatter back.  Each shell's rule runs inline in the blocks of
-    ``_mean_pow``, which calls no BLAS, so each radius's rho depends on that
-    radius alone: not on the other radii of the batch or their order.
+    ``_mean_pow``, one row of 2048 or 128 nodes per radius under a ufunc
+    buffer no longer than a row (``_row_buffer``), and calls no BLAS, so
+    each radius's rho depends on that radius alone: not on the other radii
+    of the batch or their order.
     """
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     if r.size == 0 or not np.all(np.isfinite(r)):
@@ -657,12 +679,13 @@ def orbit_table(rm, t_values):
 
 def default_orbit_times(rm, per_piece=200):
     """Decreasing t grid: 4 outer samples, then log-spaced samples per shell
-    with every boundary radius included exactly."""
-    ts = [np.geomspace(2.0 * rm.r_start, rm.r_start, 4, endpoint=False)]
-    for p in rm.pieces:
-        ts.append(np.geomspace(p.r_out, p.r_in, per_piece, endpoint=False))
-    ts.append(np.array([rm.r_end]))
-    return np.concatenate(ts)
+    with every boundary radius included exactly.  One ``np.geomspace`` over
+    the shells' radius arrays makes every shell's samples, a row per shell."""
+    r_out = np.array([p.r_out for p in rm.pieces])
+    r_in = np.array([p.r_in for p in rm.pieces])
+    shells = np.geomspace(r_out, r_in, per_piece, endpoint=False, axis=1)
+    outer = np.geomspace(2.0 * rm.r_start, rm.r_start, 4, endpoint=False)
+    return np.concatenate([outer, shells.ravel(), [rm.r_end]])
 
 
 # Rows per chunk of the Hausdorff scan's bounding balls.  Smaller chunks cull
@@ -800,10 +823,11 @@ def hausdorff_by_suffix(a, b, starts):
     walked against the rows of `a` it keeps in blocks of up to ``_BLOCK``
     pairs, ``_BLOCK // _CHUNK`` kept rows at a time, in two buffers
     allocated once per call (the same cache-sized blocks as the mean-radius
-    quadrature).  Block rows run along the kept rows of `a`, and numpy
-    broadcasts short rows more slowly, so the scan is fastest with the
-    larger set as `a`, as the orbit is in ``realize`` and as
-    ``hausdorff_distance`` orders its sets.
+    quadrature).  A block broadcasts the chunk's column of each coordinate
+    against a row of kept rows of `a`, so the bounds and the scan run under
+    ``_row_buffer``.  Every chunk of `b` costs a fixed number of numpy
+    calls, so the scan is fastest with the larger set as `a`, as the orbit
+    is in ``realize`` and as ``hausdorff_distance`` orders its sets.
 
     Squared distances are summed per coordinate from explicit differences,
     (dx*dx + dy*dy) + dz*dz in coordinate order, not from the expanded
@@ -837,30 +861,31 @@ def hausdorff_by_suffix(a, b, starts):
     # a block is one chunk of `b` against up to `step` of its kept rows of `a`
     step = max(1, _BLOCK // _CHUNK)
     buf = np.empty((2, _CHUNK * step))
-    for c0, c1, rows in _kept_rows(cols_a, cols_b, seg_lo):
-        ka = np.take(cols_a, rows, axis=1)
-        for r0 in range(0, len(rows), step):
-            r1 = min(len(rows), r0 + step)
-            idx = rows[r0:r1]
-            # the segments met in this block's rows, and where each begins
-            seg = seg_of_row[idx]
-            first = np.ones(len(seg), dtype=bool)
-            np.not_equal(seg[1:], seg[:-1], out=first[1:])
-            at = np.flatnonzero(first).tolist()
-            parts = zip(seg[at].tolist(), at, [*at[1:], r1 - r0])
-            d2 = buf[0, :(c1 - c0) * (r1 - r0)].reshape(c1 - c0, r1 - r0)
-            sq = buf[1, :d2.size].reshape(d2.shape)
-            # (b - a)^2 == (a - b)^2: negation is exact
-            np.subtract(cols_b[0, c0:c1, None], ka[0, r0:r1], out=d2)
-            np.square(d2, out=d2)
-            for c in range(1, pa.shape[1]):
-                np.subtract(cols_b[c, c0:c1, None], ka[c, r0:r1], out=sq)
-                np.square(sq, out=sq)
-                d2 += sq
-            row_min[idx] = np.minimum(row_min[idx], d2.min(axis=0))
-            for g, lo, hi in parts:
-                col = col_min[g, c0:c1]
-                np.minimum(col, d2[:, lo:hi].min(axis=1), out=col)
+    with _row_buffer():
+        for c0, c1, rows in _kept_rows(cols_a, cols_b, seg_lo):
+            ka = np.take(cols_a, rows, axis=1)
+            for r0 in range(0, len(rows), step):
+                r1 = min(len(rows), r0 + step)
+                idx = rows[r0:r1]
+                # the segments met in this block's rows, and where each begins
+                seg = seg_of_row[idx]
+                first = np.ones(len(seg), dtype=bool)
+                np.not_equal(seg[1:], seg[:-1], out=first[1:])
+                at = np.flatnonzero(first).tolist()
+                parts = zip(seg[at].tolist(), at, [*at[1:], r1 - r0])
+                d2 = buf[0, :(c1 - c0) * (r1 - r0)].reshape(c1 - c0, r1 - r0)
+                sq = buf[1, :d2.size].reshape(d2.shape)
+                # (b - a)^2 == (a - b)^2: negation is exact
+                np.subtract(cols_b[0, c0:c1, None], ka[0, r0:r1], out=d2)
+                np.square(d2, out=d2)
+                for c in range(1, pa.shape[1]):
+                    np.subtract(cols_b[c, c0:c1, None], ka[c, r0:r1], out=sq)
+                    np.square(sq, out=sq)
+                    d2 += sq
+                row_min[idx] = np.minimum(row_min[idx], d2.min(axis=0))
+                for g, lo, hi in parts:
+                    col = col_min[g, c0:c1]
+                    np.minimum(col, d2[:, lo:hi].min(axis=1), out=col)
     row_worst = np.maximum.accumulate(np.maximum.reduceat(row_min, seg_lo)[::-1])[::-1]
     col_worst = np.minimum.accumulate(col_min[::-1], axis=0)[::-1].max(axis=1)
     found = dict(zip(segs, np.sqrt(np.maximum(row_worst, col_worst)).tolist()))
@@ -871,9 +896,10 @@ def hausdorff_distance(a, b):
     """Symmetric Hausdorff distance between finite point samples.
 
     The larger set is the one suffix of ``hausdorff_by_suffix``, whose scan
-    runs fastest that way round (the 15005-sample arc orbit against its
-    960 polyline samples took 13.0 ms, and 34.5 ms the other way, on a
-    2-vCPU Xeon).  The distance is the same either way, to the bit:
+    runs fastest that way round: the 15005-sample arc orbit against its 960
+    polyline samples scans the same 777120 kept pairs in 60 chunks of the
+    polyline in 6.1 ms, and in 938 chunks of the orbit in 37 ms the other
+    way (2-vCPU Xeon).  The distance is the same either way, to the bit:
     swapping the sets only flips the sign of each coordinate difference.
     Distances come from explicit coordinate differences, so identical
     samples report exactly zero.

@@ -15,6 +15,31 @@ def circle_waypoints(radius=2.0, span=np.pi / 2, count=16, n=3):
     return w
 
 
+def wavy_map():
+    """The realized map of 12 waypoints on r = 2 + 0.3 sin 2 theta, k_max 3:
+    30 interpolation shells among its 63."""
+    from qcmaps import realizer
+
+    th = np.linspace(0.0, np.pi / 2, 12)
+    r = 2.0 + 0.3 * np.sin(2.0 * th)
+    w = np.stack([r * np.cos(th), r * np.sin(th), np.zeros_like(th)], axis=1)
+    return realizer.build_map(realizer.plan_paths(realizer.TargetSet(waypoints=w), 3), n=3)
+
+
+@pytest.fixture(autouse=True)
+def numpy_state_kept():
+    """Fail a test that leaves numpy's ufunc buffer size or floating-point
+    error handling other than it found them.  That state belongs to the
+    thread, so a leak would change every later test; the fixture puts it
+    back before failing."""
+    before = np.getbufsize(), np.geterr()
+    yield
+    after = np.getbufsize(), np.geterr()
+    np.setbufsize(before[0])
+    np.seterr(**before[1])
+    assert after == before, f"numpy state leaked: {before} -> {after}"
+
+
 @pytest.fixture(scope="session")
 def quarter_circle_map():
     """Realized map for the radius-2 quarter circle, k_max = 5 (shared)."""

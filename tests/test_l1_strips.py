@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import wavy_map
 from qcmaps import kernels
 from qcmaps import realizer as rz
 from qcmaps.canonical_maps import (
@@ -98,15 +99,6 @@ def test_map_checks_whole_batch_first(monkeypatch, name):
             f(y)
 
 
-def _wavy_map():
-    """The realized map of 12 waypoints on r = 2 + 0.3 sin 2 theta, k_max 3:
-    30 interpolation shells among its 63."""
-    th = np.linspace(0.0, np.pi / 2, 12)
-    r = 2.0 + 0.3 * np.sin(2.0 * th)
-    w = np.stack([r * np.cos(th), r * np.sin(th), np.zeros_like(th)], axis=1)
-    return rz.build_map(rz.plan_paths(rz.TargetSet(waypoints=w), 3), n=3)
-
-
 def test_mean_radius_starts_no_thread(monkeypatch):
     # the orbit's 6000 interpolation radii make 750 quadrature blocks, which
     # run inline on the calling thread even with CPUs to spare, and give
@@ -117,7 +109,7 @@ def test_mean_radius_starts_no_thread(monkeypatch):
         raise AssertionError("mean_radius_batch started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    rm = _wavy_map()
+    rm = wavy_map()
     t = rz.default_orbit_times(rm)
     idx = rz._locate(rm, t)
     ref = np.empty_like(t)

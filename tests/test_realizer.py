@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circle_waypoints
+from conftest import circle_waypoints, wavy_map
 from qcmaps import realizer as rz
 from qcmaps.canonical_maps import (
     InterpSpec,
@@ -551,7 +551,7 @@ class TestMeanRadius:
             nu[-1] = 0.0  # the inner sphere
         return nu
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("count", ["one", "block-1", "block+1", "199"])
     def test_blocked_quadrature_matches_unblocked(self, n, count):
         def unblocked_mean_pow(piece, nu):
@@ -611,6 +611,48 @@ class TestMeanRadius:
         assert abs(rho - rho_mc) / rho_mc <= 1e-2
 
 
+def _raise_recording_buffer(seen):
+    """A stand-in for a numpy call or a generator in a scoped loop: it
+    records numpy's ufunc buffer size and raises."""
+
+    def boom(*args, **kwargs):
+        seen.append(np.getbufsize())
+        raise RuntimeError("raised inside the scoped loop")
+
+    return boom
+
+
+class TestRowBuffer:
+    # the quadrature and the Hausdorff scan set numpy's ufunc buffer for
+    # their blocks only, and give the caller's size back even when one raises
+
+    def test_quadrature_restores_buffer(self, mixed_map, monkeypatch):
+        r = rz.default_orbit_times(mixed_map, per_piece=20)
+        before = np.getbufsize()
+        assert before != rz._ROW_BUFFER
+        rz.mean_radius_batch(mixed_map, r)
+        assert np.getbufsize() == before
+        seen = []
+        monkeypatch.setattr(np, "exp", _raise_recording_buffer(seen))
+        with pytest.raises(RuntimeError, match="scoped loop"):
+            rz.mean_radius_batch(mixed_map, r)
+        assert seen == [rz._ROW_BUFFER]
+        assert np.getbufsize() == before
+
+    def test_hausdorff_scan_restores_buffer(self, monkeypatch):
+        a, b, starts = _staircase(3)
+        before = np.getbufsize()
+        assert before != rz._ROW_BUFFER
+        rz.hausdorff_by_suffix(a, b, starts)
+        assert np.getbufsize() == before
+        seen = []
+        monkeypatch.setattr(rz, "_kept_rows", _raise_recording_buffer(seen))
+        with pytest.raises(RuntimeError, match="scoped loop"):
+            rz.hausdorff_by_suffix(a, b, starts)
+        assert seen == [rz._ROW_BUFFER]
+        assert np.getbufsize() == before
+
+
 def _gamma(rm, t_values):
     """The orbit curve gamma(t) = f(t e_1) / rho_f(t) at each t."""
     return rz.orbit_table(rm, t_values)["gamma"]
@@ -664,6 +706,40 @@ class TestOrbit:
         ts = rz.default_orbit_times(rm, per_piece=60)
         radii = np.linalg.norm(_gamma(rm, ts), axis=1)
         assert radii.min() >= 1.0 / 2.5 and radii.max() <= 2.5
+
+
+    @staticmethod
+    def _per_shell_times(rm, per_piece):
+        # one np.geomspace per shell: the reference for default_orbit_times
+        ts = [np.geomspace(2.0 * rm.r_start, rm.r_start, 4, endpoint=False)]
+        for p in rm.pieces:
+            ts.append(np.geomspace(p.r_out, p.r_in, per_piece, endpoint=False))
+        ts.append(np.array([rm.r_end]))
+        return np.concatenate(ts)
+
+    @pytest.mark.parametrize("per_piece", [1, 2, 3, 200, 10000])
+    @pytest.mark.parametrize("name", ["arc", "wavy", "4-D", "one shell"])
+    def test_orbit_times_match_per_shell_grids(self, orbit_maps, name, per_piece):
+        rm = orbit_maps[name]
+        got = rz.default_orbit_times(rm, per_piece=per_piece)
+        assert got.size == 5 + len(rm.pieces) * per_piece
+        assert np.array_equal(got, self._per_shell_times(rm, per_piece))
+
+
+@pytest.fixture(scope="module")
+def orbit_maps(quarter_circle_map):
+    """The quarter-circle and wavy-target maps, a 4-D arc map and a
+    one-shell map."""
+    maps = {
+        "arc": quarter_circle_map[0],
+        "wavy": wavy_map(),
+        "4-D": rz.build_map(
+            rz.plan_paths(rz.TargetSet(waypoints=circle_waypoints(n=4)), 2), n=4
+        ),
+        "one shell": rz.build_map([[rz.RadialSegment(1.0, 2.0, E1)]]),
+    }
+    assert len(maps["one shell"].pieces) == 1
+    return maps
 
 
 class TestHausdorff:
