@@ -707,7 +707,6 @@ class TestOrbit:
         radii = np.linalg.norm(_gamma(rm, ts), axis=1)
         assert radii.min() >= 1.0 / 2.5 and radii.max() <= 2.5
 
-
     @staticmethod
     def _per_shell_times(rm, per_piece):
         # one np.geomspace per shell: the reference for default_orbit_times
