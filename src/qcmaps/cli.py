@@ -3,7 +3,8 @@
 Subcommands:
 
 - ``verify {zorich,stretch,interp,spiral,bilipschitz}``: run the named grid
-  suite, write a structured JSON report, exit 0 iff every bound holds.
+  suite with the flags ``RunConfig`` declares, write a structured JSON
+  report, exit 0 iff every bound holds.
 - ``realize TARGET.json``: plan paths to the target polyline, assemble the
   shell map, sample the orbit curve; writes ``<out>.orbit.csv`` and
   ``<out>.summary.json``.
@@ -11,7 +12,8 @@ Subcommands:
   values; writes ``<out>.probe.csv`` and ``<out>.summary.json`` with the
   max pairwise slice distance.
 
-Reports are deterministic for a fixed seed.
+Each command prints its report after writing its files, and exits 1 naming
+a file it cannot write.  Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -86,8 +88,10 @@ def _alpha_value(alpha, name):
 class RunConfig(cm._record(
     "RunConfig", "dimension K L alpha grid tol seed samples bound"
 )):
-    """Knobs shared by the verification suites; `bound` overrides the suite
-    bound (negative controls)."""
+    """Knobs shared by the verification suites, and the one declaration of
+    the ``verify`` flags: field f is ``--f`` (``--dim`` for `dimension`),
+    with f's default and its type (float for `bound`).  `bound` overrides the
+    suite bound (negative controls); `alpha` is kept as 'auto' or a float."""
 
     __slots__ = ()
 
@@ -98,7 +102,7 @@ class RunConfig(cm._record(
                 raise QcmapsError(f"{name} must be finite")
         if bound is not None and not np.isfinite(bound):
             raise QcmapsError("bound must be finite")
-        _alpha_value(alpha, "alpha")
+        alpha = _alpha_value(alpha, "alpha")
         if samples < 1:
             raise QcmapsError("samples must be at least 1")
         if samples > MAX_SAMPLES:
@@ -298,10 +302,9 @@ def _spiral_samples(rng, m, n, alpha, margin=1e-3):
 def _suite_spiral(cfg):
     n, k = cfg.dimension, cfg.K
     grids = cm.certification_grids(n, cfg.grid)
-    if cfg.alpha == "auto":
+    alpha = cfg.alpha
+    if alpha == "auto":
         alpha = cm.select_alpha(k, n, grid=cfg.grid)
-    else:
-        alpha = float(cfg.alpha)
     checks = []
 
     dets, where = zip(*(cm.spiral_jacobian_scan(k, n, alpha, g) for g in grids))
@@ -335,8 +338,7 @@ def _suite_spiral(cfg):
 
 
 def _suite_bilipschitz(cfg):
-    res = max(cfg.grid, 100)
-    ax = np.linspace(-HALF_PI, HALF_PI, res)
+    ax = np.linspace(-HALF_PI, HALF_PI, cfg.grid)
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     keep = (gx >= np.abs(gy)) & (gx > 0)
     xs, ys = gx[keep], gy[keep]
@@ -365,43 +367,37 @@ def _suite_bilipschitz(cfg):
     ]
 
 
-SUITES = ("zorich", "stretch", "interp", "spiral", "bilipschitz")
+SUITES = {
+    "zorich": _suite_zorich,
+    "stretch": _suite_stretch,
+    "interp": _suite_interp,
+    "spiral": _suite_spiral,
+    "bilipschitz": _suite_bilipschitz,
+}
+BILIPSCHITZ_GRID = 200  # least points a side that the bilipschitz suite scans
 
 
 def run_verify(suite, cfg):
-    """Run one verification suite; returns the report dict."""
+    """Run one verification suite; returns the report dict, whose ``config``
+    is `cfg` as run: a bilipschitz grid is raised to ``BILIPSCHITZ_GRID``."""
     if suite not in SUITES:
         raise QcmapsError(f"unknown suite {suite!r}")
+    if suite == "bilipschitz":
+        cfg = cfg._replace(grid=max(cfg.grid, BILIPSCHITZ_GRID))
+    checks = SUITES[suite](cfg)
     extra = {}
-    if suite == "zorich":
-        checks = _suite_zorich(cfg)
-    elif suite == "stretch":
-        checks = _suite_stretch(cfg)
-    elif suite == "interp":
-        checks = _suite_interp(cfg)
-    elif suite == "spiral":
-        checks, alpha = _suite_spiral(cfg)
+    if suite == "spiral":
+        checks, alpha = checks
         extra["alpha"] = float(alpha)
-    else:
-        checks = _suite_bilipschitz(cfg)
-    report = {
+    config = cfg._asdict()
+    config["bound_override"] = config.pop("bound")
+    return {
         "suite": suite,
-        "config": {
-            "dimension": cfg.dimension,
-            "K": cfg.K,
-            "L": cfg.L,
-            "alpha": cfg.alpha if isinstance(cfg.alpha, str) else float(cfg.alpha),
-            "grid": cfg.grid,
-            "tol": cfg.tol,
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "bound_override": cfg.bound,
-        },
+        "config": config,
         **extra,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    return report
 
 
 # =====================================================================
@@ -518,16 +514,11 @@ def run_realize(target, k_max, samples):
         tips /= realizer.mean_radius_batch(rm, r)[:, None]
         errs = [float(np.linalg.norm(d)) for d in tips - u[:, None] * sig]
     poly = realizer._polyline_samples(target.waypoints, target.closed)
-    # t decreases along the table, so each sweep's samples t <= its start
-    # radius form a suffix; one pass over the orbit serves every sweep.
+    # t strictly decreases along the table, so each sweep's samples t <= its
+    # start radius form a suffix; one pass over the orbit serves every sweep.
     sweeps = sorted({p.sweep for p in rm.pieces})
-    starts = []
-    for k in sweeps:
-        tail = table["t"] <= rm.sweep_start_radius(k) * (1 + 1e-12)
-        start = tail.size - int(np.count_nonzero(tail))
-        if not tail[start:].all():
-            raise QcmapsError(f"orbit samples of sweep {k} are not a suffix")
-        starts.append(start)
+    limits = [rm.sweep_start_radius(k) * (1 + 1e-12) for k in sweeps]
+    starts = np.searchsorted(-table["t"], np.negative(limits))
     haus = dict(zip(sweeps, realizer.hausdorff_by_suffix(gamma, poly, starts)))
     radii = np.linalg.norm(gamma, axis=1)
     summary = {
@@ -644,15 +635,10 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
-    pv.add_argument("--dim", type=int, default=3)
-    pv.add_argument("--K", type=float, default=2.0)
-    pv.add_argument("--L", type=float, default=3.0)
-    pv.add_argument("--alpha", default="auto")
-    pv.add_argument("--grid", type=int, default=33)
-    pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--samples", type=int, default=1000)
-    pv.add_argument("--bound", type=float, default=None)
+    for field, default in RunConfig()._asdict().items():
+        flag = "--dim" if field == "dimension" else f"--{field}"
+        pv.add_argument(flag, dest=field, metavar=flag[2:].upper(), default=default,
+                        type=float if default is None else type(default))
     pv.add_argument("--out", default=None)
 
     pr = sub.add_parser("realize", help="realize a target polyline")
@@ -676,57 +662,51 @@ def _build_parser():
     return ap
 
 
+def _write_outputs(report, path=None, table=None):
+    """Write the CSV `table` (``_write_csv``'s arguments), then `report` to
+    `path`, each if given, and print the report.  A file that cannot be
+    written ends in a QcmapsError naming it, before anything is printed."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    name = None
+    try:
+        if table is not None:
+            name = table[0]
+            _write_csv(*table)
+        if path:
+            name = path
+            Path(path).write_text(text + "\n")
+    except OSError as exc:
+        raise QcmapsError(f"cannot write {name}: {exc.strerror or exc}") from exc
+    print(text)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            bilip_default = 200
-            cfg = RunConfig(
-                dimension=args.dim,
-                K=args.K,
-                L=args.L,
-                alpha=args.alpha,
-                grid=args.grid if args.suite != "bilipschitz" else max(args.grid, bilip_default),
-                tol=args.tol,
-                seed=args.seed,
-                samples=args.samples,
-                bound=args.bound,
-            )
+            cfg = RunConfig._make(getattr(args, field) for field in RunConfig._fields)
             report = run_verify(args.suite, cfg)
-            text = json.dumps(report, indent=2, sort_keys=True)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            print(text)
+            _write_outputs(report, args.out)
             return 0 if report["passed"] else 1
 
         if args.command == "realize":
             target = load_target(args.target)
             table, summary, rm = run_realize(target, args.kmax, args.samples)
-            n = rm.n
-            header = ["t"] + [f"y_{i + 1}" for i in range(n)] + ["piece_index", "rho"]
+            n, kind = rm.n, "orbit"
+            header = ["t", *(f"y_{i + 1}" for i in range(n)), "piece_index", "rho"]
             columns = [table["t"], *table["gamma"].T, table["piece"], table["rho"]]
             row_format = ",".join(["%.17g"] * (n + 1) + ["%d", "%.17g"])
-            _write_csv(f"{args.out}.orbit.csv", header, columns, row_format)
-            Path(f"{args.out}.summary.json").write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            )
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return 0
-
-        if args.command == "probe":
-            table, summary = run_probe(args)
-            header = ["t", "direction"] + [f"y_{i + 1}" for i in range(args.dim)]
-            row_format = ",".join(["%.17g", "%d"] + ["%.17g"] * args.dim)
-            _write_csv(f"{args.out}.probe.csv", header, table, row_format)
-            Path(f"{args.out}.summary.json").write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            )
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            return 0
+        else:
+            columns, summary = run_probe(args)
+            n, kind = args.dim, "probe"
+            header = ["t", "direction", *(f"y_{i + 1}" for i in range(n))]
+            row_format = ",".join(["%.17g", "%d"] + ["%.17g"] * n)
+        table = (f"{args.out}.{kind}.csv", header, columns, row_format)
+        _write_outputs(summary, f"{args.out}.summary.json", table)
+        return 0
     except QcmapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":

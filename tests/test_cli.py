@@ -115,6 +115,13 @@ _FINITE_ALPHA = "alpha must be 'auto' or a finite number"
             ("spiral", "dim", "6", "spiral certification is capped at dimension 5"),
             ("interp", "dim", "8", "the pyramid grid at --dim 8"),
         )
+    ]
+    # run_verify raises a bilipschitz grid to its floor after RunConfig has
+    # checked it, so a grid below 8 is refused there as for every suite
+    + [
+        pytest.param("bilipschitz", "grid", v, "grid resolution must be at least 8",
+                     id=f"{v}-grid-bilipschitz")
+        for v in ("5", "0", "-5")
     ],
 )
 def test_verify_rejects_nonfinite_parameters(
@@ -144,7 +151,62 @@ def test_verify_rejects_nonfinite_bound(capsys, value):
 
 def test_tol_default_shared():
     assert RunConfig().tol == DEFAULT_TOL == 1e-12
-    assert _build_parser().parse_args(["verify", "zorich"]).tol == DEFAULT_TOL
+    args = _build_parser().parse_args(["verify", "zorich"])
+    assert args.tol == DEFAULT_TOL
+    # RunConfig declares the verify flags: the parser's dests are its fields,
+    # and their defaults are its defaults, type included
+    assert set(vars(args)) == {*RunConfig._fields, "command", "suite", "out"}
+    for field, default in RunConfig()._asdict().items():
+        value = getattr(args, field)
+        assert (value, type(value)) == (default, type(default)), field
+
+
+@pytest.mark.parametrize("alpha, value", [("0.25", 0.25), ("1e0", 1.0), ("auto", "auto")])
+def test_verify_config_records_alpha_as_run(tmp_path, alpha, value):
+    # config.alpha is the rate as parsed, 'auto' or a number, not the flag's text
+    assert RunConfig(alpha=alpha).alpha == value
+    out = tmp_path / "spiral.json"
+    main(["verify", "spiral", "--alpha", alpha, "--grid", "9", "--samples", "100",
+          "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["config"]["alpha"] == value
+    assert type(report["config"]["alpha"]) is type(value)
+    if value != "auto":
+        assert report["alpha"] == value
+
+
+@pytest.mark.parametrize("flags", [[], ["--grid", "40"], ["--grid", "250"]])
+def test_verify_bilipschitz_library_report_matches_cli(tmp_path, flags):
+    # the grid floor is applied once, in run_verify: the library call and
+    # the command scan the same grid, and both report it
+    out = tmp_path / "b.json"
+    assert main(["verify", "bilipschitz", *flags, "--out", str(out)]) == 0
+    cfg = RunConfig(**({"grid": int(flags[1])} if flags else {}))
+    report = cli.run_verify("bilipschitz", cfg)
+    assert json.loads(out.read_text()) == report
+    assert report["config"]["grid"] == max(cfg.grid, cli.BILIPSCHITZ_GRID)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "zorich", "--samples", "10"],
+        ["realize", "TARGET", "--kmax", "1", "--samples", "5"],
+        ["probe", "--map", "stretch", "--t", "1,0.1", "--grid", "8"],
+    ],
+    ids=["verify", "realize", "probe"],
+)
+def test_out_in_missing_directory_is_refused(tmp_path, capsys, quarter_target, argv):
+    # the write fails after the computation: one error line naming the file,
+    # exit 1, nothing printed and nothing written
+    argv = [str(quarter_target) if a == "TARGET" else a for a in argv]
+    out = tmp_path / "missing" / "x"
+    code = main(argv + ["--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_verify_negative_control(tmp_path):

@@ -723,6 +723,9 @@ class TestOrbit:
         got = rz.default_orbit_times(rm, per_piece=per_piece)
         assert got.size == 5 + len(rm.pieces) * per_piece
         assert np.array_equal(got, self._per_shell_times(rm, per_piece))
+        # realize takes each sweep's samples, t <= its start radius, as the
+        # suffix that one np.searchsorted over -t finds
+        assert np.all(np.diff(got) < 0)
 
 
 @pytest.fixture(scope="module")
