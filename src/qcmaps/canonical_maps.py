@@ -31,12 +31,17 @@ certifies the floor 2^{-(n+1)/2} from that form on the two grids of
 ``_SpiralGrid``, built by one walk and cached for the two grids built last:
 its phases, its chart points with a kept phase, their phase-major
 keep-mask and the closed-form factors.  ``spiral_jacobian_scan`` reads the
-same grid but computes the determinants directly, without the closed form:
-it takes the phase-free part of each Jacobian once per chart point,
-assembles the rest entry by entry over a (phase, chart) grid of pairs, with
-the entries of ``kernels.spiral_jac_batch``, screens every determinant with
-a Laplace expansion and its rounding bound, and calls LAPACK only on the
-pairs the screen keeps as candidates for the minimum.
+same grid and reports LAPACK's determinants, using the closed form only to
+choose the pairs it factors: at a nonzero rate it skips every chart point
+whose closed form lies more than twice a derived rounding margin above the
+grid's least one, since none of its pairs can hold the minimum.  On the
+chart points it keeps, it takes the phase-free part of each Jacobian once
+per chart point, assembles the rest entry by entry over a (phase, chart)
+grid of pairs, with the entries of ``kernels.spiral_jac_batch``, screens
+every determinant with a Laplace expansion and its rounding bound, and
+calls LAPACK only on the pairs the screen keeps as candidates for the
+minimum.  The tests check its result against LAPACK over every kept pair,
+which does not use the closed form.
 """
 
 from __future__ import annotations
@@ -362,17 +367,20 @@ def interp_shift_batch(xb, xn, spec):
 GRID_BAND = 1e-3
 # The largest dimension whose spiral rate is certified: the grids hold
 # 13^(n-1) and 25^(n-1) chart points above n = 3, 390625 at n = 5, and the
-# refinement scan takes 25 phases of each; n = 6 would take 25^6 pairs.
+# refinement's walk rotates 25 phases of each; n = 6 would walk 25^6 pairs
+# and cache about 0.9 GB of grid.
 MAX_SPIRAL_DIM = 5
 _ALPHA_CACHE: dict = {}
 # Grid reductions work in blocks of this many elements: about this many
 # (phase, chart) pairs per block of the ``_spiral_grid`` walk, chart points
 # per block of its phase-free terms and of the scan's chart terms, and at
 # most this many pairs per Jacobian assembly of ``spiral_jacobian_scan``.
-# The warm scan at K = 2 and its certified rate with 2^11 / 2^12 / 2^13 /
-# 2^14 pairs (2-vCPU Xeon, medians of 7, three rounds): 50-63 / 46-47 /
-# 37-40 / 39-43 ms at n = 3, res 65 and 128-131 / 94-101 / 85-98 / 94-102 ms
-# at n = 4, res 25.
+# The size matters for the grid walk: a cold build with 2^11 / 2^12 / 2^13 /
+# 2^14 pairs (2-vCPU Xeon, medians of 7, two rounds) takes 7.8-13 / 5.2-5.9
+# / 4.4-4.5 / 3.8-4.2 ms at n = 3, res 65, 14 / 10 / 7.6-7.7 / 7.1-7.7 ms at
+# n = 4, res 25 and, medians of 3, 369-371 / 270-274 / 215-223 / 199-224 ms
+# at n = 5, res 25.  The warm scan at K = 2 and its certified rate assembles
+# two chart points and takes 0.3-0.5 ms at n = 3 and 4 at every size.
 _BLOCK = 2 ** 13
 
 
@@ -449,7 +457,9 @@ class _SpiralGrid(_record("_SpiralGrid", "phases coords keep power h ssq")):
 @functools.lru_cache(maxsize=2)
 def _spiral_grid(n, res):
     """The _SpiralGrid of resolution res: one walk, shared by the rate
-    search (``select_alpha``) and the direct scan (``spiral_jacobian_scan``).
+    search (``select_alpha``) and the direct scan (``spiral_jacobian_scan``),
+    which reads the closed-form factors only to choose the chart points it
+    factors with LAPACK.
 
     The walk takes the res^{n-1} chart points in row order, in blocks of
     about ``_BLOCK`` (phase, chart) pairs, and each block forms its chart
@@ -467,8 +477,9 @@ def _spiral_grid(n, res):
     certification's coarse grid and its refinement, until a third grid is
     built or the process exits: n + 2 floats and res flags per chart point
     of the grid, about 32 MB at n = 5 and res 25 and under 1 MB at the n = 3
-    and 4 grids.  The scan cuts the arrays into blocks of ``_BLOCK`` when it
-    reads them, so its blocks follow the current ``_BLOCK``.
+    and 4 grids.  The scan takes the chart points it keeps in blocks of
+    ``_BLOCK`` when it reads them, so its blocks follow the current
+    ``_BLOCK``.
     """
     if res < 8:
         raise InvalidInputError("grid resolution must be at least 8")
@@ -508,19 +519,83 @@ def _spiral_grid(n, res):
     )
 
 
+def _scan_margin(n, K, alpha):
+    """M = 2^10 n eps r^{n-1} l, the bound on |LAPACK det - closed form| at
+    a kept pair derived in ``spiral_jacobian_scan``; +inf where it overflows."""
+    r = 5.0 + TWO_PI * abs(alpha)
+    ell = 1.0 + (K * K - 1.0) * (3.0 + 2.0 * np.sqrt(n - 1.0)) / 2.0
+    with np.errstate(over="ignore"):
+        return 2.0 ** 10 * n * np.finfo(float).eps * np.float64(r) ** (n - 1) * ell
+
+
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
     Direct LAPACK determinants of fully assembled Jacobians at the kept
-    points of ``_spiral_grid``, independent of the closed-form factors
-    ``select_alpha`` certifies with and of its cache.  Per block of
-    ``_BLOCK`` chart points, the phase-free terms of
-    ``kernels._spiral_chart_terms`` are computed once per chart point.  A
-    sub-block of about ``_BLOCK`` (chart, phase) pairs is laid out phase-major
-    as (phase, chart): the chart terms enter as (1, k) rows and cos and sin
-    as (P, 1) columns, and ``kernels._spiral_jac_assemble`` broadcasts them
-    to the (n, n, P, k) entries ``kernels.spiral_jac_batch`` gives, so no
-    term is copied out to the pairs.
+    pairs of ``_spiral_grid``: the first minimum in row order over every
+    kept pair, bit for bit.  The closed form ``_closed_form_det`` only
+    chooses the chart points whose pairs are assembled; the tests check the
+    result against LAPACK over every kept pair, which does not use it.
+
+    At alpha != 0 the closed form first picks the chart points to factor.
+    Per chart point, F = 1 - alpha coef(K) h is its phase-free factor and
+    cf = power F its value at the kept phase where d is largest; T is that
+    value in exact arithmetic, and c0 = min cf over the grid.  Let e1 bound
+    |LAPACK det - exact closed form| at every kept pair and e2 bound
+    |cf - T|, and M >= e1 + 2 e2 (below).  Then LAPACK's minimum is at most
+    c0 + e1 + e2 <= c0 + M.  Where F >= 0, the exact closed form is at
+    least T at every kept phase, as d is at most its largest; a computed
+    F >= 0 whose exact value is negative is within e2 of 0, so there it is
+    at least T - e2.  So a chart point with F >= 0 and cf > c0 + 2M has
+    LAPACK dets above cf - 2 e2 - e1 > c0 + M at all its kept pairs, cannot
+    hold the minimum, and is skipped.  The chart points left, every one with
+    F < 0 (where the min over phases is not power F) among them, keep their
+    row order.  Where M overflows, no chart point is skipped, nor is one
+    whose cf or F is NaN.  At alpha = 0 nothing is skipped: `power` is taken
+    over the grid's phases, not phase 0.
+
+    The margin is M = 2^10 n eps r^{n-1} l (``_scan_margin``), with eps the
+    float64 epsilon, r = 5 + 2 pi |alpha| and
+    l = 1 + (K^2 - 1)(3 + 2 sqrt(n - 1)) / 2.  The reference at a kept pair
+    is the Jacobian at the grid's phase in exact arithmetic, but with the
+    scan's float last row (coef(K) grad(s^2), 1); its exact det is the
+    closed form with h taken against that row.  That row and the grid's h
+    share the floats s^2 and g of ``kernels._spiral_ssq`` at the chart
+    point, so the rounding of g = K^2 - (K^2 - 1) s^2, which K^2 / g
+    amplifies, is common to both and drops out.
+
+    - Row bounds, a priori.  With |w_i / d| <= 1, m / d <= sqrt(2) and
+      d <= pi / sqrt(2), the magnitudes of the terms that
+      ``kernels._spiral_jac_assemble`` adds up in a chart row sum to at
+      most 2 (2 + pi |alpha|) + 1 = r.  With g >= 1, coef(K) <=
+      (K^2 - 1) / 2; s^2 <= sin^2 m <= m <= rho and |x_1| <= rho bound
+      |grad(s^2)|_1 by 3 + 2 sqrt(n - 1), so the last row sums to at most
+      l.  So P = r^{n-1} l bounds the product of the rows' term sums, and
+      so the permanent of |J|.  Also |y|_inf <= 2 m <= pi gives |F| <= r l,
+      and power <= 2^{(n-1)/2} <= r^{n-2}.
+    - e1, LAPACK's rounding: at most c n eps P, c = ``kernels._LAPLACE_C``,
+      the model of ``kernels._laplace_det``'s bound.
+    - e1, entry rounding and the phase gap: each chart entry is a handful
+      of roundings from its exact value; cos and sin are within an ulp; the
+      scan's phase alpha (phase / alpha) is within 2 ulps of a grid phase
+      below 2 pi, which moves cos and sin by at most 2 pi eps; so w and d
+      move by about 20 eps d, and each entry by at most 2^8 eps times its
+      terms' sum.  That moves the determinant by at most 2^8 n eps P, up to
+      a factor 1 + 2^-40.  So e1 = (c + 2^8) n eps P.
+    - e2, the closed form: the grid's d, so power, is within about 20 n eps
+      of its exact value, relative, and F within 2^5 eps (1 + |alpha coef h|
+      term by term), absolute; with the row bounds, e2 = 2^5 n eps P.
+
+    e1 + 2 e2 is about 330 n eps P; M takes 2^10 n eps P.
+
+    On the kept chart points, per block of ``_BLOCK`` of them, the
+    phase-free terms of ``kernels._spiral_chart_terms`` are computed once
+    per chart point.  A sub-block of about ``_BLOCK`` (chart, phase) pairs
+    is laid out phase-major as (phase, chart): the chart terms enter as
+    (1, k) rows and cos and sin as (P, 1) columns, and
+    ``kernels._spiral_jac_assemble`` broadcasts them to the (n, n, P, k)
+    entries ``kernels.spiral_jac_batch`` gives, so no term is copied out to
+    the pairs.
 
     ``kernels._laplace_det`` screens every pair with a determinant S and a
     bound b on |S - LAPACK's det|; an unkept pair gets S = +inf and does not
@@ -538,35 +613,43 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     worst point's last coordinate converted back from phase to x_n.  At
     alpha = 0 the Jacobian does not depend on x_n, so each chart point is
     evaluated once, at the single phase 0 and x_n = 0: its kept phases all
-    give the same entries.
+    give the same entries.  A nonzero rate with 2 pi / alpha not finite is
+    refused: its x_n = phase / alpha would overflow.
     """
     _require_stretch_factor(K)
     if n < 3:
         raise InvalidInputError("dimension must be at least 3")
     if not np.isfinite(alpha):
         raise InvalidInputError("spiral rate must be finite")
+    K, alpha = float(K), float(alpha)
+    if alpha != 0 and not np.isfinite(TWO_PI / alpha):
+        raise InvalidInputError(
+            f"spiral rate {alpha!r} is too small: 2 pi / alpha is not finite")
     if grid is None:
         grid = certification_grids(n)[0]
-    K, alpha = float(K), float(alpha)
     sg = _spiral_grid(n, grid)
     if alpha == 0:
         # every chart point of the grid has a kept phase
-        xn, keep = np.zeros(1), np.ones((1, sg.power.size), dtype=bool)
+        xn, keep, coords = np.zeros(1), np.ones((1, sg.power.size), dtype=bool), sg.coords
     else:
-        xn, keep = sg.phases / alpha, sg.keep
+        factor = _closed_form_det(1.0, sg.h, sg.ssq, K, alpha)
+        cf = sg.power * factor
+        skip = (factor >= 0) & (cf > cf.min() + 2.0 * _scan_margin(n, K, alpha))
+        charts = np.flatnonzero(~skip)
+        xn, keep, coords = sg.phases / alpha, sg.keep[:, charts], sg.coords[:, charts]
     phase = alpha * xn
     cos, sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
     nph = len(xn)
     step = max(1, _BLOCK // nph)
     worst = np.inf
     worst_pt = None
-    for lo in range(0, sg.power.size, _BLOCK):
-        coords = sg.coords[:, lo:lo + _BLOCK]
-        terms = kernels._spiral_chart_terms(coords, K)
-        for a in range(0, coords.shape[1], step):
-            b = min(a + step, coords.shape[1])
+    for lo in range(0, coords.shape[1], _BLOCK):
+        block = coords[:, lo:lo + _BLOCK]
+        terms = kernels._spiral_chart_terms(block, K)
+        for a in range(0, block.shape[1], step):
+            b = min(a + step, block.shape[1])
             jac = kernels._spiral_jac_assemble(
-                coords[:, None, a:b], cos, sin, alpha, *(t[..., None, a:b] for t in terms)
+                block[:, None, a:b], cos, sin, alpha, *(t[..., None, a:b] for t in terms)
             )
             screen, bound = kernels._laplace_det(jac)
             mask = keep[:, lo + a:lo + b]
@@ -581,7 +664,7 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
             k = np.lexsort((ch * nph + ph, dets))[0]
             if dets[k] < worst:
                 worst = float(dets[k])
-                worst_pt = np.append(coords[:, a + ch[k]], xn[ph[k]])
+                worst_pt = np.append(block[:, a + ch[k]], xn[ph[k]])
     return worst, worst_pt
 
 
@@ -614,7 +697,9 @@ def select_alpha(K, n, orientation=1, grid=None):
     d <= sqrt(2) m, the alpha-free part (m/d)^{n-1} is at least
     2^{-(n-1)/2}, above the floor, so the search always terminates.
     ``spiral_jacobian_scan`` checks the same determinants with LAPACK, on
-    the pairs its entry-wise screen keeps as candidates for the minimum.
+    the chart points this form puts within its rounding margin of the
+    minimum, and there on the pairs its entry-wise screen keeps as
+    candidates for the minimum.
     """
     _require_stretch_factor(K)
     if n < 3:

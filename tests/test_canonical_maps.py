@@ -491,13 +491,20 @@ class TestSelectAlpha:
             (2.0, 2, 0.25),
             (2.0, 3, np.nan),
             (2.0, 3, np.inf),
+            (2.0, 3, 1e-320),
         ],
-        ids=["nan-K", "inf-K", "K-below-1", "n-2", "nan-alpha", "inf-alpha"],
+        ids=["nan-K", "inf-K", "K-below-1", "n-2", "nan-alpha", "inf-alpha", "subnormal-alpha"],
     )
     def test_scan_rejects_bad_input(self, K, n, alpha):
         # validated as select_alpha does, before any grid is walked
         with pytest.raises(InvalidInputError):
             spiral_jacobian_scan(K, n, alpha, 17)
+
+    def test_scan_margin_overflows_to_inf(self):
+        # at --alpha 1e100 and n = 5, r^{n-1} overflows: the margin is +inf,
+        # with no warning, so the scan skips no chart point
+        assert cm._scan_margin(5, 2.0, 1e100) == np.inf
+        assert np.isfinite(cm._scan_margin(5, 2.0, 1e50))
 
     @staticmethod
     def _check_scan(n, res, alpha, factors=(1.0, 2.0, 12.0)):
@@ -557,6 +564,35 @@ class TestSelectAlpha:
         # minimum among them
         self._check_scan(n, res, select_alpha(K, n), factors=(K,))
 
+    @pytest.mark.parametrize(
+        "n, res, K, alpha, negative",
+        [
+            # rates at which the certificate is tight
+            (3, 33, 6.1109, 0.25, False),
+            (3, 65, 6.1109, 0.25, False),
+            (4, 13, 3.49, 0.5, False),
+            (4, 25, 3.49, 0.5, False),
+            # 4x the certified rate (8x for the last): 1 - alpha coef(K) h < 0
+            # on some chart points, which the prefilter always keeps; at the
+            # first and the last, one of them holds the minimum with a
+            # closed form cf far above the least
+            (3, 33, 6.1109, 1.0, True),
+            (4, 13, 2.0, 2.0, True),
+            (5, 9, 2.0, 4.0, True),
+            # negative rates
+            (3, 65, 3.0, -0.25, False),
+            (4, 25, 6.1109, -0.25, False),
+            (5, 9, 40.0, -0.0625, False),
+        ],
+    )
+    def test_prefilter_matches_per_row_reference(self, monkeypatch, n, res, K, alpha, negative):
+        # the chart points the closed form skips cannot hold LAPACK's first
+        # minimum, across blocks of about 100 chart points and pairs
+        grid = cm._spiral_grid(n, res)
+        assert np.any(cm._closed_form_det(1.0, grid.h, grid.ssq, K, alpha) < 0) == negative
+        monkeypatch.setattr(cm, "_BLOCK", 100)
+        self._check_scan(n, res, alpha, factors=(K,))
+
     @pytest.mark.parametrize("n, res", [(3, 65), (4, 25)])
     def test_scan_matches_reference_at_zero_rate(self, monkeypatch, n, res):
         # verify spiral --alpha 0: det = 1 at every pair up to rounding, so
@@ -586,22 +622,43 @@ class TestSelectAlpha:
         self._check_scan(n, res, 0.25)
 
     def test_scan_calls_lapack_on_candidates_only(self, monkeypatch):
-        # a sub-block whose screened minimum lies above the running worst
-        # makes no LAPACK call, and the others pass only near-minimal pairs
-        screens, calls = [], []
-        screen, det = kernels._laplace_det, np.linalg.det
+        # at K = 2 and its certified rate, on the grids verify spiral walks,
+        # the closed form leaves at most 1% of each grid's kept pairs to
+        # assemble, and the screen passes LAPACK only near-minimal pairs.
+        # Each grid keeps two chart points, 26 to 130 pairs, with two
+        # LAPACK candidates, so the LAPACK share is taken over all four.
+        assembled, screens, calls = [], [], []
+        assemble, screen, det = kernels._spiral_jac_assemble, kernels._laplace_det, np.linalg.det
+
+        def counted(*args):
+            jac = assemble(*args)
+            assembled.append(jac[0, 0].size)
+            return jac
+
+        monkeypatch.setattr(kernels, "_spiral_jac_assemble", counted)
         monkeypatch.setattr(
             kernels, "_laplace_det", lambda jac: screens.append(jac[0, 0].size) or screen(jac))
         monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
+        for n, res in ((3, 33), (3, 65), (4, 13), (4, 25)):
+            alpha = select_alpha(2.0, n)
+            assembled.clear()
+            spiral_jacobian_scan(2.0, n, alpha, res)
+            assert 0 < sum(assembled) <= np.count_nonzero(cm._spiral_grid(n, res).keep) / 100
+        assert 0 < sum(calls) < sum(screens) / 20
+        # at 4x the certified rate every chart point with 1 - alpha coef(K) h
+        # < 0 is kept, over several sub-blocks of about 100 pairs: one whose
+        # screened minimum lies above the running worst makes no LAPACK call
         monkeypatch.setattr(cm, "_BLOCK", 100)
-        spiral_jacobian_scan(2.0, 3, 0.25, 17)
+        screens.clear()
+        calls.clear()
+        spiral_jacobian_scan(2.0, 3, 2.0, 17)
         assert 0 < len(calls) < len(screens) / 2
-        assert sum(calls) < sum(screens) / 20
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):
         # the grid's phase-free factors give LAPACK's det at every kept pair,
-        # with (m/d)^{n-1} taken at the pair's own phase
+        # with (m/d)^{n-1} taken at the pair's own phase, also where
+        # 1 - alpha coef(K) h < 0 (K = 2 at rate 2) and at K = 40
         grid = cm._spiral_grid(n, res)
         ph, ch = np.nonzero(grid.keep)
         for lo in range(0, len(ch), 2 ** 14):
@@ -609,13 +666,17 @@ class TestSelectAlpha:
             xb, phase = grid.coords[:, i].T, grid.phases[j]
             w = np.stack(kernels._rotated_cols(xb.T, np.cos(phase), np.sin(phase)), axis=1)
             power = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
-            for K, alpha in ((1.0, -0.5), (3.0, 0.25), (12.0, -0.03125)):
+            for K, alpha in (
+                (1.0, -0.5), (3.0, 0.25), (12.0, -0.03125), (2.0, 2.0), (40.0, 0.5)
+            ):
                 x = np.empty((len(i), n))
                 x[:, :-1] = xb
                 x[:, -1] = phase / alpha
                 direct = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha))
                 closed = cm._closed_form_det(power, grid.h[i], grid.ssq[i], K, alpha)
                 np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
+                # the scan's prefilter margin bounds the same gap
+                assert np.all(np.abs(closed - direct) <= cm._scan_margin(n, K, alpha))
 
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
     def test_phase_separable_build_matches_per_row(self, monkeypatch, n, res):

@@ -149,6 +149,16 @@ def test_verify_rejects_nonfinite_bound(capsys, value):
     assert out == ""
 
 
+def test_verify_spiral_rejects_subnormal_rate(capsys):
+    # x_n = phase / alpha overflows at a subnormal rate, so every det was
+    # NaN and the run ended in a traceback; it is refused with one line
+    code = main(["verify", "spiral", "--grid", "9", "--alpha", "1e-320"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: spiral rate 1e-320 is too small: 2 pi / alpha is not finite\n"
+
+
 def test_tol_default_shared():
     assert RunConfig().tol == DEFAULT_TOL == 1e-12
     args = _build_parser().parse_args(["verify", "zorich"])
