@@ -34,14 +34,10 @@ keep-mask and the closed-form factors.  ``spiral_jacobian_scan`` reads the
 same grid and reports LAPACK's determinants, using the closed form only to
 choose the pairs it factors: at a nonzero rate it skips every chart point
 whose closed form lies more than twice a derived rounding margin above the
-grid's least one, since none of its pairs can hold the minimum.  On the
-chart points it keeps, it takes the phase-free part of each Jacobian once
-per chart point, assembles the rest entry by entry over a (phase, chart)
-grid of pairs, with the entries of ``kernels.spiral_jac_batch``, screens
-every determinant with a Laplace expansion and its rounding bound, and
-calls LAPACK only on the pairs the screen keeps as candidates for the
-minimum.  The tests check its result against LAPACK over every kept pair,
-which does not use the closed form.
+grid's least one, since none of its pairs can hold the minimum.  Every
+kept pair of the chart points it keeps goes through
+``kernels.spiral_jac_batch`` and LAPACK.  The tests check its result
+against LAPACK over every kept pair, which does not use the closed form.
 """
 
 from __future__ import annotations
@@ -373,14 +369,14 @@ MAX_SPIRAL_DIM = 5
 _ALPHA_CACHE: dict = {}
 # Grid reductions work in blocks of this many elements: about this many
 # (phase, chart) pairs per block of the ``_spiral_grid`` walk, chart points
-# per block of its phase-free terms and of the scan's chart terms, and at
-# most this many pairs per Jacobian assembly of ``spiral_jacobian_scan``.
+# per block of its phase-free terms, and at most this many pairs per
+# ``kernels.spiral_jac_batch`` call of ``spiral_jacobian_scan``.
 # The size matters for the grid walk: a cold build with 2^11 / 2^12 / 2^13 /
 # 2^14 pairs (2-vCPU Xeon, medians of 7, two rounds) takes 7.8-13 / 5.2-5.9
 # / 4.4-4.5 / 3.8-4.2 ms at n = 3, res 65, 14 / 10 / 7.6-7.7 / 7.1-7.7 ms at
 # n = 4, res 25 and, medians of 3, 369-371 / 270-274 / 215-223 / 199-224 ms
-# at n = 5, res 25.  The warm scan at K = 2 and its certified rate assembles
-# two chart points and takes 0.3-0.5 ms at n = 3 and 4 at every size.
+# at n = 5, res 25.  The warm scan at K = 2 and its certified rate factors
+# two chart points per grid, one block, in 0.5-1 ms at n = 3 and 4.
 _BLOCK = 2 ** 13
 
 
@@ -477,9 +473,8 @@ def _spiral_grid(n, res):
     certification's coarse grid and its refinement, until a third grid is
     built or the process exits: n + 2 floats and res flags per chart point
     of the grid, about 32 MB at n = 5 and res 25 and under 1 MB at the n = 3
-    and 4 grids.  The scan takes the chart points it keeps in blocks of
-    ``_BLOCK`` when it reads them, so its blocks follow the current
-    ``_BLOCK``.
+    and 4 grids.  The scan cuts its blocks when it reads a grid, so they
+    follow the current ``_BLOCK``.
     """
     if res < 8:
         raise InvalidInputError("grid resolution must be at least 8")
@@ -521,7 +516,8 @@ def _spiral_grid(n, res):
 
 def _scan_margin(n, K, alpha):
     """M = 2^10 n eps r^{n-1} l, the bound on |LAPACK det - closed form| at
-    a kept pair derived in ``spiral_jacobian_scan``; +inf where it overflows."""
+    a kept pair derived in ``spiral_jacobian_scan``; +inf where it overflows,
+    at a rate the scan refuses."""
     r = 5.0 + TWO_PI * abs(alpha)
     ell = 1.0 + (K * K - 1.0) * (3.0 + 2.0 * np.sqrt(n - 1.0)) / 2.0
     with np.errstate(over="ignore"):
@@ -531,11 +527,12 @@ def _scan_margin(n, K, alpha):
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
-    Direct LAPACK determinants of fully assembled Jacobians at the kept
-    pairs of ``_spiral_grid``: the first minimum in row order over every
-    kept pair, bit for bit.  The closed form ``_closed_form_det`` only
-    chooses the chart points whose pairs are assembled; the tests check the
-    result against LAPACK over every kept pair, which does not use it.
+    LAPACK determinants of ``kernels.spiral_jac_batch`` at the kept pairs of
+    ``_spiral_grid``: the first minimum in row order (chart point, then
+    phase) over every kept pair, bit for bit.  The closed form
+    ``_closed_form_det`` only chooses the chart points whose pairs are
+    factored; the tests check the result against LAPACK over every kept
+    pair, which does not use it.
 
     At alpha != 0 the closed form first picks the chart points to factor.
     Per chart point, F = 1 - alpha coef(K) h is its phase-free factor and
@@ -550,9 +547,8 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     LAPACK dets above cf - 2 e2 - e1 > c0 + M at all its kept pairs, cannot
     hold the minimum, and is skipped.  The chart points left, every one with
     F < 0 (where the min over phases is not power F) among them, keep their
-    row order.  Where M overflows, no chart point is skipped, nor is one
-    whose cf or F is NaN.  At alpha = 0 nothing is skipped: `power` is taken
-    over the grid's phases, not phase 0.
+    row order; none whose cf or F is NaN is skipped.  At alpha = 0 nothing
+    is skipped: `power` is taken over the grid's phases, not phase 0.
 
     The margin is M = 2^10 n eps r^{n-1} l (``_scan_margin``), with eps the
     float64 epsilon, r = 5 + 2 pi |alpha| and
@@ -566,47 +562,37 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
 
     - Row bounds, a priori.  With |w_i / d| <= 1, m / d <= sqrt(2) and
       d <= pi / sqrt(2), the magnitudes of the terms that
-      ``kernels._spiral_jac_assemble`` adds up in a chart row sum to at
-      most 2 (2 + pi |alpha|) + 1 = r.  With g >= 1, coef(K) <=
-      (K^2 - 1) / 2; s^2 <= sin^2 m <= m <= rho and |x_1| <= rho bound
-      |grad(s^2)|_1 by 3 + 2 sqrt(n - 1), so the last row sums to at most
-      l.  So P = r^{n-1} l bounds the product of the rows' term sums, and
-      so the permanent of |J|.  Also |y|_inf <= 2 m <= pi gives |F| <= r l,
-      and power <= 2^{(n-1)/2} <= r^{n-2}.
-    - e1, LAPACK's rounding: at most c n eps P, c = ``kernels._LAPLACE_C``,
-      the model of ``kernels._laplace_det``'s bound.
+      ``kernels._spiral_jac_rows`` adds up in a chart row sum to at most
+      2 (2 + pi |alpha|) + 1 = r.  With g >= 1, coef(K) <= (K^2 - 1) / 2;
+      s^2 <= sin^2 m <= m <= rho and |x_1| <= rho bound |grad(s^2)|_1 by
+      3 + 2 sqrt(n - 1), so the last row sums to at most l.  So
+      P = r^{n-1} l bounds the product of the rows' term sums, and so the
+      permanent of |J|.  Also |y|_inf <= 2 m <= pi gives |F| <= r l, and
+      power <= 2^{(n-1)/2} <= r^{n-2}.
+    - e1, LAPACK's rounding: at most 8 n eps P.  A Laplace expansion of
+      the determinant rounds by at most about (n + 1) / 4 n eps times the
+      permanent of |J|, which P bounds; the constant 8 leaves room for the
+      rounding of LAPACK's pivoted LU.
     - e1, entry rounding and the phase gap: each chart entry is a handful
       of roundings from its exact value; cos and sin are within an ulp; the
       scan's phase alpha (phase / alpha) is within 2 ulps of a grid phase
       below 2 pi, which moves cos and sin by at most 2 pi eps; so w and d
       move by about 20 eps d, and each entry by at most 2^8 eps times its
       terms' sum.  That moves the determinant by at most 2^8 n eps P, up to
-      a factor 1 + 2^-40.  So e1 = (c + 2^8) n eps P.
+      a factor 1 + 2^-40.  So e1 = (8 + 2^8) n eps P.
     - e2, the closed form: the grid's d, so power, is within about 20 n eps
       of its exact value, relative, and F within 2^5 eps (1 + |alpha coef h|
       term by term), absolute; with the row bounds, e2 = 2^5 n eps P.
 
     e1 + 2 e2 is about 330 n eps P; M takes 2^10 n eps P.
 
-    On the kept chart points, per block of ``_BLOCK`` of them, the
-    phase-free terms of ``kernels._spiral_chart_terms`` are computed once
-    per chart point.  A sub-block of about ``_BLOCK`` (chart, phase) pairs
-    is laid out phase-major as (phase, chart): the chart terms enter as
-    (1, k) rows and cos and sin as (P, 1) columns, and
-    ``kernels._spiral_jac_assemble`` broadcasts them to the (n, n, P, k)
-    entries ``kernels.spiral_jac_batch`` gives, so no term is copied out to
-    the pairs.
-
-    ``kernels._laplace_det`` screens every pair with a determinant S and a
-    bound b on |S - LAPACK's det|; an unkept pair gets S = +inf and does not
-    count toward max(b).  In a sub-block, every kept pair where LAPACK
-    attains its minimum has S within 2 max(b) of the least S, and a pair can
-    beat the running worst only if its S is within 2 max(b) of it.  So
-    LAPACK runs only on the pairs with S <= min(least S, running worst) +
-    2 max(b), and a sub-block with none makes no LAPACK call.  Ties of
-    LAPACK's dets (a few pairs at K = 1) all stay candidates and go to the
-    first in row order, chart point by chart point, so the result is the one
-    LAPACK over every pair gives.
+    The chart points left are taken in row order, in blocks of
+    ``_BLOCK`` // res of them (``_BLOCK`` at alpha = 0, with its one phase),
+    so a block holds at most ``_BLOCK`` kept pairs.  A block's kept pairs,
+    in row order, are one ``kernels.spiral_jac_batch`` call and one
+    ``np.linalg.det``; its first minimum replaces the running one only where
+    it is strictly lower, so the result is the first minimum over all
+    blocks.
 
     The grid defaults to the coarse one of ``certification_grids(n)``.
     Returns (min_det, worst_point), the first minimum in row order, with the
@@ -614,7 +600,9 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     alpha = 0 the Jacobian does not depend on x_n, so each chart point is
     evaluated once, at the single phase 0 and x_n = 0: its kept phases all
     give the same entries.  A nonzero rate with 2 pi / alpha not finite is
-    refused: its x_n = phase / alpha would overflow.
+    refused: its x_n = phase / alpha would overflow.  So is any rate, zero
+    included, at which the margin M overflows: the row bound P does too,
+    and the entries and determinants may.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -625,6 +613,11 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     if alpha != 0 and not np.isfinite(TWO_PI / alpha):
         raise InvalidInputError(
             f"spiral rate {alpha!r} is too small: 2 pi / alpha is not finite")
+    margin = _scan_margin(n, K, alpha)
+    if not np.isfinite(margin):
+        raise InvalidInputError(
+            f"spiral rate {alpha!r} with K = {K!r} is out of range: the "
+            "Jacobian scan's rounding bound overflows")
     if grid is None:
         grid = certification_grids(n)[0]
     sg = _spiral_grid(n, grid)
@@ -634,37 +627,20 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     else:
         factor = _closed_form_det(1.0, sg.h, sg.ssq, K, alpha)
         cf = sg.power * factor
-        skip = (factor >= 0) & (cf > cf.min() + 2.0 * _scan_margin(n, K, alpha))
+        skip = (factor >= 0) & (cf > cf.min() + 2.0 * margin)
         charts = np.flatnonzero(~skip)
         xn, keep, coords = sg.phases / alpha, sg.keep[:, charts], sg.coords[:, charts]
-    phase = alpha * xn
-    cos, sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
-    nph = len(xn)
-    step = max(1, _BLOCK // nph)
+    step = max(1, _BLOCK // len(xn))
     worst = np.inf
     worst_pt = None
-    for lo in range(0, coords.shape[1], _BLOCK):
-        block = coords[:, lo:lo + _BLOCK]
-        terms = kernels._spiral_chart_terms(block, K)
-        for a in range(0, block.shape[1], step):
-            b = min(a + step, block.shape[1])
-            jac = kernels._spiral_jac_assemble(
-                block[:, None, a:b], cos, sin, alpha, *(t[..., None, a:b] for t in terms)
-            )
-            screen, bound = kernels._laplace_det(jac)
-            mask = keep[:, lo + a:lo + b]
-            screen[~mask] = np.inf
-            cut = min(screen.min(), worst) + 2.0 * bound.max(where=mask, initial=0.0)
-            cand = np.flatnonzero(screen <= cut)
-            if not len(cand):
-                continue
-            dets = np.linalg.det(jac.reshape(n, n, -1)[:, :, cand].transpose(2, 0, 1))
-            # a pair's place in row order: chart point, then phase
-            ph, ch = np.divmod(cand, screen.shape[1])
-            k = np.lexsort((ch * nph + ph, dets))[0]
-            if dets[k] < worst:
-                worst = float(dets[k])
-                worst_pt = np.append(block[:, a + ch[k]], xn[ph[k]])
+    for lo in range(0, coords.shape[1], step):
+        # the block's kept pairs in row order: chart point, then phase
+        ch, ph = np.nonzero(keep[:, lo:lo + step].T)
+        pts = np.column_stack((coords[:, lo + ch].T, xn[ph]))
+        dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
+        k = np.argmin(dets)
+        if dets[k] < worst:
+            worst, worst_pt = float(dets[k]), pts[k].copy()
     return worst, worst_pt
 
 
@@ -696,10 +672,9 @@ def select_alpha(K, n, orientation=1, grid=None):
     chart point with a non-positive second factor fails either way).  Since
     d <= sqrt(2) m, the alpha-free part (m/d)^{n-1} is at least
     2^{-(n-1)/2}, above the floor, so the search always terminates.
-    ``spiral_jacobian_scan`` checks the same determinants with LAPACK, on
-    the chart points this form puts within its rounding margin of the
-    minimum, and there on the pairs its entry-wise screen keeps as
-    candidates for the minimum.
+    ``spiral_jacobian_scan`` checks the same determinants with LAPACK, at
+    every kept pair of the chart points this form puts within its rounding
+    margin of the minimum.
     """
     _require_stretch_factor(K)
     if n < 3:

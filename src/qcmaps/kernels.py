@@ -82,7 +82,6 @@ strips, or a single CPU, runs inline, starting no thread.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 
@@ -451,64 +450,46 @@ def _spiral_ssq(xb):
     return p, xp, ssq, ds
 
 
-def _spiral_chart_terms(xb, K):
-    """The phase-free part of the spiral Jacobian at chart points.
+def _spiral_jac_rows(a, out, K, alpha):
+    """Spiral Jacobians of the m rows of `a`, written to the (n, n, m) entry
+    array `out`: entry (i, j) of every row is one contiguous vector.
 
-    xb is the chart block as (n-1, m) coordinate vectors.  Returns
-    (p, x_p, sign(x_p), last): the index and value of each point's max-norm
-    coordinate, its sign, and the Jacobian's last row (coef(K) grad(s^2), 1)
-    as an (n, m) array of entry vectors, with coef(K) = (K^2 - 1) / (2 g) and
-    g = K^2 + (1 - K^2) s^2.
+    The last row is (coef(K) grad(s^2), 1), with coef(K) = (K^2 - 1) / (2 g)
+    and g = K^2 + (1 - K^2) s^2 (``_spiral_ssq``).  With w the
+    (1,2)-rotated chart block, x_p its max-norm coordinate before the
+    rotation, d = w_q after it and dw = dw/dx the rotation's derivative (dd
+    its row q), chart row i is ((x_p dw_i) / d - u_i dd + w_i / d e_p) times
+    sign(x_p) sign(d), u_i = (x_p w_i / d) / d.  Only the structural
+    nonzeros of dw are formed: its first two rows, (c, -s, 0.., -alpha w_2)
+    and (s, c, 0.., alpha w_1), and the unit rows e_k beyond them.
     """
+    nb = a.shape[1] - 1
+    phase = alpha * a[:, nb]
+    c, s = np.cos(phase), np.sin(phase)
+    xb = np.ascontiguousarray(a[:, :nb].T)
     p, xp, ssq, ds = _spiral_ssq(xb)
     g = K * K + (1.0 - K * K) * ssq
-    coef = -(1.0 - K * K) / (2.0 * g)
-    last = np.empty((len(xb) + 1, len(xp)))
-    np.multiply(coef, ds, out=last[:-1])
-    last[-1] = 1.0
-    return p, xp, np.sign(xp), last
+    np.multiply(-(1.0 - K * K) / (2.0 * g), ds, out=out[nb, :nb])
+    out[nb, nb] = 1.0
 
-
-def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last, out=None):
-    """Spiral Jacobians as an (n, n, *shape) array: entry (i, j) of every
-    point is one contiguous array, so for a flat shape (m,)
-    ``jac.transpose(2, 0, 1)`` is the (m, n, n) stack.  The entries are
-    written to `out` when it is given.
-
-    The operands broadcast against each other, and `shape` is their
-    ``np.broadcast_shapes``: xb is the chart block as n-1 coordinate arrays,
-    c and s the cos and sin of each point's phase alpha * x_n, and
-    (p, xp, sign_p, last) its ``_spiral_chart_terms``, with `last` as n
-    arrays.  So chart terms of shape (1, k) and phases of shape (P, 1) give
-    the (P, k) grid of their pairs without copying a term to every pair.
-    With w the (1,2)-rotated chart block, d = w_q its max-norm coordinate
-    and dw = dw/dx the rotation's derivative (dd its row q), chart row i is
-    ((x_p dw_i) / d - u_i dd + w_i / d e_p) times sign(x_p) sign(d),
-    u_i = (x_p w_i / d) / d.  Only the structural nonzeros of dw are formed:
-    its first two rows, (c, -s, 0.., -alpha w_2) and (s, c, 0.., alpha w_1),
-    and the unit rows e_k beyond them.
-    """
-    nb = len(xb)
-    shape = np.broadcast_shapes(np.shape(xb[0]), np.shape(c), np.shape(s), np.shape(xp))
-    w = np.empty((nb, *shape))
+    w = np.empty_like(xb)
     w[0], w[1] = _rotate_pair(xb[0], xb[1], c, s)
     w[2:] = xb[2:]
     q = _argmax_abs(w)
     dval = _pick(w, q)
-    sign = sign_p * np.sign(dval)
+    sign = np.sign(xp) * np.sign(dval)
     w_over_d = w / dval
     u = xp * w_over_d / dval
 
     # dw's first two rows on their nonzero columns 0, 1 and n-1
     rot = ((c, -s, -alpha * w[1]), (s, c, alpha * w[0]))
-    dd = np.zeros((nb + 1, *shape))
-    for j, a, b in zip((0, 1, nb), *rot):
-        dd[j] = _pick((a, b, *[0.0] * (nb - 2)), q)
+    dd = np.zeros((nb + 1, len(xp)))
+    for j, r0, r1 in zip((0, 1, nb), *rot):
+        dd[j] = _pick((r0, r1, *[0.0] * (nb - 2)), q)
     for k in range(2, nb):
         dd[k] = q == k
 
-    jac = np.empty((nb + 1, nb + 1, *shape)) if out is None else out
-    top = jac[:nb]
+    top = out[:nb]
     np.multiply(-u[:, None], dd, out=top)
     for i, row in enumerate(rot):
         for j, v in zip((0, 1, nb), row):
@@ -518,58 +499,6 @@ def _spiral_jac_assemble(xb, c, s, alpha, p, xp, sign_p, last, out=None):
     for j in range(nb):
         top[:, j] += _only_where(p == j, w_over_d)
     top *= sign
-    jac[nb] = last
-    return jac
-
-
-# c in the rounding bound c n eps prod_i |row_i|_1 of ``_laplace_det``
-_LAPLACE_C = 8.0
-
-
-def _laplace_det(jac):
-    """Determinants of an (n, n, *shape) entry array with a bound on their
-    rounding, both of the given shape.
-
-    Laplace expansion from the bottom row up: every k x k minor of the last
-    k rows is formed from the (k-1)-minors of the rows below, along its top
-    row, so the table takes n 2^{n-1} products of contiguous entry arrays
-    and holds at most C(n, n/2) minors per level; no matrix is transposed,
-    copied or passed to LAPACK.
-
-    Returns (det, bound).  bound = c n eps prod_i |row_i|_1, c = _LAPLACE_C:
-    the product of the row 1-norms is at least the permanent of |J|, which
-    bounds each expanded term, so it bounds the rounding of the Laplace sum
-    (at most about (n + 1)/4 n eps times the permanent for this order).
-    c = 8 leaves room for LAPACK's own rounding as well, so that the bound
-    also covers the difference to ``np.linalg.det``.
-    """
-    n = jac.shape[0]
-    minors = {(j,): jac[n - 1, j] for j in range(n)}
-    term = np.empty(jac.shape[2:])
-    for row in range(n - 2, -1, -1):
-        top = jac[row]
-        level = {}
-        for cols in itertools.combinations(range(n), n - row):
-            acc = top[cols[0]] * minors[cols[1:]]
-            for t in range(1, len(cols)):
-                np.multiply(top[cols[t]], minors[cols[:t] + cols[t + 1:]], out=term)
-                if t % 2:
-                    acc -= term
-                else:
-                    acc += term
-            level[cols] = acc
-        minors = level
-    norms = np.abs(jac).sum(axis=1).prod(axis=0)
-    return minors[tuple(range(n))], _LAPLACE_C * n * np.finfo(float).eps * norms
-
-
-def _spiral_jac_rows(a, out, K, alpha):
-    nb = a.shape[1] - 1
-    phase = alpha * a[:, nb]
-    xb = np.ascontiguousarray(a[:, :nb].T)
-    _spiral_jac_assemble(
-        xb, np.cos(phase), np.sin(phase), alpha, *_spiral_chart_terms(xb, K), out=out
-    )
 
 
 def spiral_jac_batch(x, K, alpha):
@@ -577,9 +506,8 @@ def spiral_jac_batch(x, K, alpha):
 
     Valid away from the max-coordinate (pyramid) and candidate-switching
     surfaces; region dispatch is by argmax, so callers must enforce margins.
-    The phase-free terms come from ``_spiral_chart_terms`` and the entries
-    from ``_spiral_jac_assemble``; the result is a transposed view of its
-    (n, n, m) array.
+    The entries come from ``_spiral_jac_rows``; the result is a transposed
+    view of its (n, n, m) array.
     """
     a, single = _as_batch(x)
     n = a.shape[1]

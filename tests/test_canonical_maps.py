@@ -492,8 +492,12 @@ class TestSelectAlpha:
             (2.0, 3, np.nan),
             (2.0, 3, np.inf),
             (2.0, 3, 1e-320),
+            (2.0, 3, 1e308),
+            (2.0, 5, 1e100),
+            (1e200, 3, 0.0),
         ],
-        ids=["nan-K", "inf-K", "K-below-1", "n-2", "nan-alpha", "inf-alpha", "subnormal-alpha"],
+        ids=["nan-K", "inf-K", "K-below-1", "n-2", "nan-alpha", "inf-alpha", "subnormal-alpha",
+             "overflow-alpha-n3", "overflow-alpha-n5", "overflow-K-zero-rate"],
     )
     def test_scan_rejects_bad_input(self, K, n, alpha):
         # validated as select_alpha does, before any grid is walked
@@ -502,7 +506,7 @@ class TestSelectAlpha:
 
     def test_scan_margin_overflows_to_inf(self):
         # at --alpha 1e100 and n = 5, r^{n-1} overflows: the margin is +inf,
-        # with no warning, so the scan skips no chart point
+        # with no warning, and the scan refuses the rate
         assert cm._scan_margin(5, 2.0, 1e100) == np.inf
         assert np.isfinite(cm._scan_margin(5, 2.0, 1e50))
 
@@ -533,24 +537,26 @@ class TestSelectAlpha:
     @pytest.mark.parametrize("alpha", [0.25, -0.125, 0.0])
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
     def test_scan_blocks_match_per_row_reference(self, monkeypatch, n, res, alpha):
-        # blocks of about 100 chart points and pairs: the first minimum and
-        # its point must survive block boundaries
+        # blocks of at most 100 pairs: the first minimum and its point must
+        # survive block boundaries
         cm._spiral_grid(n, res)  # a cached grid must not fix the blocks
         monkeypatch.setattr(cm, "_BLOCK", 100)
-        sizes, screen = [], kernels._laplace_det
-        monkeypatch.setattr(
-            kernels, "_laplace_det", lambda jac: sizes.append(jac[0, 0].size) or screen(jac))
         self._check_scan(n, res, alpha)
+        sizes, jac = [], kernels.spiral_jac_batch
+        monkeypatch.setattr(
+            kernels, "spiral_jac_batch", lambda x, K, a: sizes.append(len(x)) or jac(x, K, a))
+        for K in (1.0, 2.0, 12.0):
+            spiral_jacobian_scan(K, n, alpha, res)
         assert 0 < max(sizes) <= 100 and len(sizes) > 3
 
-    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
+    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_scan_tie_break_across_sub_blocks(self, monkeypatch, n, res):
         # K = 1 at its certified rate: LAPACK's minimum is tied at several
-        # pairs, which sub-blocks of about 100 pairs put in different
-        # sub-blocks, each laid out phase by phase; the scan must return the
-        # first of them chart point by chart point, as LAPACK over every pair
-        # in row order does.  Ties inside one sub-block are met at the
-        # default size (test_scan_matches_reference_on_cli_grids, res 65).
+        # pairs, which blocks of at most 100 pairs put in different blocks;
+        # the scan must return the first of them chart point by chart point,
+        # as LAPACK over every pair in row order does.  Ties inside one block
+        # are met at the default size (test_scan_matches_reference_on_cli_grids,
+        # res 65).
         monkeypatch.setattr(cm, "_BLOCK", 100)
         ties = self._check_scan(n, res, select_alpha(1.0, n), factors=(1.0,))
         assert ties > 1
@@ -559,9 +565,9 @@ class TestSelectAlpha:
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
     def test_scan_matches_reference_on_cli_grids(self, n, res, K):
         # the grids verify spiral walks, at K's certified rate; at K = 1,
-        # det = (m/d)^{n-1} is constant on whole regions of the grid, so the
-        # screen keeps runs of tied pairs and LAPACK must find the first
-        # minimum among them
+        # det = (m/d)^{n-1} is constant on whole regions of the grid, so
+        # LAPACK's dets hold runs of tied pairs and the scan must keep the
+        # first minimum among them
         self._check_scan(n, res, select_alpha(K, n), factors=(K,))
 
     @pytest.mark.parametrize(
@@ -587,7 +593,7 @@ class TestSelectAlpha:
     )
     def test_prefilter_matches_per_row_reference(self, monkeypatch, n, res, K, alpha, negative):
         # the chart points the closed form skips cannot hold LAPACK's first
-        # minimum, across blocks of about 100 chart points and pairs
+        # minimum, across blocks of at most 100 pairs
         grid = cm._spiral_grid(n, res)
         assert np.any(cm._closed_form_det(1.0, grid.h, grid.ssq, K, alpha) < 0) == negative
         monkeypatch.setattr(cm, "_BLOCK", 100)
@@ -595,64 +601,35 @@ class TestSelectAlpha:
 
     @pytest.mark.parametrize("n, res", [(3, 65), (4, 25)])
     def test_scan_matches_reference_at_zero_rate(self, monkeypatch, n, res):
-        # verify spiral --alpha 0: det = 1 at every pair up to rounding, so
-        # every pair is a candidate, and the screen's own minimum is not
-        # LAPACK's at K = 12
+        # verify spiral --alpha 0: det = 1 at every pair up to rounding
         self._check_scan(n, res, 0.0)
         # the phases of a chart point all give one Jacobian, so LAPACK
-        # factors at most one pair per chart point
+        # factors one pair per chart point
         charts = cm._spiral_grid(n, res).power.size
         calls, det = [], np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
         for K in (1.0, 2.0, 12.0):
             calls.clear()
             spiral_jacobian_scan(K, n, 0.0, res)
-            assert 0 < sum(calls) <= charts
-
-    @pytest.mark.parametrize("n, res", [(3, 17), (4, 9)])
-    def test_scan_with_exact_screen(self, monkeypatch, n, res):
-        # with a screen equal to LAPACK's dets and a zero bound, the
-        # candidates are exactly the minimizers, and the first of them is kept
-        def exact(jac):
-            mats = np.moveaxis(jac, (0, 1), (-2, -1))
-            return np.linalg.det(mats), np.zeros(jac.shape[2:])
-
-        monkeypatch.setattr(kernels, "_laplace_det", exact)
-        monkeypatch.setattr(cm, "_BLOCK", 100)
-        self._check_scan(n, res, 0.25)
+            assert sum(calls) == charts
 
     def test_scan_calls_lapack_on_candidates_only(self, monkeypatch):
         # at K = 2 and its certified rate, on the grids verify spiral walks,
         # the closed form leaves at most 1% of each grid's kept pairs to
-        # assemble, and the screen passes LAPACK only near-minimal pairs.
-        # Each grid keeps two chart points, 26 to 130 pairs, with two
-        # LAPACK candidates, so the LAPACK share is taken over all four.
-        assembled, screens, calls = [], [], []
-        assemble, screen, det = kernels._spiral_jac_assemble, kernels._laplace_det, np.linalg.det
-
-        def counted(*args):
-            jac = assemble(*args)
-            assembled.append(jac[0, 0].size)
-            return jac
-
-        monkeypatch.setattr(kernels, "_spiral_jac_assemble", counted)
+        # assemble, and LAPACK factors exactly the Jacobians assembled
+        made, factored = [], []
+        jac, det = kernels.spiral_jac_batch, np.linalg.det
         monkeypatch.setattr(
-            kernels, "_laplace_det", lambda jac: screens.append(jac[0, 0].size) or screen(jac))
-        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
+            kernels, "spiral_jac_batch", lambda x, K, a: made.append(jac(x, K, a)) or made[-1])
+        monkeypatch.setattr(np.linalg, "det", lambda a: factored.append(a) or det(a))
         for n, res in ((3, 33), (3, 65), (4, 13), (4, 25)):
             alpha = select_alpha(2.0, n)
-            assembled.clear()
+            made.clear()
+            factored.clear()
             spiral_jacobian_scan(2.0, n, alpha, res)
-            assert 0 < sum(assembled) <= np.count_nonzero(cm._spiral_grid(n, res).keep) / 100
-        assert 0 < sum(calls) < sum(screens) / 20
-        # at 4x the certified rate every chart point with 1 - alpha coef(K) h
-        # < 0 is kept, over several sub-blocks of about 100 pairs: one whose
-        # screened minimum lies above the running worst makes no LAPACK call
-        monkeypatch.setattr(cm, "_BLOCK", 100)
-        screens.clear()
-        calls.clear()
-        spiral_jacobian_scan(2.0, 3, 2.0, 17)
-        assert 0 < len(calls) < len(screens) / 2
+            assert 0 < sum(map(len, made)) <= np.count_nonzero(cm._spiral_grid(n, res).keep) / 100
+            assert len(factored) == len(made)
+            assert all(a is b for a, b in zip(factored, made))
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):

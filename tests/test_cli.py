@@ -159,6 +159,18 @@ def test_verify_spiral_rejects_subnormal_rate(capsys):
     assert err == "error: spiral rate 1e-320 is too small: 2 pi / alpha is not finite\n"
 
 
+def test_verify_spiral_rejects_overflowing_rate(capsys):
+    # the Jacobian entries overflowed at --alpha 1e308, so every det was NaN
+    # and the run ended in a traceback; it is refused with one line
+    code = main(["verify", "spiral", "--grid", "9", "--alpha", "1e308"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: spiral rate 1e+308 with K = 2.0 is out of range: "
+        "the Jacobian scan's rounding bound overflows\n")
+
+
 def test_tol_default_shared():
     assert RunConfig().tol == DEFAULT_TOL == 1e-12
     args = _build_parser().parse_args(["verify", "zorich"])

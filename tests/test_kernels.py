@@ -223,60 +223,6 @@ def test_spiral_jac_single_point(n):
     assert np.linalg.det(got) == np.linalg.det(ref)
 
 
-def _entry_array(mats):
-    """An (m, n, n) stack as the (n, n, m) entry array ``_laplace_det`` takes."""
-    return np.ascontiguousarray(np.transpose(mats, (1, 2, 0)))
-
-
-@pytest.mark.parametrize("K, alpha", [(1.0, 0.5), (2.0, -0.25), (12.0, 0.03125), (2.0, 0.0)])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_laplace_det_spiral_jacobians(n, K, alpha):
-    # the bound covers the difference to LAPACK at least 10 times over
-    jac = kernels.spiral_jac_batch(_first_box_points(n, 4000, 20 + n), K, alpha)
-    det, bound = kernels._laplace_det(_entry_array(jac))
-    assert det.shape == bound.shape == (4000,)
-    assert np.all(np.abs(det - np.linalg.det(jac)) <= bound / 10.0)
-
-
-def _scaled_and_near_singular(n, m, seed):
-    """Random matrices with rows scaled by 10^{-8..8}, and matrices whose
-    last row is a combination of the others plus a 1e-12 perturbation."""
-    rng = np.random.default_rng(seed)
-    scaled = rng.standard_normal((m, n, n)) * 10.0 ** rng.uniform(-8, 8, (m, n, 1))
-    near = rng.standard_normal((m, n, n))
-    near[:, -1] = np.einsum("mi,mij->mj", rng.standard_normal((m, n - 1)), near[:, :-1])
-    near[:, -1] += 1e-12 * rng.standard_normal((m, n))
-    return scaled, near
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_laplace_det_scaled_and_near_singular(n):
-    for mats in _scaled_and_near_singular(n, 2000, n):
-        det, bound = kernels._laplace_det(_entry_array(mats))
-        assert np.all(np.abs(det - np.linalg.det(mats)) <= bound)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_laplace_det_row_swap(n):
-    # swapping the last two rows negates every 2 x 2 minor of the table
-    # exactly, and round-to-nearest is odd, so the whole expansion negates;
-    # any other swap reorders the sums and negates within the bound
-    mats = np.concatenate(_scaled_and_near_singular(n, 500, 10 + n))
-    det, bound = kernels._laplace_det(_entry_array(mats))
-    swapped = mats[:, [*range(n - 2), n - 1, n - 2]]
-    assert np.array_equal(kernels._laplace_det(_entry_array(swapped))[0], -det)
-    swapped = mats[:, [1, 0, *range(2, n)]]
-    assert np.all(np.abs(kernels._laplace_det(_entry_array(swapped))[0] + det) <= 2 * bound)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_laplace_det_small_integers_exact(n):
-    # products and sums of small integers are exact, so is the expansion
-    mats = np.random.default_rng(n).integers(-9, 10, (3000, n, n)).astype(float)
-    det, _ = kernels._laplace_det(_entry_array(mats))
-    assert np.array_equal(det, np.rint(np.linalg.det(mats)))
-
-
 def test_spiral_u_fixes_the_pole():
     # a zero chart block is the pole (0, ..., 0, x_n), which the spiral fixes
     # as spiral_stretch fixes the e_n axis; a block that underflows |x_b|^2
