@@ -24,20 +24,18 @@ max-norm, which candidate attains the min) and is verified against finite
 differences in the tests.  Its determinant has the closed form
 (m/d)^{n-1} (1 - alpha coef(K) h), where m and d are the chart block's
 max-norms before and after the spiral rotation and h and coef(K) do not
-depend on the phase (derived in ``select_alpha``).  ``select_alpha``
-certifies the floor 2^{-(n+1)/2} from that form on the two grids of
-``certification_grids``; since d <= sqrt(2) m, its alpha-free part
-(m/d)^{n-1} is at least 2^{-(n-1)/2}.  Each grid is one read-only
-``_SpiralGrid``, built by one walk and cached for the two grids built last:
-its phases, its chart points with a kept phase, their phase-major
-keep-mask and the closed-form factors.  ``spiral_jacobian_scan`` reads the
-same grid and reports LAPACK's determinants, using the closed form only to
-choose the pairs it factors: at a nonzero rate it skips every chart point
-whose closed form lies more than twice a derived rounding margin above the
-grid's least one, since none of its pairs can hold the minimum.  Every
-kept pair of the chart points it keeps goes through
-``kernels.spiral_jac_batch`` and LAPACK.  The tests check its result
-against LAPACK over every kept pair, which does not use the closed form.
+depend on the phase (derived in ``select_alpha``).  Where the second
+factor is positive, the infimum over the phase is (m / max(q, rho))^{n-1}
+times it, with rho = |(x_1, x_2)| and q the largest other |x_i|.
+``select_alpha`` certifies the floor 2^{-(n+1)/2} from that infimum on the
+chart points of the two grids of ``certification_grids``.  Each grid is one
+read-only ``_SpiralGrid``, cached for the two grids built last: its chart
+points off the pyramid faces and their closed-form factors.
+``spiral_jacobian_scan`` pairs the same chart points with the grid's phases
+and reports LAPACK's determinants at the pairs ``kernels.spiral_region_batch``
+keeps, using the closed form only to skip chart points whose pairs cannot
+hold the minimum.  The tests check its result against LAPACK over every
+kept pair, which does not use the closed form.
 """
 
 from __future__ import annotations
@@ -357,26 +355,22 @@ def interp_shift_batch(xb, xn, spec):
 # Spiral rate selection
 # =====================================================================
 
-# Certification grids keep points at least this far from a pyramid face or a
-# candidate switch, mirroring the sigma-finite singular set the analysis
-# itself removes.
+# Certification grids keep chart points at least this far from a pyramid
+# face and (chart, phase) pairs at least this far from a candidate switch,
+# mirroring the sigma-finite singular set the analysis itself removes.
 GRID_BAND = 1e-3
 # The largest dimension whose spiral rate is certified: the grids hold
-# 13^(n-1) and 25^(n-1) chart points above n = 3, 390625 at n = 5, and the
-# refinement's walk rotates 25 phases of each; n = 6 would walk 25^6 pairs
-# and cache about 0.9 GB of grid.
+# 13^(n-1) and 25^(n-1) chart points above n = 3, 390625 at n = 5; n = 6
+# would hold 25^5, about 9.8M chart points and 0.6 GB of grid.
 MAX_SPIRAL_DIM = 5
 _ALPHA_CACHE: dict = {}
-# Grid reductions work in blocks of this many elements: about this many
-# (phase, chart) pairs per block of the ``_spiral_grid`` walk, chart points
-# per block of its phase-free terms, and at most this many pairs per
-# ``kernels.spiral_jac_batch`` call of ``spiral_jacobian_scan``.
-# The size matters for the grid walk: a cold build with 2^11 / 2^12 / 2^13 /
-# 2^14 pairs (2-vCPU Xeon, medians of 7, two rounds) takes 7.8-13 / 5.2-5.9
-# / 4.4-4.5 / 3.8-4.2 ms at n = 3, res 65, 14 / 10 / 7.6-7.7 / 7.1-7.7 ms at
-# n = 4, res 25 and, medians of 3, 369-371 / 270-274 / 215-223 / 199-224 ms
-# at n = 5, res 25.  The warm scan at K = 2 and its certified rate factors
-# two chart points per grid, one block, in 0.5-1 ms at n = 3 and 4.
+# Grid reductions work in blocks of this many elements: chart points per
+# block of the ``_spiral_grid`` build, and at most this many (chart, phase)
+# pairs per block of ``spiral_jacobian_scan`` (one chart point's res pairs
+# where res is larger).  A warm build of the 25^4 grid (2-vCPU Xeon,
+# medians of 5, two rounds) takes 73-77 / 58-63 / 54-57 / 50-54 ms with
+# 2^11 / 2^12 / 2^13 / 2^14 chart points per block, and one of the n = 3
+# and 4 refinements 0.4-0.7 and 2.2-3.9 ms at any of these sizes.
 _BLOCK = 2 ** 13
 
 
@@ -429,15 +423,13 @@ def _closed_form_det(power, h, ssq, K, alpha):
     return power * (1.0 - alpha * (K * K - 1.0) / (2.0 * g) * h)
 
 
-class _SpiralGrid(_record("_SpiralGrid", "phases coords keep power h ssq")):
-    """The chart points of a certification grid that have a kept phase.
+class _SpiralGrid(_record("_SpiralGrid", "coords power h ssq")):
+    """The chart points of a certification grid off its pyramid faces.
 
-    `phases` holds the res rotation phases alpha * x_n of the grid, so one
-    grid serves every trial rate; `coords` the kept chart points as (n-1, N)
-    coordinate rows, in row order; `keep` the (res, N) phase-major mask of
-    the (phase, chart) pairs whose pyramid and switch margins are both at
-    least GRID_BAND.  Per chart point, the factors of ``_closed_form_det``:
-    `power` the min over its kept phases of (m/d)^{n-1}, and `h` and `ssq`
+    `coords` holds the chart points whose pyramid gap is at least GRID_BAND
+    as (n-1, N) coordinate rows, in row order.  Per chart point, the
+    factors of ``_closed_form_det``, none of which depends on the phase:
+    `power` the infimum over all phases of (m/d)^{n-1}, and `h` and `ssq`
     the phase-free terms.  Every array is a read-only view.
     """
 
@@ -452,66 +444,43 @@ class _SpiralGrid(_record("_SpiralGrid", "phases coords keep power h ssq")):
 
 @functools.lru_cache(maxsize=2)
 def _spiral_grid(n, res):
-    """The _SpiralGrid of resolution res: one walk, shared by the rate
-    search (``select_alpha``) and the direct scan (``spiral_jacobian_scan``),
-    which reads the closed-form factors only to choose the chart points it
-    factors with LAPACK.
+    """The _SpiralGrid of resolution res, shared by the rate search
+    (``select_alpha``) and the direct scan (``spiral_jacobian_scan``).
 
-    The walk takes the res^{n-1} chart points in row order, in blocks of
-    about ``_BLOCK`` (phase, chart) pairs, and each block forms its chart
-    coordinates from their flat indices, so no temporary spans the grid.  It
-    is phase-separable: m, the max-norm, and the pyramid margin are computed
-    once per chart point, and cos and sin once per phase.  Only the (1,2)
-    pair is rotated, once per pair, and that rotation gives both d, the
-    max-norm after the rotation, and the switch margin; the other chart
-    coordinates do not move.  The phase-free terms h and s^2 follow over
-    blocks of ``_BLOCK`` kept chart points.
-
-    A kept pair has d >= GRID_BAND; a chart point with no kept phase, such
-    as the origin of an odd res where m = d = 0, is dropped, which keeps 0/0
-    out of the factors.  The cache holds the two grids built last, a
-    certification's coarse grid and its refinement, until a third grid is
-    built or the process exits: n + 2 floats and res flags per chart point
-    of the grid, about 32 MB at n = 5 and res 25 and under 1 MB at the n = 3
-    and 4 grids.  The scan cuts its blocks when it reads a grid, so they
-    follow the current ``_BLOCK``.
+    The build takes the res^{n-1} chart points in row order, in blocks of
+    ``_BLOCK`` whose chart coordinates are formed from their flat indices,
+    so no temporary spans the grid.  It keeps the chart points whose
+    pyramid gap, between the two largest |x_i|, is at least GRID_BAND: the
+    ones with a kept pair, as at phase 0 the rotation is the identity and
+    the switch margin is the pyramid gap.  Their m is at least GRID_BAND
+    (the origin of an odd res is dropped), and max(q, rho) >= m, so 0/0
+    stays out of power = (m / max(q, rho))^{n-1}, with rho = |(x_1, x_2)|
+    and q the largest other |x_i| (``select_alpha``).  The cache holds the two
+    grids built last, a certification's coarse grid and its refinement,
+    until a third is built or the process exits: n + 2 floats per chart
+    point of the grid, about 22 MB at n = 5 and res 25 and under 1 MB at
+    the n = 3 and 4 grids.
     """
     if res < 8:
         raise InvalidInputError("grid resolution must be at least 8")
     axis = np.linspace(-HALF_PI + GRID_BAND, HALF_PI - GRID_BAND, res)
-    phases = np.linspace(0.0, TWO_PI, res, endpoint=False)
-    c, s = np.cos(phases)[:, None], np.sin(phases)[:, None]
     size = res ** (n - 1)
     coords = np.empty((n - 1, size))
-    keep = np.empty((res, size), dtype=bool)
     power, h, ssq = np.empty(size), np.empty(size), np.empty(size)
     kept = 0
-    step = max(1, _BLOCK // res)
-    for lo in range(0, size, step):
-        flat = np.arange(lo, min(lo + step, size))
+    for lo in range(0, size, _BLOCK):
+        flat = np.arange(lo, min(lo + _BLOCK, size))
         chart = axis[np.array(np.unravel_index(flat, (res,) * (n - 1)))]
-        absx = np.abs(chart)
-        m, pyr = kernels._max_and_gap(absx)
-        x1, x2 = kernels._rotate_pair(chart[:1], chart[1:2], c, s)
-        d, switch = kernels._max_and_gap([*absx[2:], np.abs(x1), np.abs(x2)])
-        keep_blk = (pyr >= GRID_BAND) & (switch >= GRID_BAND)
-        dmax = np.where(keep_blk, d, 0.0).max(axis=0)
-        has = dmax > 0.0
-        hi = kept + np.count_nonzero(has)
-        coords[:, kept:hi] = chart[:, has]
-        keep[:, kept:hi] = keep_blk[:, has]
-        # the division and the power are monotone, so the min over kept
-        # phases of (m/d)^{n-1} is (m / max d)^{n-1}
-        power[kept:hi] = (m[has] / dmax[has]) ** (n - 1)
+        m, pyr = kernels._max_and_gap(np.abs(chart))
+        has = pyr >= GRID_BAND
+        xb = chart[:, has]
+        hi = kept + xb.shape[1]
+        coords[:, kept:hi] = xb
+        rho = np.sqrt(kernels._sum_sq(xb[:2]))
+        power[kept:hi] = (m[has] / kernels._abs_max([rho, *xb[2:]])) ** (n - 1)
+        h[kept:hi], ssq[kept:hi] = _phase_free_terms(xb.T)
         kept = hi
-    if not kept:
-        raise InvalidInputError("certification grid is empty")
-    for lo in range(0, kept, _BLOCK):
-        hi = min(lo + _BLOCK, kept)
-        h[lo:hi], ssq[lo:hi] = _phase_free_terms(coords[:, lo:hi].T)
-    return _SpiralGrid(
-        phases, coords[:, :kept], keep[:, :kept], power[:kept], h[:kept], ssq[:kept]
-    )
+    return _SpiralGrid(coords[:, :kept], power[:kept], h[:kept], ssq[:kept])
 
 
 def _scan_margin(n, K, alpha):
@@ -519,46 +488,61 @@ def _scan_margin(n, K, alpha):
     a kept pair derived in ``spiral_jacobian_scan``; +inf where it overflows,
     at a rate the scan refuses."""
     r = 5.0 + TWO_PI * abs(alpha)
-    ell = 1.0 + (K * K - 1.0) * (3.0 + 2.0 * np.sqrt(n - 1.0)) / 2.0
     with np.errstate(over="ignore"):
+        ell = 1.0 + (K * K - 1.0) * (3.0 + 2.0 * np.sqrt(n - 1.0)) / 2.0
         return 2.0 ** 10 * n * np.finfo(float).eps * np.float64(r) ** (n - 1) * ell
+
+
+def _factored_pairs(coords, phases, K, alpha):
+    """(dets, pts): LAPACK dets of the kept pairs of the chart points
+    `coords`, (n-1, k) rows, at the grid `phases`, and the pairs.
+
+    The pairs (chart, phase) are formed in row order, chart point then
+    phase, and ``kernels.spiral_region_batch`` classifies them at rate 1,
+    whose phase is the grid phase itself.  A pair is kept where its switch
+    margin is at least GRID_BAND (its pyramid margin is its chart point's).
+    The kept pairs, with x_n = phase / alpha (0 at alpha = 0, whose one
+    phase is 0), are one ``kernels.spiral_jac_batch`` call and one
+    ``np.linalg.det``.
+    """
+    k, res = coords.shape[1], len(phases)
+    pts = np.empty((k * res, len(coords) + 1))
+    pts[:, :-1] = np.repeat(coords.T, res, axis=0)
+    pts[:, -1] = np.tile(phases, k)
+    pts = pts[kernels.spiral_region_batch(pts, 1.0)[3] >= GRID_BAND]
+    if alpha != 0:
+        pts[:, -1] /= alpha
+    return np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha)), pts
 
 
 def spiral_jacobian_scan(K, n, alpha, grid=None):
     """Min analytic Jacobian determinant over a certification grid.
 
     LAPACK determinants of ``kernels.spiral_jac_batch`` at the kept pairs of
-    ``_spiral_grid``: the first minimum in row order (chart point, then
-    phase) over every kept pair, bit for bit.  The closed form
-    ``_closed_form_det`` only chooses the chart points whose pairs are
+    the grid, each chart point of ``_spiral_grid`` at each grid phase
+    2 pi j / res (``_factored_pairs``): the first minimum in row order
+    (chart point, then phase) over every kept pair, bit for bit.  The closed
+    form ``_closed_form_det`` only chooses the chart points whose pairs are
     factored; the tests check the result against LAPACK over every kept
     pair, which does not use it.
 
-    At alpha != 0 the closed form first picks the chart points to factor.
-    Per chart point, F = 1 - alpha coef(K) h is its phase-free factor and
-    cf = power F its value at the kept phase where d is largest; T is that
-    value in exact arithmetic, and c0 = min cf over the grid.  Let e1 bound
-    |LAPACK det - exact closed form| at every kept pair and e2 bound
-    |cf - T|, and M >= e1 + 2 e2 (below).  Then LAPACK's minimum is at most
-    c0 + e1 + e2 <= c0 + M.  Where F >= 0, the exact closed form is at
-    least T at every kept phase, as d is at most its largest; a computed
-    F >= 0 whose exact value is negative is within e2 of 0, so there it is
-    at least T - e2.  So a chart point with F >= 0 and cf > c0 + 2M has
-    LAPACK dets above cf - 2 e2 - e1 > c0 + M at all its kept pairs, cannot
-    hold the minimum, and is skipped.  The chart points left, every one with
-    F < 0 (where the min over phases is not power F) among them, keep their
-    row order; none whose cf or F is NaN is skipped.  At alpha = 0 nothing
-    is skipped: `power` is taken over the grid's phases, not phase 0.
+    At alpha != 0, per chart point F = 1 - alpha coef(K) h is the phase-free
+    factor and cf = P F, with P the grid's `power`.  The anchor is the first
+    chart point of least cf; the least LAPACK det v0 of its kept pairs
+    bounds the grid's minimum from above.  A chart point with F >= 0 and
+    cf > v0 + M, M >= e1 + e2 (below), is skipped: each of its kept pairs
+    has a LAPACK det of at least cf - e2 - e1 > v0.  The chart points left,
+    every one with F < 0 and the anchor among them, keep their row order;
+    none whose cf or F is NaN is skipped.  At alpha = 0 nothing is skipped.
 
-    The margin is M = 2^10 n eps r^{n-1} l (``_scan_margin``), with eps the
-    float64 epsilon, r = 5 + 2 pi |alpha| and
-    l = 1 + (K^2 - 1)(3 + 2 sqrt(n - 1)) / 2.  The reference at a kept pair
-    is the Jacobian at the grid's phase in exact arithmetic, but with the
-    scan's float last row (coef(K) grad(s^2), 1); its exact det is the
-    closed form with h taken against that row.  That row and the grid's h
-    share the floats s^2 and g of ``kernels._spiral_ssq`` at the chart
-    point, so the rounding of g = K^2 - (K^2 - 1) s^2, which K^2 / g
-    amplifies, is common to both and drops out.
+    M = 2^10 n eps r^{n-1} l (``_scan_margin``), with eps the float64
+    epsilon, r = 5 + 2 pi |alpha| and l = 1 + (K^2 - 1)(3 + 2 sqrt(n - 1)) / 2.
+    The reference at a kept pair is the Jacobian at the grid's phase in
+    exact arithmetic, with the scan's float last row (coef(K) grad(s^2), 1).
+    Its det D is (m/d)^{n-1} F', with F' the exact phase-free factor against
+    that row.  The row shares the floats s^2 and g of ``kernels._spiral_ssq``
+    with the grid's h, so the rounding of g, which K^2 / g amplifies, drops
+    out.  As d <= max(q, rho), D >= P' F' where F' >= 0, with P' the exact P.
 
     - Row bounds, a priori.  With |w_i / d| <= 1, m / d <= sqrt(2) and
       d <= pi / sqrt(2), the magnitudes of the terms that
@@ -566,43 +550,45 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
       2 (2 + pi |alpha|) + 1 = r.  With g >= 1, coef(K) <= (K^2 - 1) / 2;
       s^2 <= sin^2 m <= m <= rho and |x_1| <= rho bound |grad(s^2)|_1 by
       3 + 2 sqrt(n - 1), so the last row sums to at most l.  So
-      P = r^{n-1} l bounds the product of the rows' term sums, and so the
+      B = r^{n-1} l bounds the product of the rows' term sums, and so the
       permanent of |J|.  Also |y|_inf <= 2 m <= pi gives |F| <= r l, and
-      power <= 2^{(n-1)/2} <= r^{n-2}.
-    - e1, LAPACK's rounding: at most 8 n eps P.  A Laplace expansion of
-      the determinant rounds by at most about (n + 1) / 4 n eps times the
-      permanent of |J|, which P bounds; the constant 8 leaves room for the
-      rounding of LAPACK's pivoted LU.
-    - e1, entry rounding and the phase gap: each chart entry is a handful
-      of roundings from its exact value; cos and sin are within an ulp; the
-      scan's phase alpha (phase / alpha) is within 2 ulps of a grid phase
-      below 2 pi, which moves cos and sin by at most 2 pi eps; so w and d
-      move by about 20 eps d, and each entry by at most 2^8 eps times its
-      terms' sum.  That moves the determinant by at most 2^8 n eps P, up to
-      a factor 1 + 2^-40.  So e1 = (8 + 2^8) n eps P.
-    - e2, the closed form: the grid's d, so power, is within about 20 n eps
-      of its exact value, relative, and F within 2^5 eps (1 + |alpha coef h|
-      term by term), absolute; with the row bounds, e2 = 2^5 n eps P.
+      (m/d)^{n-1} <= 2^{(n-1)/2} <= r^{n-2}.
+    - e1 = (8 + 2^8) n eps B bounds |LAPACK det - D|.  LAPACK rounds by at
+      most 8 n eps B: a Laplace expansion rounds by about (n + 1) / 4 n eps
+      times the permanent of |J|, and 8 leaves room for the pivoted LU.
+      The entries add 2^8 n eps B, up to a factor 1 + 2^-40: each is a
+      handful of roundings from its exact value; cos and sin are within an
+      ulp; the scan's phase alpha (phase / alpha) is within 2 ulps of a
+      grid phase below 2 pi, which moves cos and sin by at most 2 pi eps;
+      so w and d move by about 20 eps d, and each entry by at most 2^8 eps
+      times its terms' sum.
+    - e2 = 2^5 n eps B bounds cf - D at a chart point with F >= 0.  rho,
+      two squares, a sum and a square root, is within eps of its exact
+      value, relative; the max is exact and the division rounds once; the
+      power rounds once, or n - 2 times as products.  So P is within 2 n eps
+      of P' <= 1, relative.  F is within 2^5 eps r l of F' (2^5 eps times
+      1 + |alpha coef h|, term by term).  Where F' >= 0, cf - D <=
+      cf - P' F' <= 2 n eps |F| + 2^5 eps r l <= 2^4 n eps B.  Where
+      F' < 0 <= F, F <= 2^5 eps r l, and cf and -D are each at most
+      2^{(n-1)/2} 2^5 eps r l, so cf - D <= 2^6 eps B.
 
-    e1 + 2 e2 is about 330 n eps P; M takes 2^10 n eps P.
+    e1 + e2 is about 300 n eps B; M takes 2^10 n eps B.
 
     The chart points left are taken in row order, in blocks of
     ``_BLOCK`` // res of them (``_BLOCK`` at alpha = 0, with its one phase),
-    so a block holds at most ``_BLOCK`` kept pairs.  A block's kept pairs,
-    in row order, are one ``kernels.spiral_jac_batch`` call and one
-    ``np.linalg.det``; its first minimum replaces the running one only where
-    it is strictly lower, so the result is the first minimum over all
-    blocks.
+    each one ``_factored_pairs`` call; a block's first minimum replaces the
+    running one only where it is strictly lower, so the result is the first
+    minimum over all blocks.
 
     The grid defaults to the coarse one of ``certification_grids(n)``.
-    Returns (min_det, worst_point), the first minimum in row order, with the
-    worst point's last coordinate converted back from phase to x_n.  At
-    alpha = 0 the Jacobian does not depend on x_n, so each chart point is
-    evaluated once, at the single phase 0 and x_n = 0: its kept phases all
-    give the same entries.  A nonzero rate with 2 pi / alpha not finite is
-    refused: its x_n = phase / alpha would overflow.  So is any rate, zero
-    included, at which the margin M overflows: the row bound P does too,
-    and the entries and determinants may.
+    Returns (min_det, worst_point), with the worst point's last coordinate
+    converted back from phase to x_n.  At alpha = 0 the Jacobian does not
+    depend on x_n, so each chart point is evaluated once, at phase 0 and
+    x_n = 0, where it is kept: its kept phases all give the same entries.
+    A nonzero rate with 2 pi / alpha not finite is refused: its
+    x_n = phase / alpha would overflow.  So is any rate, zero included, at
+    which the margin M overflows: the row bound B does too, and the entries
+    and determinants may.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -621,23 +607,21 @@ def spiral_jacobian_scan(K, n, alpha, grid=None):
     if grid is None:
         grid = certification_grids(n)[0]
     sg = _spiral_grid(n, grid)
+    coords = sg.coords
     if alpha == 0:
-        # every chart point of the grid has a kept phase
-        xn, keep, coords = np.zeros(1), np.ones((1, sg.power.size), dtype=bool), sg.coords
+        phases = np.zeros(1)
     else:
+        phases = np.linspace(0.0, TWO_PI, grid, endpoint=False)
         factor = _closed_form_det(1.0, sg.h, sg.ssq, K, alpha)
         cf = sg.power * factor
-        skip = (factor >= 0) & (cf > cf.min() + 2.0 * margin)
-        charts = np.flatnonzero(~skip)
-        xn, keep, coords = sg.phases / alpha, sg.keep[:, charts], sg.coords[:, charts]
-    step = max(1, _BLOCK // len(xn))
+        a = np.argmin(cf)
+        v0 = np.min(_factored_pairs(coords[:, a:a + 1], phases, K, alpha)[0])
+        coords = coords[:, ~((factor >= 0) & (cf > v0 + margin))]
+    step = max(1, _BLOCK // len(phases))
     worst = np.inf
     worst_pt = None
     for lo in range(0, coords.shape[1], step):
-        # the block's kept pairs in row order: chart point, then phase
-        ch, ph = np.nonzero(keep[:, lo:lo + step].T)
-        pts = np.column_stack((coords[:, lo + ch].T, xn[ph]))
-        dets = np.linalg.det(kernels.spiral_jac_batch(pts, K, alpha))
+        dets, pts = _factored_pairs(coords[:, lo:lo + step], phases, K, alpha)
         k = np.argmin(dets)
         if dets[k] < worst:
             worst, worst_pt = float(dets[k]), pts[k].copy()
@@ -648,11 +632,13 @@ def select_alpha(K, n, orientation=1, grid=None):
     """Largest spiral rate from a halving search with a certified Jacobian.
 
     Halves |alpha| from 1/2 until the analytic Jacobian determinant exceeds
-    2^{-(n+1)/2} at every interior point of both grids of
-    ``certification_grids(n, grid)``, the coarse grid and its 2x refinement.
-    The sign of the result is `orientation`.  Rates are cached by
-    (K, n, orientation, grid) with `grid` as given, so a cached rate is
-    returned before any grid is resolved or built.
+    2^{-(n+1)/2} at every phase of every interior chart point of both grids
+    of ``certification_grids(n, grid)``, the coarse grid and its 2x
+    refinement.  The sign of the result is `orientation`.  Rates are cached
+    by (K, n, orientation, grid) with `grid` as given, so a cached rate is
+    returned before any grid is resolved or built.  A K at which the scan's
+    rounding bound (``_scan_margin``) overflows at rate 1/2 is refused before
+    any grid is built; below it, no term of the closed form overflows.
 
     The determinant has a closed form.  At a chart point x_b with phase
     phi = alpha * x_n, let m = max|x_i| (attained at index p) and d the
@@ -664,17 +650,19 @@ def select_alpha(K, n, orientation=1, grid=None):
 
         det J = (m/d)^{n-1} (1 - alpha coef(K) h),   h = grad(s^2) . y,
 
-    with coef(K) = (K^2 - 1) / (2 g) and g = K^2 + (1 - K^2) s^2.  Only
-    (m/d) depends on the phase, so each ``_spiral_grid`` holds per chart
-    point the min over its kept phases of (m/d)^{n-1} plus h and s^2, and a
-    trial rate passes iff the min over chart points of that min times
-    (1 - alpha coef(K) h) exceeds the floor (the floor is positive, so a
-    chart point with a non-positive second factor fails either way).  Since
-    d <= sqrt(2) m, the alpha-free part (m/d)^{n-1} is at least
-    2^{-(n-1)/2}, above the floor, so the search always terminates.
-    ``spiral_jacobian_scan`` checks the same determinants with LAPACK, at
-    every kept pair of the chart points this form puts within its rounding
-    margin of the minimum.
+    with coef(K) = (K^2 - 1) / (2 g) and g = K^2 + (1 - K^2) s^2.  Only d
+    depends on the phase: d = max(q, |R(phi) (x_1, x_2)|_inf), with
+    rho = |(x_1, x_2)| and q = max_{i>=3} |x_i| (0 at n = 3).  The rotated
+    pair's max-norm is at most rho, with equality where it lies on an axis,
+    at four phases per turn, so sup d = max(q, rho) and the infimum over
+    phases of (m/d)^{n-1} is P = (m / max(q, rho))^{n-1}, which each
+    ``_spiral_grid`` holds per chart point with h and s^2.  A trial rate
+    passes iff the min over chart points of P (1 - alpha coef(K) h)
+    exceeds the floor: where the second factor is positive that is the
+    infimum over phases, and where it is not, no phase is above the floor.
+    As rho <= sqrt(2) m and q <= m, P >= 2^{-(n-1)/2}, above the floor, so
+    the search always terminates.  ``spiral_jacobian_scan`` checks the same
+    determinants with LAPACK at the grid's phases.
     """
     _require_stretch_factor(K)
     if n < 3:
@@ -684,6 +672,10 @@ def select_alpha(K, n, orientation=1, grid=None):
     key = (round(float(K), 12), n, orientation, grid)
     if key in _ALPHA_CACHE:
         return _ALPHA_CACHE[key]
+    if not np.isfinite(_scan_margin(n, K, 0.5)):
+        raise InvalidInputError(
+            f"stretch factor K = {float(K)!r} is out of range: the spiral "
+            "Jacobian's rounding bound overflows")
     floor = jacobian_floor(n)
     grids = [_spiral_grid(n, res) for res in certification_grids(n, grid)]
     a = 0.5

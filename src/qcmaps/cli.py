@@ -52,7 +52,7 @@ DEFAULT_TOL = 1e-12
 # time; README gives the peak RSS at each.
 # Close waypoints on one sphere plan about a shell per waypoint and sweep, so
 # the realized orbit, shells x --samples, is capped once the map is built.
-MAX_GRID = 256  # verify: the n = 3 spiral refinement has (2 grid - 1)^3 pairs
+MAX_GRID = 256  # verify: the n = 3 spiral refinement holds (2 grid - 1)^2 chart points
 MAX_SAMPLES = 10**6  # verify
 MAX_SHELL_SAMPLES = 10**4  # realize
 MAX_ORBIT_SAMPLES = 10**6  # realize, shells x --samples

@@ -389,13 +389,10 @@ class TestSpiralJacobian:
         assert np.allclose(jac[3, :4], [0, 0, 0, 1], atol=1e-14)
 
 
-def _grid_points(n, res):
-    """The (chart, phase) points of a certification grid, one lead row at a
-    time, built independently of ``cm._spiral_grid``: chart point by chart
-    point, the res phases of each consecutive, the phase in the last
-    coordinate."""
+def _chart_rows(n, res):
+    """The chart points of a certification grid, one lead row at a time, in
+    row order, built independently of ``cm._spiral_grid``."""
     axis = np.linspace(-HALF_PI + cm.GRID_BAND, HALF_PI - cm.GRID_BAND, res)
-    phases = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
     tail = np.stack(
         [g.ravel() for g in np.meshgrid(*[axis] * (n - 2), indexing="ij")], axis=1
     )
@@ -403,10 +400,27 @@ def _grid_points(n, res):
         chart = np.empty((len(tail), n - 1))
         chart[:, 0] = lead
         chart[:, 1:] = tail
+        yield chart
+
+
+def _grid_points(n, res):
+    """The (chart, phase) points of a certification grid, one lead row at a
+    time: chart point by chart point, the res phases of each consecutive,
+    the phase in the last coordinate."""
+    phases = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
+    for chart in _chart_rows(n, res):
         pts = np.empty((len(chart) * res, n))
         pts[:, :-1] = np.repeat(chart, res, axis=0)
         pts[:, -1] = np.tile(phases, len(chart))
         yield pts
+
+
+def _kept_pairs(n, res):
+    """The kept (chart, phase) points of a certification grid, one lead row
+    at a time: each point kept by its own region margins."""
+    for row in _grid_points(n, res):
+        _, _, pyr, switch = kernels.spiral_region_batch(row, 1.0)
+        yield row[(pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)]
 
 
 class TestSelectAlpha:
@@ -500,9 +514,28 @@ class TestSelectAlpha:
              "overflow-alpha-n3", "overflow-alpha-n5", "overflow-K-zero-rate"],
     )
     def test_scan_rejects_bad_input(self, K, n, alpha):
-        # validated as select_alpha does, before any grid is walked
+        # validated as select_alpha does, before any grid is built
         with pytest.raises(InvalidInputError):
             spiral_jacobian_scan(K, n, alpha, 17)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_huge_stretch_refused_without_warnings(self, monkeypatch, n):
+        # pytest turns warnings into errors: over a log sweep of K up to
+        # 1e308, and around the largest K whose rounding bound l is finite,
+        # the search returns a rate or refuses K, with no overflow warning;
+        # every refused K lies above every certified one
+        monkeypatch.setattr(cm, "_ALPHA_CACHE", {})
+        edge = np.sqrt(np.finfo(float).max / (3.0 + 2.0 * np.sqrt(n - 1.0)))
+        factors = [*np.logspace(0.0, 308.0, 78), *(edge * (1.0 + k * 1e-15) for k in range(-4, 5))]
+        rates, refused = {}, []
+        for K in factors:
+            try:
+                rates[K] = select_alpha(K, n, grid=9)
+            except InvalidInputError as exc:
+                assert str(exc).startswith(f"stretch factor K = {float(K)!r} is out of range")
+                refused.append(K)
+        assert rates and refused
+        assert max(rates) < min(refused)
 
     def test_scan_margin_overflows_to_inf(self):
         # at --alpha 1e100 and n = 5, r^{n-1} overflows: the margin is +inf,
@@ -515,11 +548,9 @@ class TestSelectAlpha:
         # reference: keep every (chart, phase) point by its own region
         # margins, then take LAPACK's first minimum over all kept points,
         # one lead row of the grid at a time
-        pts = []
-        for row in _grid_points(n, res):
-            _, _, pyr, switch = kernels.spiral_region_batch(row, 1.0)
-            pts.append(row[(pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)])
-            pts[-1][:, -1] = pts[-1][:, -1] / alpha if alpha != 0 else 0.0
+        pts = list(_kept_pairs(n, res))
+        for p in pts:
+            p[:, -1] = p[:, -1] / alpha if alpha != 0 else 0.0
         for K in factors:
             dets = np.concatenate(
                 [np.linalg.det(kernels.spiral_jac_batch(p, K, alpha)) for p in pts])
@@ -562,9 +593,9 @@ class TestSelectAlpha:
         assert ties > 1
 
     @pytest.mark.parametrize("K", [1.0, 2.0, 12.0])
-    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
+    @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 13)])
     def test_scan_matches_reference_on_cli_grids(self, n, res, K):
-        # the grids verify spiral walks, at K's certified rate; at K = 1,
+        # the grids verify spiral scans, at K's certified rate; at K = 1,
         # det = (m/d)^{n-1} is constant on whole regions of the grid, so
         # LAPACK's dets hold runs of tied pairs and the scan must keep the
         # first minimum among them
@@ -589,6 +620,11 @@ class TestSelectAlpha:
             (3, 65, 3.0, -0.25, False),
             (4, 25, 6.1109, -0.25, False),
             (5, 9, 40.0, -0.0625, False),
+            # the chart point of least cf does not hold LAPACK's minimum
+            # over the grid's phases: a skip against that least cf, not
+            # against the anchor's LAPACK det, drops the one that does
+            (3, 8, 3.0, 0.5, False),
+            (5, 9, 6.1109, 0.25, False),
         ],
     )
     def test_prefilter_matches_per_row_reference(self, monkeypatch, n, res, K, alpha, negative):
@@ -614,95 +650,141 @@ class TestSelectAlpha:
             assert sum(calls) == charts
 
     def test_scan_calls_lapack_on_candidates_only(self, monkeypatch):
-        # at K = 2 and its certified rate, on the grids verify spiral walks,
+        # at K = 2 and its certified rate, on the grids verify spiral scans,
         # the closed form leaves at most 1% of each grid's kept pairs to
-        # assemble, and LAPACK factors exactly the Jacobians assembled
+        # assemble, the anchor's included, and LAPACK factors exactly the
+        # Jacobians assembled
         made, factored = [], []
         jac, det = kernels.spiral_jac_batch, np.linalg.det
         monkeypatch.setattr(
             kernels, "spiral_jac_batch", lambda x, K, a: made.append(jac(x, K, a)) or made[-1])
         monkeypatch.setattr(np.linalg, "det", lambda a: factored.append(a) or det(a))
         for n, res in ((3, 33), (3, 65), (4, 13), (4, 25)):
+            pairs = sum(map(len, _kept_pairs(n, res)))
             alpha = select_alpha(2.0, n)
             made.clear()
             factored.clear()
             spiral_jacobian_scan(2.0, n, alpha, res)
-            assert 0 < sum(map(len, made)) <= np.count_nonzero(cm._spiral_grid(n, res).keep) / 100
+            assert 0 < sum(map(len, made)) <= pairs / 100
             assert len(factored) == len(made)
             assert all(a is b for a, b in zip(factored, made))
 
+    @pytest.mark.parametrize(
+        "n, res, K, alpha", [(3, 33, 6.1109, 1.0), (4, 13, 2.0, 2.0), (5, 9, 2.0, 4.0)])
+    def test_scan_factors_kept_pairs_only(self, monkeypatch, n, res, K, alpha):
+        # after the anchor's call, the rows factored are the kept pairs of
+        # the chart points factored, in row order, with x_n = phase / alpha;
+        # at the first rate two pairs of such chart points lie within
+        # GRID_BAND of a candidate switch and are left out
+        rows, jac = [], kernels.spiral_jac_batch
+        monkeypatch.setattr(
+            kernels, "spiral_jac_batch", lambda x, K, a: rows.append(x) or jac(x, K, a))
+        spiral_jacobian_scan(K, n, alpha, res)
+        got = np.concatenate(rows[1:])
+        kept = np.concatenate(list(_kept_pairs(n, res)))
+        kept[:, -1] /= alpha
+        charts = set(map(tuple, got[:, :-1]))
+        assert np.array_equal(got, kept[[tuple(x) in charts for x in kept[:, :-1]]])
+
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25), (5, 9)])
     def test_closed_form_matches_direct_dets(self, n, res):
-        # the grid's phase-free factors give LAPACK's det at every kept pair,
-        # with (m/d)^{n-1} taken at the pair's own phase, also where
-        # 1 - alpha coef(K) h < 0 (K = 2 at rate 2) and at K = 40
+        # at every kept pair, classified as the scan classifies, the grid's
+        # phase-free factors give LAPACK's det with (m/d)^{n-1} taken at the
+        # pair's own phase, also where 1 - alpha coef(K) h < 0 (K = 2 at
+        # rate 2) and at K = 40; the grid's power, the infimum over phases,
+        # is at most that (m/d)^{n-1}
         grid = cm._spiral_grid(n, res)
-        ph, ch = np.nonzero(grid.keep)
-        for lo in range(0, len(ch), 2 ** 14):
-            i, j = ch[lo:lo + 2 ** 14], ph[lo:lo + 2 ** 14]
-            xb, phase = grid.coords[:, i].T, grid.phases[j]
+        start = 0
+        for pts in _kept_pairs(n, res):
+            xb, phase = pts[:, :-1], pts[:, -1]
+            # the pairs come chart point by chart point, so a new chart point
+            # starts wherever the chart coordinates change
+            i = start + np.cumsum(np.r_[True, np.any(xb[1:] != xb[:-1], axis=1)]) - 1
+            start = i[-1] + 1
+            assert np.array_equal(grid.coords[:, i].T, xb)
             w = np.stack(kernels._rotated_cols(xb.T, np.cos(phase), np.sin(phase)), axis=1)
             power = (np.abs(xb).max(axis=1) / np.abs(w).max(axis=1)) ** (n - 1)
+            assert np.all(grid.power[i] <= power * (1.0 + 2.0 ** -40))
             for K, alpha in (
                 (1.0, -0.5), (3.0, 0.25), (12.0, -0.03125), (2.0, 2.0), (40.0, 0.5)
             ):
-                x = np.empty((len(i), n))
-                x[:, :-1] = xb
+                x = pts.copy()
                 x[:, -1] = phase / alpha
                 direct = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha))
                 closed = cm._closed_form_det(power, grid.h[i], grid.ssq[i], K, alpha)
                 np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-13)
                 # the scan's prefilter margin bounds the same gap
                 assert np.all(np.abs(closed - direct) <= cm._scan_margin(n, K, alpha))
+        assert start == grid.power.size
 
     @pytest.mark.parametrize("n, res", [(3, 17), (4, 9), (5, 9)])
     def test_phase_separable_build_matches_per_row(self, monkeypatch, n, res):
-        # reference: classify every (chart, phase) row, rotate the kept rows
-        # for (m/d)^{n-1}, then reduce over each chart point's phases
-        coords, keep, power, h, ssq = [], [], [], [], []
-        for pts in _grid_points(n, res):
-            xb = pts[:, :-1]
-            w = np.stack(
-                kernels._rotated_cols(xb.T, np.cos(pts[:, -1]), np.sin(pts[:, -1])), axis=1)
-            _, _, pyr, switch = kernels.spiral_region_batch(pts, 1.0)
-            ref = (pyr >= cm.GRID_BAND) & (switch >= cm.GRID_BAND)
-            low = np.full(len(pts), np.inf)
-            low[ref] = (np.abs(xb[ref]).max(axis=1) / np.abs(w[ref]).max(axis=1)) ** (n - 1)
-            low = low.reshape(-1, res).min(axis=1)
-            has = np.isfinite(low)
-            hh, ss = cm._phase_free_terms(xb[::res][has])
-            coords.append(xb[::res][has])
-            keep.append(ref.reshape(-1, res)[has])
-            power.append(low[has])
+        # reference: each chart point by itself, kept where the gap between
+        # its two largest |x_i|, a sort's last two, is at least GRID_BAND,
+        # with power = (m / max(q, rho))^{n-1}, rho = |(x_1, x_2)| and q the
+        # largest |x_i| beyond them
+        coords, power, h, ssq = [], [], [], []
+        for chart in _chart_rows(n, res):
+            top = np.sort(np.abs(chart), axis=1)
+            xb = chart[top[:, -1] - top[:, -2] >= cm.GRID_BAND]
+            rho = np.sqrt(xb[:, 0] * xb[:, 0] + xb[:, 1] * xb[:, 1])
+            d = np.column_stack((rho, np.abs(xb[:, 2:]))).max(axis=1)
+            hh, ss = cm._phase_free_terms(xb)
+            coords.append(xb)
+            power.append((np.abs(xb).max(axis=1) / d) ** (n - 1))
             h.append(hh)
             ssq.append(ss)
         expected = dict(
-            phases=np.linspace(0.0, 2.0 * np.pi, res, endpoint=False),
             coords=np.concatenate(coords).T,
-            keep=np.concatenate(keep).T,
             power=np.concatenate(power),
             h=np.concatenate(h),
             ssq=np.concatenate(ssq),
         )
-        # one build at the default blocks, one at blocks of about 100 pairs
-        # and 100 chart points: both give the reference, so each other, bit
-        # for bit
-        rotate, terms = kernels._rotate_pair, cm._phase_free_terms
+        # one build at the default blocks, one at blocks of 100 chart points:
+        # both give the reference, so each other, bit for bit
+        terms = cm._phase_free_terms
         for block in (cm._BLOCK, 100):
             monkeypatch.setattr(cm, "_BLOCK", block)
-            pairs, charts = [], []
-            monkeypatch.setattr(kernels, "_rotate_pair", lambda a, b, c, s: pairs.append(
-                a.size * c.size) or rotate(a, b, c, s))
+            charts = []
             monkeypatch.setattr(
                 cm, "_phase_free_terms", lambda xb: charts.append(len(xb)) or terms(xb))
             grid = cm._spiral_grid.__wrapped__(n, res)
-            assert max(pairs) <= max(block, res)
-            assert max(charts) == min(block, grid.power.size)
+            assert grid._fields == tuple(expected)
+            # one call per block of the res^{n-1} chart points
+            assert len(charts) == -(-res ** (n - 1) // block)
+            assert max(charts) <= block
             for name, want in expected.items():
                 got = getattr(grid, name)
                 assert not got.flags.writeable
                 assert np.array_equal(got, want), name
-        assert len(pairs) > 3 and len(charts) > 1
+        assert len(charts) > 1
+
+    @pytest.mark.parametrize("n, res", [(3, 33), (4, 13), (5, 13)])
+    def test_power_is_infimum_over_phases(self, n, res):
+        # at 200 seeded chart points of a grid, the min over 4000 phases of
+        # (m/d)^{n-1} is never below the grid's power beyond rounding, and
+        # above it by at most the sampling gap: a sampled phase lies within
+        # half a step of each phase where the rotated pair meets an axis.
+        # LAPACK's dets at 20 of them, over the same phases, follow it.
+        grid = cm._spiral_grid(n, res)
+        pick = np.random.default_rng(17).choice(grid.power.size, 200, replace=False)
+        xb, power = grid.coords[:, pick], grid.power[pick]
+        phases = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
+        gap = np.cos(phases[1] / 2.0) ** (1 - n) - 1.0
+        w = kernels._rotated_cols(xb, np.cos(phases)[:, None], np.sin(phases)[:, None])
+        low = ((kernels._abs_max(xb) / kernels._abs_max(w)) ** (n - 1)).min(axis=0)
+        assert np.all(low >= power * (1.0 - 1e-15))
+        assert np.all(low <= power * (1.0 + gap) + 1e-15)
+        K, alpha = 2.0, 0.5
+        x = np.empty((4000 * 20, n))
+        x[:, :-1] = np.repeat(xb[:, :20].T, 4000, axis=0)
+        x[:, -1] = np.tile(phases / alpha, 20)
+        dets = np.linalg.det(kernels.spiral_jac_batch(x, K, alpha)).reshape(20, 4000)
+        cf = cm._closed_form_det(power[:20], grid.h[pick[:20]], grid.ssq[pick[:20]], K, alpha)
+        margin = cm._scan_margin(n, K, alpha)
+        assert np.all(cf > 0)
+        assert np.all(dets.min(axis=1) >= cf - margin)
+        assert np.all(dets.min(axis=1) <= cf * (1.0 + gap) + margin)
 
     @pytest.mark.parametrize("n, res", [(3, 33), (3, 65), (4, 13), (4, 25)])
     def test_alpha_free_floor(self, n, res):

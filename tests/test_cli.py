@@ -171,6 +171,37 @@ def test_verify_spiral_rejects_overflowing_rate(capsys):
         "the Jacobian scan's rounding bound overflows\n")
 
 
+@pytest.mark.parametrize(
+    "argv, K",
+    [
+        (["verify", "spiral", "--K", "1e200"], "1e+200"),
+        (["verify", "spiral", "--K", "1e154"], "1e+154"),
+        (["probe", "--map", "spiral", "--K", "1e200", "--t", "1,0.1", "--out", "p"], "1e+200"),
+    ],
+    ids=["verify-1e200", "verify-1e154", "probe-1e200"],
+)
+def test_spiral_rate_search_refuses_huge_stretch(tmp_path, monkeypatch, capsys, argv, K):
+    # numpy overflow warnings came before "no admissible spiral rate found"
+    # (K = 1e200) or the scan's refusal (K = 1e154); the rate search refuses
+    # such a K with one line, before any grid is built
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cm, "_spiral_grid", None)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: stretch factor K = {K} is out of range: "
+        "the spiral Jacobian's rounding bound overflows\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_spiral_certifies_large_stretch(capsys):
+    # K = 1e150 is below the refusal: it certifies alpha = 1/64 and passes
+    assert main(["verify", "spiral", "--K", "1e150"]) == 0
+    assert '"alpha": 0.015625' in capsys.readouterr().out
+
+
 def test_tol_default_shared():
     assert RunConfig().tol == DEFAULT_TOL == 1e-12
     args = _build_parser().parse_args(["verify", "zorich"])
